@@ -88,9 +88,10 @@ def _load_fragment(ref: str) -> tuple[PatternFragment, str | None]:
 def _parse_branches(text: str) -> str | tuple[str, int]:
     if text == "all":
         return "all"
-    if text.startswith("sample:"):
-        return ("sample", int(text.split(":", 1)[1]))
-    raise UsageError(f"--branches must be 'all' or 'sample:K', got {text!r}")
+    count = text.split(":", 1)[1] if text.startswith("sample:") else ""
+    if count.isdecimal() and int(count) >= 1:
+        return ("sample", int(count))
+    raise UsageError(f"--branches must be 'all' or 'sample:K' with K >= 1, got {text!r}")
 
 
 def _cmd_verify(args) -> int:
@@ -141,8 +142,9 @@ def _cmd_run(args) -> int:
         _emit({"traces": [t.to_dict(args.amplitudes) for t in traces]}, args.json)
         return 0
     if args.tape is not None:
-        bits = [int(ch) for ch in args.tape if ch in "01"]
-        trace = run_pattern(pattern, OutcomeSource.fixed(bits))
+        if set(args.tape) - set("01"):
+            raise UsageError(f"--tape takes only the digits 0 and 1, got {args.tape!r}")
+        trace = run_pattern(pattern, OutcomeSource.fixed([int(ch) for ch in args.tape]))
     else:
         trace = run_pattern(pattern, OutcomeSource.seeded(args.seed))
     _emit(trace.to_dict(args.amplitudes), args.json)

@@ -1,17 +1,26 @@
 """Adaptive execution of patterns and fragments.
 
-Two engines share the same measurement-order and basis-choice semantics:
+One engine runs every outcome source. Per call it builds a plan in the
+standard form of the measurement calculus (Danos, Kashefi and Panangaden,
+arXiv:0704.1263): the measurement order (lowest
+ready vertex first) and, before each measurement, the edges whose
+first-measured endpoint it is; edges joining two unmeasured vertices come
+last. It walks the plan over a ``(rows, 2**live)`` amplitude array. A qubit
+is allocated in |+> when its first edge or measurement needs it and dropped
+once measured; spectator qubits ride along as ordinary register axes.
 
-* a single-trace engine that allocates qubits lazily and frees them as soon
-  as they are measured, so long chains simulate in a narrow window;
-* a vectorized engine that enumerates every outcome branch at once, used by
-  the certification tooling.
+Only the choice of surviving outcome rows depends on the source: exhaustive
+enumeration splits every row into both outcomes (row r into rows 2r and
+2r+1, so the first measurement is the most significant bit of the branch
+index), a seeded shot draws one outcome from the branch distribution, and a
+tape forces it.
 
 Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,15 +47,11 @@ from .statevec import (
     Statevector,
     X,
     Z,
-    apply_edges,
     apply_matrix,
-    apply_parity_phase,
-    embed_state,
-    measure,
-    permute,
     plus_state,
-    tensor,
 )
+
+SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,9 @@ class OutcomeSource:
     """Where measurement outcomes come from.
 
     ``seeded`` draws outcomes from the true branch distribution with a
-    reproducible generator; ``tape`` forces a fixed outcome list (consumed
-    in execution order); ``exhaustive`` marks branch enumeration and is
-    only valid with the enumeration entry points.
+    reproducible generator; ``tape`` forces a fixed outcome list of 0s and
+    1s (consumed in execution order); ``exhaustive`` marks branch
+    enumeration and is only valid with the enumeration entry points.
     """
 
     mode: str = "seeded"
@@ -66,6 +71,9 @@ class OutcomeSource:
     def __post_init__(self):
         if self.mode not in ("seeded", "tape", "exhaustive"):
             raise ValueError(f"unknown outcome mode {self.mode!r}")
+        if any(b not in (0, 1) for b in self.tape):
+            raise ValueError(f"tape entries must be 0 or 1, got {list(self.tape)}")
+        object.__setattr__(self, "tape", tuple(int(b) for b in self.tape))
 
     @staticmethod
     def seeded(seed: int = 0xC0FFEE) -> OutcomeSource:
@@ -73,7 +81,7 @@ class OutcomeSource:
 
     @staticmethod
     def fixed(tape: tuple[int, ...] | list[int]) -> OutcomeSource:
-        return OutcomeSource("tape", tape=tuple(int(b) & 1 for b in tape))
+        return OutcomeSource("tape", tape=tuple(tape))
 
     @staticmethod
     def exhaustive() -> OutcomeSource:
@@ -111,30 +119,31 @@ def measurement_order(f: PatternFragment) -> list[int]:
     """Deterministic execution order: lowest ready vertex first.
 
     A vertex is ready once every outcome its choice function reads has been
-    produced. Well-foundedness guarantees progress.
+    produced. A cyclic dependency raises :class:`WellFoundednessError`
+    carrying the cycle.
     """
     ambient = set(f.error_variables())
     producers = f.pattern.producer_of()
-    pending = set(f.pattern.measurements)
-    deps = {
-        v: {
-            producers[name]
-            for name in m.choice.variables
-            if name not in ambient and producers[name] != v
-        }
-        for v, m in f.pattern.measurements.items()
-    }
-    done: set[int] = set()
+    waiting = dict.fromkeys(f.pattern.measurements, 0)
+    readers: dict[int, list[int]] = {v: [] for v in waiting}
+    for v, m in f.pattern.measurements.items():
+        for u in {producers[name] for name in m.choice.variables if name not in ambient}:
+            if u != v:
+                waiting[v] += 1
+                readers[u].append(v)
+    ready = [v for v, count in waiting.items() if count == 0]
+    heapq.heapify(ready)
     order: list[int] = []
-    while pending:
-        ready = [v for v in sorted(pending) if deps[v] <= done]
-        if not ready:
-            dependency_schedule(f.pattern, ambient)  # raises with the cycle
-            raise WellFoundednessError("no ready vertex")  # pragma: no cover
-        v = ready[0]
+    while ready:
+        v = heapq.heappop(ready)
         order.append(v)
-        done.add(v)
-        pending.remove(v)
+        for w in readers[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, w)
+    if len(order) < len(waiting):
+        dependency_schedule(f.pattern, ambient)  # raises with the cycle
+        raise WellFoundednessError("no ready vertex")  # pragma: no cover
     return order
 
 
@@ -145,206 +154,30 @@ def feed_forward_depth(p: MeasurementPattern | PatternFragment) -> int:
     return len(dependency_schedule(p))
 
 
-# -- single-trace engine -------------------------------------------------
-
-
-class _Register:
-    """Streaming register: lazy |+> allocation, immediate free on measure."""
-
-    def __init__(self, state: Statevector, positions: dict[int, int], cap: int):
-        self.state = state
-        self.pos = positions  # vertex -> register position
-        self.cap = cap
-
-    def alloc(self, v: int) -> None:
-        if v in self.pos:
-            return
-        if self.state.qubit_count + 1 > self.cap:
-            raise StateSizeError(f"register would exceed cap {self.cap}")
-        self.state = tensor(self.state, plus_state(1))
-        self.pos[v] = self.state.qubit_count - 1
-
-    def drop(self, v: int) -> int:
-        gone = self.pos.pop(v)
-        for w in self.pos:
-            if self.pos[w] > gone:
-                self.pos[w] -= 1
-        return gone
-
-
-def _sample_outcome(state, position, basis, rng):
-    p0, post0 = measure(state, position, basis, 0)
-    if rng.random() < p0:
-        if post0 is not None:
-            return 0, p0, post0
-    p1, post1 = measure(state, position, basis, 1)
-    if post1 is None:  # outcome 1 impossible; branch 0 is certain
-        return 0, p0, post0
-    return 1, 1.0 - p0, post1
-
-
-def _run_streaming(
-    f: PatternFragment,
-    src: OutcomeSource,
-    input_state: Statevector | None,
-    input_errors: dict[int, tuple[int, int]] | None,
-    spectators: int = 0,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> ExecutionTrace:
-    graph = f.pattern.graph
-    order = measurement_order(f)
-    if src.mode == "exhaustive":
-        raise ValueError("use enumerate_fragment for exhaustive enumeration")
-    if src.mode == "tape" and len(src.tape) < len(order):
-        raise PpmError(
-            f"tape of {len(src.tape)} bits is shorter than {len(order)} measurements"
-        )
-
-    n_in = len(f.inputs)
-    if input_state is None:
-        if n_in or spectators:
-            raise DimensionError("fragment with inputs needs an input state")
-        reg = _Register(plus_state(0), {}, cap)
-        spectator_pos: list[int] = []
-    else:
-        if input_state.qubit_count != n_in + spectators:
-            raise DimensionError(
-                f"input state must have {n_in + spectators} qubits, got"
-                f" {input_state.qubit_count}"
-            )
-        reg = _Register(input_state, {v: i for i, v in enumerate(f.inputs)}, cap)
-        spectator_pos = list(range(n_in, n_in + spectators))
-
-    env: dict[str, int] = {}
-    errs = input_errors or {}
-    for v in f.inputs:
-        zvar, xvar = f.input_errors[v]
-        zb, xb = errs.get(v, (0, 0))
-        env[zvar] = zb & 1
-        env[xvar] = xb & 1
-    error_env = dict(env)
-
-    for v in f.inputs:  # X^x Z^z on each input wire, Z first
-        zb, xb = errs.get(v, (0, 0))
-        if zb:
-            reg.state = apply_matrix(reg.state, reg.pos[v], Z)
-        if xb:
-            reg.state = apply_matrix(reg.state, reg.pos[v], X)
-
-    applied: set[tuple[int, int]] = set()
-
-    def apply_incident(v: int) -> None:
-        for u, w, k in graph.edges:
-            if v not in (u, w) or (u, w) in applied:
-                continue
-            reg.alloc(u)
-            reg.alloc(w)
-            reg.state = apply_parity_phase(
-                reg.state, reg.pos[u], reg.pos[w], k * graph.edge_angle
-            )
-            applied.add((u, w))
-
-    rng = np.random.default_rng(src.seed) if src.mode == "seeded" else None
-    probability = 1.0
-    bases: dict[int, str] = {}
-    for step, v in enumerate(order):
-        reg.alloc(v)
-        apply_incident(v)
-        choice = f.pattern.measurements[v].choice.evaluate(env)
-        basis = BASIS_BY_CHOICE[choice]
-        bases[v] = basis
-        if src.mode == "tape":
-            outcome = src.tape[step]
-            prob, post = measure(reg.state, reg.pos[v], basis, outcome)
-            if post is None:
-                raise ImpossibleBranchError(
-                    f"tape forces outcome {outcome} on vertex {v} (p={prob:.3e})"
-                )
-        else:
-            outcome, prob, post = _sample_outcome(reg.state, reg.pos[v], basis, rng)
-        probability *= prob
-        reg.state = post
-        gone = reg.drop(v)
-        spectator_pos = [p - 1 if p > gone else p for p in spectator_pos]
-        env[f.pattern.measurements[v].var] = outcome
-
-    # Materialize outputs nothing touched yet, then apply edges that join
-    # only unmeasured vertices.
-    for v in f.outputs:
-        reg.alloc(v)
-    for u, w, k in graph.edges:
-        if (u, w) not in applied:
-            reg.alloc(u)
-            reg.alloc(w)
-            reg.state = apply_parity_phase(
-                reg.state, reg.pos[u], reg.pos[w], k * graph.edge_angle
-            )
-            applied.add((u, w))
-
-    final = permute(reg.state, [reg.pos[o] for o in f.outputs] + spectator_pos)
-    frame = {
-        o: (f.corrections[o].zeta.evaluate(env), f.corrections[o].xi.evaluate(env))
-        for o in f.outputs
-    }
-    outcomes = {m.var: env[m.var] for m in f.pattern.measurements.values()}
-    return ExecutionTrace(outcomes, bases, probability, final, frame, error_env)
-
-
-def run_pattern(p: MeasurementPattern, src: OutcomeSource) -> ExecutionTrace:
-    """Execute a pattern: resource prepared, vertices measured adaptively."""
-    dependency_schedule(p)  # well-foundedness gate
-    return _run_streaming(_bare_fragment(p), src, None, None)
-
-
-def run_fragment(
-    f: PatternFragment,
-    input_state: Statevector,
-    input_errors: dict[int, tuple[int, int]] | None = None,
-    src: OutcomeSource = OutcomeSource(),
-) -> ExecutionTrace:
-    """Execute a fragment on an input state with declared Pauli errors."""
-    if input_state.qubit_count != len(f.inputs):
-        raise DimensionError(
-            f"input state must have {len(f.inputs)} qubits, got {input_state.qubit_count}"
-        )
-    f.schedule()
-    return _run_streaming(f, src, input_state, input_errors)
-
-
-def run_fragment_with_spectators(
-    f: PatternFragment,
-    joint_state: Statevector,
-    spectators: int,
-    input_errors: dict[int, tuple[int, int]] | None = None,
-    src: OutcomeSource = OutcomeSource(),
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> ExecutionTrace:
-    """Like :func:`run_fragment`, with trailing reference qubits riding along."""
-    f.schedule()
-    return _run_streaming(f, src, joint_state, input_errors, spectators, cap)
-
-
-# -- vectorized branch enumeration ----------------------------------------
-
-
 @dataclass
 class BranchEnsemble:
-    """All outcome branches of one fragment execution, one row per branch.
+    """Outcome branches of one fragment execution, one row per branch.
 
-    ``states`` holds unnormalized leaf vectors; the squared row norm is the
-    branch probability. Branch index bits follow ``order`` with the first
-    measurement as the most significant bit.
+    ``states`` holds unnormalized leaf vectors; the squared row norm times
+    ``scale`` is the branch probability. Exhaustive runs keep ``scale`` at 1;
+    single-row runs renormalize after each measurement and carry the
+    product of the measurement probabilities in it. Branch index bits follow
+    ``order`` with the first measurement as the most significant bit.
     """
 
     order: list[int]
-    states: np.ndarray  # (2**k, 2**(outputs+spectators))
+    states: np.ndarray  # (rows, 2**(outputs+spectators))
     env: dict[str, np.ndarray]
     choice_bits: dict[int, np.ndarray]
     error_bits: dict[str, int]
+    scale: float = 1.0
+
+    def _weights(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.states.conj(), self.states).real
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.states.conj(), self.states).real
+        return self.scale * self._weights()
 
     def full_env_rows(self) -> dict[str, np.ndarray]:
         rows = self.states.shape[0]
@@ -354,40 +187,219 @@ class BranchEnsemble:
         return full
 
     def traces(self, f: PatternFragment) -> list[ExecutionTrace]:
-        probs = self.probabilities
-        rows = self.states.shape[0]
-        out_qubits = int(math.log2(self.states.shape[1])) if self.states.shape[1] > 1 else 0
+        qubits = self.states.shape[1].bit_length() - 1
+        corrections = [(o, f.corrections[o]) for o in f.outputs]
         out = []
-        for r in range(rows):
-            p = float(probs[r])
-            state = None
-            if p >= IMPOSSIBLE_PROB:
-                state = Statevector(out_qubits, self.states[r] / math.sqrt(p))
-            env_r = {k: int(bits[r]) for k, bits in self.env.items()}
-            env_r.update(self.error_bits)
-            frame = {
-                o: (
-                    f.corrections[o].zeta.evaluate(env_r),
-                    f.corrections[o].xi.evaluate(env_r),
-                )
-                for o in f.outputs
-            }
+        for r, w in enumerate(self._weights()):
+            env = {k: int(bits[r]) for k, bits in self.env.items()} | self.error_bits
+            ok = w >= IMPOSSIBLE_PROB
             out.append(
                 ExecutionTrace(
-                    outcomes={
-                        m.var: env_r[m.var] for m in f.pattern.measurements.values()
-                    },
-                    bases={
-                        v: BASIS_BY_CHOICE[int(self.choice_bits[v][r])]
-                        for v in self.order
-                    },
-                    probability=p if p >= IMPOSSIBLE_PROB else 0.0,
-                    state=state,
-                    frame=frame,
-                    error_bits=dict(self.error_bits),
+                    {m.var: env[m.var] for m in f.pattern.measurements.values()},
+                    {v: BASIS_BY_CHOICE[int(self.choice_bits[v][r])] for v in self.order},
+                    self.scale * float(w) if ok else 0.0,
+                    Statevector(qubits, self.states[r] / math.sqrt(w)) if ok else None,
+                    {o: (c.zeta.evaluate(env), c.xi.evaluate(env)) for o, c in corrections},
+                    dict(self.error_bits),
                 )
             )
         return out
+
+
+# -- the engine -------------------------------------------------------------
+
+
+def _plan(f: PatternFragment) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    """Measurement order plus the edges to apply before each measurement.
+
+    An edge goes just before its first-measured endpoint; the extra last
+    entry holds the edges between unmeasured vertices.
+    """
+    order = measurement_order(f)
+    rank = {v: step for step, v in enumerate(order)}
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(len(order) + 1)]
+    for e in f.pattern.graph.edges:
+        edges[min(rank.get(e[0], len(order)), rank.get(e[1], len(order)))].append(e)
+    return order, edges
+
+
+def _phase(amps: np.ndarray, p: int, q: int, live: int, alpha: float) -> np.ndarray:
+    """Parity phase of angle ``alpha`` between register axes ``p`` and ``q``."""
+    p, q = min(p, q), max(p, q)
+    rows = amps.shape[0]
+    t = amps.reshape(rows, 1 << p, 2, 1 << (q - p - 1), 2, 1 << (live - q - 1))
+    even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
+    t *= np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
+    return t.reshape(rows, -1)
+
+
+def _children(amps: np.ndarray, pos: int, choices: np.ndarray) -> np.ndarray:
+    """Both outcome halves of register axis ``pos``, shape ``(rows, 2, rest)``.
+
+    Rows whose choice is 0 are rotated into the X basis first.
+    """
+    rows = amps.shape[0]
+    t = amps.reshape(rows, 1 << pos, 2, -1)
+    kids = np.empty((rows, 2, t.shape[1], t.shape[3]), dtype=complex)
+    x = choices == 0
+    for picked, rotate in ((x, True), (~x, False)):
+        if not picked.any():
+            continue
+        sel = slice(None) if picked.all() else np.nonzero(picked)[0]
+        a0, a1 = t[sel, :, 0], t[sel, :, 1]
+        if rotate:
+            a0, a1 = (a0 + a1) * SQRT_HALF, (a0 - a1) * SQRT_HALF
+        kids[sel, 0], kids[sel, 1] = a0, a1
+    return kids.reshape(rows, 2, -1)
+
+
+def _picker(src: OutcomeSource):
+    """Which children of a measurement survive, as ``(amps, parents, bits, p)``.
+
+    ``parents[i]`` is the row that surviving row ``i`` came from, ``bits[i]``
+    its outcome and ``p`` the probability divided out of the amplitudes.
+    """
+    if src.mode == "exhaustive":
+
+        def pick(step, v, kids):
+            rows = kids.shape[0]
+            bits = np.tile(np.array([0, 1], dtype=np.uint8), rows)
+            return kids.reshape(2 * rows, -1), np.repeat(np.arange(rows), 2), bits, 1.0
+
+        return pick
+    rng = np.random.default_rng(src.seed) if src.mode == "seeded" else None
+
+    def pick(step, v, kids):
+        p0, p1 = (float(np.vdot(k, k).real) for k in kids[0])
+        if rng is None:
+            b = src.tape[step]
+            if (p0, p1)[b] < IMPOSSIBLE_PROB:
+                raise ImpossibleBranchError(
+                    f"tape forces outcome {b} on vertex {v} (p={(p0, p1)[b]:.3e})"
+                )
+        else:
+            draw = rng.random()
+            b = 0 if (draw < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
+        p = (p0, p1)[b]
+        return kids[:, b] / math.sqrt(p), np.zeros(1, dtype=np.intp), np.uint8([b]), p
+
+    return pick
+
+
+def _execute(
+    f: PatternFragment,
+    src: OutcomeSource,
+    input_state: Statevector | None,
+    input_errors: dict[int, tuple[int, int]] | None,
+    spectators: int,
+    cap: int,
+) -> BranchEnsemble:
+    """Run the fragment's plan with outcomes from ``src``.
+
+    ``cap`` bounds log2(rows) plus the live qubits after every allocation,
+    the input register included.
+    """
+    graph = f.pattern.graph
+    n, n_in = graph.vertex_count, len(f.inputs)
+    if input_state is None:
+        input_state = plus_state(0)
+    if input_state.qubit_count != n_in + spectators:
+        raise DimensionError(
+            f"input state must have {n_in + spectators} qubits, got"
+            f" {input_state.qubit_count}"
+        )
+    order, edges = _plan(f)
+    k = len(order)
+    if src.mode == "tape" and len(src.tape) < k:
+        raise PpmError(f"tape of {len(src.tape)} bits is shorter than {k} measurements")
+    pick = _picker(src)
+
+    errs = input_errors or {}
+    error_bits: dict[str, int] = {}
+    for pos, v in enumerate(f.inputs):  # X^x Z^z on each input wire, Z first
+        zb, xb = (b & 1 for b in errs.get(v, (0, 0)))
+        zvar, xvar = f.input_errors[v]
+        error_bits[zvar], error_bits[xvar] = zb, xb
+        if zb:
+            input_state = apply_matrix(input_state, pos, Z)
+        if xb:
+            input_state = apply_matrix(input_state, pos, X)
+
+    # Register axis i holds vertex axes[i]; spectator j is the key n + j.
+    axes = [*f.inputs, *range(n, n + spectators)]
+    amps = np.array(input_state.amplitudes).reshape(1, -1)
+    if len(axes) > cap:
+        raise StateSizeError(f"{len(axes)} qubits exceed cap {cap}")
+    # Row history: outcome of step j in row j, its choice in row k + j, then
+    # the input-error bits.
+    hist = np.zeros((2 * k + len(error_bits), 1), dtype=np.uint8)
+    hist[2 * k :, 0] = list(error_bits.values())
+    names = [f.pattern.measurements[v].var for v in order]
+    column = dict(zip(names + list(error_bits), [*range(k), *range(2 * k, len(hist))]))
+
+    def entangle(vertices, step_edges):
+        """Allocate what ``vertices`` and ``step_edges`` touch, then apply the edges."""
+        nonlocal amps
+        touched = [*vertices, *(w for e in step_edges for w in e[:2])]
+        fresh = [w for w in dict.fromkeys(touched) if w not in axes]
+        if fresh:
+            qubits = amps.shape[0].bit_length() - 1 + len(axes) + len(fresh)
+            if qubits > cap:
+                raise StateSizeError(f"{qubits} qubits would exceed cap {cap}")
+            amps = np.repeat(amps, 1 << len(fresh), axis=1) * 2.0 ** (-len(fresh) / 2)
+            axes.extend(fresh)
+        for u, w, mult in step_edges:
+            alpha = mult * graph.edge_angle
+            amps = _phase(amps, axes.index(u), axes.index(w), len(axes), alpha)
+
+    scale = 1.0
+    for step, v in enumerate(order):
+        entangle([v], edges[step])
+        choice = f.pattern.measurements[v].choice
+        env = {name: hist[column[name]] for name in choice.variables}
+        choices = np.broadcast_to(choice.evaluate_rows(env), amps.shape[:1])
+        kids = _children(amps, axes.index(v), choices)
+        axes.remove(v)
+        amps, parents, bits, p = pick(step, v, kids)
+        scale *= p
+        hist = hist[:, parents]
+        hist[step], hist[k + step] = bits, choices[parents]
+
+    entangle(list(f.outputs), edges[k])
+    rows, live = amps.shape[0], len(axes)
+    want = [axes.index(w) for w in (*f.outputs, *range(n, n + spectators))]
+    amps = amps.reshape((rows,) + (2,) * live).transpose([0, *(1 + a for a in want)])
+    return BranchEnsemble(
+        order,
+        amps.reshape(rows, -1),
+        dict(zip(names, hist)),
+        dict(zip(order, hist[k:])),
+        error_bits,
+        scale,
+    )
+
+
+def run_fragment(
+    f: PatternFragment,
+    input_state: Statevector,
+    input_errors: dict[int, tuple[int, int]] | None = None,
+    src: OutcomeSource = OutcomeSource(),
+    spectators: int = 0,
+    cap: int = DEFAULT_QUBIT_CAP,
+) -> ExecutionTrace:
+    """Execute a fragment on an input state with declared Pauli errors.
+
+    The last ``spectators`` qubits of ``input_state`` are reference qubits
+    that ride along untouched and follow the outputs in the result.
+    """
+    if src.mode == "exhaustive":
+        raise ValueError("use enumerate_fragment for exhaustive enumeration")
+    return _execute(f, src, input_state, input_errors, spectators, cap).traces(f)[0]
+
+
+def run_pattern(p: MeasurementPattern, src: OutcomeSource) -> ExecutionTrace:
+    """Execute a pattern: resource prepared, vertices measured adaptively."""
+    return run_fragment(_bare_fragment(p), plus_state(0), src=src)
 
 
 def enumerate_fragment(
@@ -398,82 +410,9 @@ def enumerate_fragment(
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> BranchEnsemble:
     """Enumerate every outcome branch with shared-prefix vectorization."""
-    graph = f.pattern.graph
-    n = graph.vertex_count
-    total = n + spectators
-    if total > cap:
-        raise StateSizeError(f"{total} qubits exceeds cap {cap}")
-    order = measurement_order(f)
-    n_in = len(f.inputs)
-
-    if input_state is None:
-        if n_in or spectators:
-            raise DimensionError("fragment with inputs needs an input state")
-        base = plus_state(total)
-    else:
-        if input_state.qubit_count != n_in + spectators:
-            raise DimensionError("input state size mismatch")
-        targets = list(f.inputs) + list(range(n, total))
-        base = embed_state(input_state, total, targets, cap=cap)
-
-    errs = input_errors or {}
-    error_bits: dict[str, int] = {}
-    for v in f.inputs:
-        zvar, xvar = f.input_errors[v]
-        zb, xb = errs.get(v, (0, 0))
-        error_bits[zvar] = zb & 1
-        error_bits[xvar] = xb & 1
-        if zb:
-            base = apply_matrix(base, v, Z)
-        if xb:
-            base = apply_matrix(base, v, X)
-
-    base = apply_edges(base, graph)
-
-    pos = {v: v for v in range(n)}
-    live = total
-    states = base.amplitudes.reshape(1, -1)
-    env: dict[str, np.ndarray] = {}
-    choice_bits: dict[int, np.ndarray] = {}
-
-    for v in order:
-        meas = f.pattern.measurements[v]
-        rows = states.shape[0]
-        full_env = {k: bits for k, bits in env.items()}
-        for k, b in error_bits.items():
-            full_env[k] = np.full(rows, b, dtype=np.uint8)
-        choices = meas.choice.evaluate_rows(full_env)
-        axis = pos[v]
-        t = np.moveaxis(states.reshape((rows,) + (2,) * live), 1 + axis, 1)
-        t = t.reshape(rows, 2, -1).copy()
-        x_rows = np.nonzero(choices == 0)[0]
-        if x_rows.size:
-            sub = t[x_rows]
-            t[x_rows, 0] = (sub[:, 0] + sub[:, 1]) * math.sqrt(0.5)
-            t[x_rows, 1] = (sub[:, 0] - sub[:, 1]) * math.sqrt(0.5)
-        # Children interleave: row r splits into rows 2r (outcome 0), 2r+1.
-        states = t.reshape(rows * 2, -1)
-        for k in env:
-            env[k] = np.repeat(env[k], 2)
-        env[meas.var] = np.tile(np.array([0, 1], dtype=np.uint8), rows)
-        for k in choice_bits:
-            choice_bits[k] = np.repeat(choice_bits[k], 2)
-        choice_bits[v] = np.repeat(choices, 2)
-        live -= 1
-        gone = pos.pop(v)
-        for w in pos:
-            if pos[w] > gone:
-                pos[w] -= 1
-
-    # Reorder remaining axes: declared outputs first, then spectators.
-    rows = states.shape[0]
-    out_positions = [pos[o] for o in f.outputs]
-    rest = [p for p in range(live) if p not in out_positions]
-    axes = [0] + [1 + p for p in out_positions + rest]
-    states = np.transpose(states.reshape((rows,) + (2,) * live), axes).reshape(rows, -1)
-    return BranchEnsemble(order, states, env, choice_bits, error_bits)
+    src = OutcomeSource.exhaustive()
+    return _execute(f, src, input_state, input_errors, spectators, cap)
 
 
 def enumerate_pattern(p: MeasurementPattern, cap: int = DEFAULT_QUBIT_CAP) -> BranchEnsemble:
-    dependency_schedule(p)
     return enumerate_fragment(_bare_fragment(p), cap=cap)

@@ -352,30 +352,68 @@ def _bare_fragment(p: MeasurementPattern) -> PatternFragment:
     return PatternFragment(p, (), outputs, {}, corrections)
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _json(value, kind: type, what: str):
+    """``value`` if it has JSON type ``kind`` (a bool is no integer), else raise."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        got = type(value).__name__
+        raise StructuralError(f"{what} must be {_JSON_KINDS[kind]}, got {got}")
+    return value
+
+
+def _key(obj, key: str, kind: type, default=None):
+    """``obj[key]`` checked to be a ``kind``; only a defaulted key may be missing."""
+    if key not in _json(obj, dict, f"the object holding {key!r}"):
+        if default is None:
+            raise StructuralError(f"fragment JSON lacks key {key!r}")
+        return default
+    return _json(obj[key], kind, f"key {key!r}")
+
+
+def _vertex(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise StructuralError(f"vertex key {key!r} is not an integer") from None
+
+
+def _anf(monomials: list) -> BoolFn:
+    return BoolFn.from_anf_lists(
+        [_json(name, str, "ANF variable") for name in _json(m, list, "ANF monomial")]
+        for m in monomials
+    )
+
+
 def fragment_from_dict(data: dict) -> PatternFragment:
-    version = data.get("schema_version")
+    """Build a fragment from its JSON form; malformed input raises StructuralError."""
+    version = _json(data, dict, "fragment JSON").get("schema_version")
     if version != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema_version {version!r}")
-    graph = PGraph(
-        data["vertices"],
-        data["base_exponent"],
-        tuple((e["u"], e["v"], e["mult"]) for e in data["edges"]),
+    edges = tuple(
+        tuple(_key(e, key, int) for key in ("u", "v", "mult"))
+        for e in _key(data, "edges", list)
     )
+    graph = PGraph(_key(data, "vertices", int), _key(data, "base_exponent", int), edges)
     measurements = {
-        int(v): Measurement(entry["var"], BoolFn.from_anf_lists(entry["anf"]))
-        for v, entry in data.get("measurements", {}).items()
+        _vertex(v): Measurement(_key(m, "var", str), _anf(_key(m, "anf", list)))
+        for v, m in _key(data, "measurements", dict, {}).items()
     }
     corrections = {
-        int(v): Correction(
-            BoolFn.from_anf_lists(entry["zeta"]), BoolFn.from_anf_lists(entry["xi"])
-        )
-        for v, entry in data.get("corrections", {}).items()
+        _vertex(v): Correction(_anf(_key(c, "zeta", list)), _anf(_key(c, "xi", list)))
+        for v, c in _key(data, "corrections", dict, {}).items()
     }
+    input_errors = {}
+    for v, names in _key(data, "input_errors", dict, {}).items():
+        if len(_json(names, list, "input_errors entry")) != 2:
+            raise StructuralError(f"input_errors of vertex {v} must name (z, x)")
+        input_errors[_vertex(v)] = tuple(_json(n, str, "error variable") for n in names)
     return PatternFragment(
         MeasurementPattern(graph, measurements),
-        tuple(data.get("inputs", [])),
-        tuple(data.get("outputs", [])),
-        {int(v): (z, x) for v, (z, x) in data.get("input_errors", {}).items()},
+        tuple(_json(v, int, "input vertex") for v in _key(data, "inputs", list, [])),
+        tuple(_json(v, int, "output vertex") for v in _key(data, "outputs", list, [])),
+        input_errors,
         corrections,
     )
 

@@ -158,8 +158,9 @@ def measure(
     probability and the renormalized post-state, or ``None`` when the
     probability is below 1e-12 (impossible branch; caller decides).
 
-    Index mapping of the shrunk register: qubits above ``q`` keep their
-    index, qubits below shift up by one (old index r maps to r-1 for r > q).
+    Index mapping of the shrunk register: positions below ``q`` keep their
+    index, and positions above ``q`` move down by one (old index r maps to
+    r-1 for r > q).
     """
     n = s.qubit_count
     if not 0 <= q < n:
@@ -173,11 +174,6 @@ def measure(
     if prob < IMPOSSIBLE_PROB:
         return prob, None
     return prob, Statevector(n - 1, branch / math.sqrt(prob))
-
-
-def removed_qubit_remap(n: int, q: int) -> dict[int, int]:
-    """Old-to-new index table after measuring out qubit ``q`` of ``n``."""
-    return {r: (r if r < q else r - 1) for r in range(n) if r != q}
 
 
 def permute(s: Statevector, new_order: list[int]) -> Statevector:

@@ -23,7 +23,7 @@ from .executor import (
     OutcomeSource,
     enumerate_fragment,
     measurement_order,
-    run_fragment_with_spectators,
+    run_fragment,
 )
 from .pattern import Correction, PatternFragment
 from .statevec import DEFAULT_QUBIT_CAP, IMPOSSIBLE_PROB, Statevector
@@ -129,6 +129,23 @@ def _frame_from_code(code: int, wires: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _branch_fidelities(f: PatternFragment, ens: BranchEnsemble, expected_for):
+    """Per-row fidelity against ``expected_for(frame code)``, grouped by code.
+
+    Returns ``(probabilities, possible, frame codes, fidelities)``; the
+    fidelity of an impossible row is left at 0.
+    """
+    probs = ens.probabilities
+    codes = _frame_codes(f, ens)
+    ok = probs >= IMPOSSIBLE_PROB
+    fids = np.zeros(len(probs))
+    for code in np.unique(codes[ok]):
+        rows = np.nonzero(ok & (codes == code))[0]
+        overlaps = ens.states[rows] @ expected_for(int(code)).conj()
+        fids[rows] = np.abs(overlaps) ** 2 / probs[rows]
+    return probs, ok, codes, fids
+
+
 def verify_fragment(
     f: PatternFragment,
     target: np.ndarray | str,
@@ -157,6 +174,8 @@ def verify_fragment(
     measured = len(f.pattern.measurements)
     exhaustive = branches == "all"
     sample_count = 0 if exhaustive else int(branches[1])
+    if not exhaustive and (branches[0] != "sample" or sample_count < 1):
+        raise ValueError(f"branches must be 'all' or ('sample', k >= 1): {branches!r}")
     records: list[BranchRecord] = []
     worst = 0.0
     totals: list[float] = []
@@ -178,14 +197,7 @@ def verify_fragment(
             ens = enumerate_fragment(
                 f, choi_input(n_in), errs, spectators=n_in, cap=cap
             )
-            probs = ens.probabilities
-            codes = _frame_codes(f, ens)
-            fids = np.zeros(len(probs))
-            ok = probs >= IMPOSSIBLE_PROB
-            for code in np.unique(codes[ok]):
-                rows = np.nonzero(ok & (codes == code))[0]
-                overlaps = ens.states[rows] @ expected_for(int(code)).conj()
-                fids[rows] = np.abs(overlaps) ** 2 / probs[rows]
+            probs, ok, codes, fids = _branch_fidelities(f, ens, expected_for)
             totals.append(float(probs.sum()))
             possible += int(ok.sum())
             impossible += int((~ok).sum())
@@ -208,12 +220,12 @@ def verify_fragment(
             total = 0.0
             for k in range(sample_count):
                 run_seed = (seed * 0x9E3779B1 + len(totals) * 1009 + k) & 0x7FFFFFFF
-                trace = run_fragment_with_spectators(
+                trace = run_fragment(
                     f,
                     choi_input(n_in),
+                    errs,
+                    OutcomeSource.seeded(run_seed),
                     spectators=n_in,
-                    input_errors=errs,
-                    src=OutcomeSource.seeded(run_seed),
                     cap=cap,
                 )
                 frame = tuple(trace.frame[o] for o in f.outputs)
@@ -222,12 +234,12 @@ def verify_fragment(
                 worst = max(worst, 1.0 - fid)
                 total += trace.probability
                 possible += 1
-                order = measurement_order(f)
                 records.append(
                     BranchRecord(
                         err_bits,
                         tuple(
-                            trace.outcomes[f.pattern.measurements[v].var] for v in order
+                            trace.outcomes[f.pattern.measurements[v].var]
+                            for v in trace.bases  # keyed in measurement order
                         ),
                         trace.probability,
                         frame,
@@ -288,16 +300,15 @@ def verify_fragment_product_inputs(
             vec = np.kron(vec, PRODUCT_INPUT_STATES[name])
         state = Statevector(n_in, vec)
         base = U @ vec
+
+        def expected_for(code: int) -> np.ndarray:
+            return pauli_product(list(_frame_from_code(code, n_out))) @ base
+
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs, cap=cap)
-            probs = ens.probabilities
-            codes = _frame_codes(f, ens)
-            ok = probs >= IMPOSSIBLE_PROB
-            for code in np.unique(codes[ok]):
-                rows = np.nonzero(ok & (codes == code))[0]
-                exp = pauli_product(list(_frame_from_code(int(code), n_out))) @ base
-                fids = np.abs(ens.states[rows] @ exp.conj()) ** 2 / probs[rows]
-                worst = max(worst, float((1.0 - fids).max()))
+            _, ok, _, fids = _branch_fidelities(f, ens, expected_for)
+            if ok.any():
+                worst = max(worst, float((1.0 - fids[ok]).max()))
     return worst
 
 
@@ -528,11 +539,8 @@ def scan_brick_settings(seed: int = 0xC0FFEE) -> dict[tuple[str, str, int], str]
         for r in RIGHT_LANE_GATES:
             for cz in (0, 1):
                 frag = brick(BrickSettings(l, r, cz))
-                trace = run_fragment_with_spectators(
-                    frag,
-                    choi_input(2),
-                    spectators=2,
-                    src=OutcomeSource.seeded(seed),
+                trace = run_fragment(
+                    frag, choi_input(2), src=OutcomeSource.seeded(seed), spectators=2
                 )
                 M = trace.state.amplitudes.reshape(4, 4) * 2.0
                 M = M / (np.linalg.norm(M) / 2.0)

@@ -154,3 +154,72 @@ def test_verify_sampled_branches_flag(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mode"] == "sample:3"
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "x"])
+def test_verify_rejects_sample_counts_below_one(capsys, count):
+    argv = ("verify", "builtin:e_t", "--branches", f"sample:{count}")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "error" in err
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_run_rejects_tape_characters_other_than_bits(tmp_path, capsys):
+    from ppmbqc.boolfn import BoolFn
+    from ppmbqc.pattern import (
+        Correction,
+        Measurement,
+        MeasurementPattern,
+        PatternFragment,
+    )
+    from ppmbqc.pgraph import PGraph
+
+    g = PGraph(2, base_exponent=2).add_edges(0, 1, 1)
+    pattern = PatternFragment(
+        MeasurementPattern(g, {1: Measurement("a", BoolFn.one())}),
+        (),
+        (0,),
+        {},
+        {0: Correction(BoolFn.zero(), BoolFn.zero())},
+    )
+    path = tmp_path / "pattern.json"
+    path.write_text(fragment_to_json(pattern))
+    assert run_cli(capsys, "run", str(path), "--tape", "1")[0] == 0
+    code, _, err = run_cli(capsys, "run", str(path), "--tape", "01x1")
+    assert code == 2 and "01x1" in err
+    code, out, _ = run_cli(capsys, "--json", "run", str(path), "--tape", "01x1")
+    assert code == 2
+    assert "01x1" in json.loads(out)["error"]
+
+
+MALFORMED_FRAGMENTS = {
+    "missing key": {"schema_version": 1, "vertices": 2},
+    "wrong type": {
+        "schema_version": 1,
+        "vertices": "2",
+        "base_exponent": 2,
+        "edges": [],
+    },
+    "not an object": [1, 2],
+}
+
+EXPECTED_MESSAGE = {
+    "missing key": "fragment JSON lacks key",
+    "wrong type": "key 'vertices' must be an integer",
+    "not an object": "fragment JSON must be an object",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_FRAGMENTS))
+@pytest.mark.parametrize("command", ["verify", "depth"])
+def test_malformed_fragment_json_is_a_usage_error(tmp_path, capsys, shape, command):
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(MALFORMED_FRAGMENTS[shape]))
+    extra = ("--target", "I") if command == "verify" else ()
+    code, _, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2 and err.startswith("error:")
+    code, out, _ = run_cli(capsys, "--json", command, str(path), *extra)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(EXPECTED_MESSAGE[shape])

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppmbqc.boolfn import BoolFn
-from ppmbqc.errors import ImpossibleBranchError, WellFoundednessError
+from ppmbqc.errors import ImpossibleBranchError, StateSizeError, WellFoundednessError
 from ppmbqc.executor import (
     OutcomeSource,
     enumerate_fragment,
@@ -17,9 +18,16 @@ from ppmbqc.executor import (
     run_pattern,
 )
 from ppmbqc.fragments import e_fragment, xhalf_fragment
-from ppmbqc.pattern import Measurement, MeasurementPattern, compose
+from ppmbqc.pattern import (
+    Correction,
+    Measurement,
+    MeasurementPattern,
+    PatternFragment,
+    compose,
+)
 from ppmbqc.pgraph import PGraph
 from ppmbqc.statevec import (
+    IMPOSSIBLE_PROB,
     Statevector,
     fidelity_up_to_phase,
     from_amplitudes,
@@ -228,3 +236,85 @@ def test_trace_internal_consistency():
                 ),
             )
             assert replay.probability == pytest.approx(tr.probability, abs=1e-12)
+
+
+@pytest.mark.parametrize("tape", [[0, 2], [1, -1], ["1"], [0.5]])
+def test_fixed_tape_rejects_entries_other_than_bits(tape):
+    with pytest.raises(ValueError):
+        OutcomeSource.fixed(tape)
+
+
+def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode():
+    # Exhaustive runs end with log2(rows) + live = vertices + spectators;
+    # a shot keeps one row and only its narrow window of live qubits.
+    from ppmbqc.verifier import choi_input
+
+    f = e_fragment("T")
+    n = f.pattern.graph.vertex_count
+    with pytest.raises(StateSizeError):
+        enumerate_fragment(f, choi_input(1), spectators=1, cap=n)
+    ens = enumerate_fragment(f, choi_input(1), spectators=1, cap=n + 1)
+    assert ens.states.shape == (1 << (n - 1), 4)
+    with pytest.raises(StateSizeError):
+        run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1, cap=2)
+    run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1, cap=n + 1)
+
+
+@st.composite
+def adaptive_fragments(draw):
+    """Small random fragments whose choices read earlier outcomes and errors."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 3))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    mult = st.integers(0, (2 << m) - 1)
+    graph = PGraph(n, m, tuple((u, w, draw(mult)) for u, w in pairs))
+    perm = draw(st.permutations(range(n)))
+    n_out = draw(st.integers(1, min(2, n - 1)))
+    outputs, measured = tuple(perm[:n_out]), perm[n_out:]
+    inputs = tuple(draw(st.lists(st.sampled_from(range(n)), unique=True, max_size=2)))
+    errors = {v: (f"z{v}", f"x{v}") for v in inputs}
+    names = [name for pair in errors.values() for name in pair]
+
+    def anf(pool):
+        if not pool:
+            return BoolFn.const(draw(st.integers(0, 1)))
+        monomial = st.lists(st.sampled_from(pool), max_size=2)
+        return BoolFn.parse(draw(st.lists(monomial, max_size=3)))
+
+    meas = {}
+    for v in measured:  # a choice reads only vertices measured before it
+        meas[v] = Measurement(f"m{v}", anf(names))
+        names = names + [f"m{v}"]
+    corrections = {o: Correction(anf(names), anf(names)) for o in outputs}
+    pattern = MeasurementPattern(graph, meas)
+    f = PatternFragment(pattern, inputs, outputs, errors, corrections)
+    return f, {v: (draw(st.integers(0, 1)), draw(st.integers(0, 1))) for v in inputs}
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_seeded_tape_and_exhaustive_runs_agree(case, spectators, seed):
+    f, errs = case
+    rng = np.random.default_rng(seed)
+    width = len(f.inputs) + spectators
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    psi = Statevector(width, amps / np.linalg.norm(amps))
+    ens = enumerate_fragment(f, psi, errs, spectators=spectators)
+    rows = ens.traces(f)
+    assert ens.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
+    for shot_seed in range(3):
+        src = OutcomeSource.seeded(seed + shot_seed)
+        shot = run_fragment(f, psi, errs, src, spectators)
+        assert list(shot.bases) == ens.order
+        tape = [shot.outcomes[f.pattern.measurements[v].var] for v in shot.bases]
+        replay = run_fragment(f, psi, errs, OutcomeSource.fixed(tape), spectators)
+        row = int("".join(map(str, tape)) or "0", 2)
+        # Exhaustive rows below the threshold are impossible branches; a shot
+        # only checks each measurement's own probability against it.
+        same = [replay] + ([rows[row]] if shot.probability >= IMPOSSIBLE_PROB else [])
+        for other in same:
+            assert other.outcomes == shot.outcomes
+            assert other.probability == pytest.approx(shot.probability, abs=1e-12)
+            assert fidelity_up_to_phase(other.state, shot.state) >= 1 - 1e-9
+            assert other.bases == shot.bases
+            assert other.frame == shot.frame

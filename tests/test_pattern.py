@@ -15,6 +15,7 @@ from ppmbqc.pattern import (
     PauliFrame,
     compose,
     dependency_schedule,
+    fragment_from_dict,
     fragment_from_json,
     fragment_to_dict,
     fragment_to_json,
@@ -154,6 +155,39 @@ def test_schema_version_present_and_checked():
     bad = dict(d, schema_version=99)
     with pytest.raises(StructuralError):
         fragment_from_json(json.dumps(bad))
+
+
+def _mutations():
+    """Malformed variants of a valid fragment dict, one defect each."""
+    good = fragment_to_dict(xhalf_fragment())
+    for key in ("vertices", "base_exponent", "edges"):
+        yield {k: v for k, v in good.items() if k != key}
+    for key, value in (
+        ("vertices", "2"),
+        ("vertices", True),
+        ("base_exponent", 2.0),
+        ("edges", {"u": 0}),
+        ("edges", [[0, 1, 1]]),
+        ("edges", [{"u": 0, "v": 1}]),
+        ("measurements", []),
+        ("measurements", {"0": ["b", []]}),
+        ("measurements", {"x": {"var": "b", "anf": []}}),
+        ("measurements", {"0": {"var": "b", "anf": "x"}}),
+        ("measurements", {"0": {"var": "b", "anf": [[1]]}}),
+        ("inputs", [0.0]),
+        ("input_errors", {"0": "zx"}),
+        ("input_errors", {"0": ["z"]}),
+        ("corrections", {"1": {"zeta": []}}),
+    ):
+        yield dict(good, **{key: value})
+    yield [good]
+    yield None
+
+
+@pytest.mark.parametrize("data", list(_mutations()))
+def test_malformed_fragment_dict_raises_structural_error(data):
+    with pytest.raises(StructuralError):
+        fragment_from_dict(data)
 
 
 def test_pauli_frame_composition_is_xor():

@@ -22,7 +22,6 @@ from ppmbqc.statevec import (
     permute,
     plus_state,
     prepare_resource,
-    removed_qubit_remap,
     zero_state,
     zrot,
 )
@@ -134,7 +133,6 @@ def test_measure_removes_qubit_and_remap():
     s = random_state(3)
     _, post = measure(s, 1, "Z", 0)
     assert post.qubit_count == 2
-    assert removed_qubit_remap(3, 1) == {0: 0, 2: 1}
 
 
 def test_prepare_resource_single_vertex():

@@ -10,6 +10,7 @@ from ppmbqc.errors import DimensionError, InferenceError
 from ppmbqc.fragments import BrickSettings, brick, cz_fragment, e_fragment, xhalf_fragment
 from ppmbqc.pattern import Correction
 from ppmbqc.compiler import load_brick_table
+from ppmbqc.executor import OutcomeSource, measurement_order, run_fragment
 from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
     canonical_brick_settings,
@@ -74,6 +75,26 @@ def test_sampled_mode_agrees():
     rep = verify_fragment(e_fragment("T"), "T", branches=("sample", 5), keep_branches=False)
     assert rep.passed
     assert rep.mode == "sample:5"
+
+
+@pytest.mark.parametrize("branches", [("sample", 0), ("sample", -3), ("every", 2)])
+def test_sampled_mode_rejects_counts_below_one(branches):
+    with pytest.raises(ValueError):
+        verify_fragment(xhalf_fragment(), "X(pi/2)", branches=branches)
+
+
+def test_sampled_records_follow_the_measurement_order():
+    f = e_fragment("T")
+    rep = verify_fragment(f, "T", branches=("sample", 2))
+    order = measurement_order(f)
+    for record in rep.records[:2]:
+        replay = run_fragment(
+            f, choi_input(1), {}, OutcomeSource.fixed(record.outcomes), spectators=1
+        )
+        assert [replay.outcomes[f.pattern.measurements[v].var] for v in order] == list(
+            record.outcomes
+        )
+        assert replay.probability == pytest.approx(record.probability, abs=1e-12)
 
 
 def test_infer_recovers_xhalf_exactly():
