@@ -158,11 +158,6 @@ class BoolFn:
         return " ^ ".join(parts)
 
 
-def eval_boolfn(f: BoolFn, env: Mapping[str, int]) -> int:
-    """Functional alias for :meth:`BoolFn.evaluate`."""
-    return f.evaluate(env)
-
-
 def mobius_anf(table: np.ndarray, names: list[str]) -> BoolFn:
     """Fit the exact ANF of a truth table via the GF(2) Moebius transform.
 

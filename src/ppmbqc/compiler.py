@@ -5,9 +5,7 @@ line (``H 0``, ``CZ 0 1``, ...), with ``#`` comments. Compilation is
 greedy, one gate per brick: each gate is rewritten into the lane gate set
 the brick table certifies, the idle lane receives PAD (identity up to the
 Pauli frame), and bricks are chained by wiring lane outputs to lane
-inputs. Entangling gates are only available between adjacent lanes;
-circuits on more than two qubits compile but their grid layout is
-experimental.
+inputs. Entangling gates are only available between adjacent lanes.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from .fragments import (
     RIGHT_LANE_GATES,
     BrickSettings,
     brick,
-    brick_grid,
 )
-from .pattern import PatternFragment, compose_with_map, fragment_to_json
+from .pattern import MeasurementPattern, PatternFragment, _attach, fragment_to_json
+from .pgraph import PGraph
 from .unitaries import CNOT, CZ, FIXED
 
 GATES_1Q = ("H", "S", "Sdg", "T", "Tdg")
@@ -74,7 +72,7 @@ def parse_circuit(text: str) -> Circuit:
         if parts[0] == "qubits":
             if qubits is not None:
                 raise CircuitParseError("duplicate qubits header", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise CircuitParseError("usage: qubits N", lineno)
             qubits = int(parts[1])
             continue
@@ -214,53 +212,39 @@ def layers_unitary(layers: list[BrickLayer], lanes: int) -> np.ndarray:
     return U
 
 
-def _layout(layers: list[BrickLayer]) -> tuple[PatternFragment, dict[int, tuple[int, int]]]:
+def layout_brickwork(layers: list[BrickLayer]) -> PatternFragment:
+    """Chain bricks by wiring lane outputs to lane inputs, in one pass.
+
+    Each brick is wired on as :func:`compose` would, its variables prefixed
+    ``g{d+1}.`` from depth ``d`` = 1 on, and the fragment is validated once
+    at the end. Wire order of the result follows lane index.
+    """
     if not layers:
         raise StructuralError("cannot lay out an empty layer list")
-    lanes = max(l.pair for l in layers) + 2
-    frag: PatternFragment | None = None
-    ends: dict[int, int] = {}
+    edges, measurements, corrections, input_errors = [], {}, {}, {}
     starts: dict[int, int] = {}
-    grid: dict[int, tuple[int, int]] = {}
+    ends: dict[int, int] = {}
+    n = 0
     for depth, layer in enumerate(layers):
         piece = brick(layer.settings)
-        coords = brick_grid(depth)
-        l1, l2 = layer.pair, layer.pair + 1
-        if frag is None:
-            frag = piece
-            relabel = {v: v for v in range(16)}
-        else:
-            wiring = {}
-            if l1 in ends:
-                wiring[ends[l1]] = BRICK_INPUTS[0]
-            if l2 in ends:
-                wiring[ends[l2]] = BRICK_INPUTS[1]
-            frag, relabel = compose_with_map(frag, piece, wiring)
-        # New vertices take this layer's sites; vertices merged onto the
-        # existing pattern keep the site they already had.
-        for v in range(16):
-            grid.setdefault(relabel[v], (coords[v][0] + 8 * layer.pair, coords[v][1]))
-        starts.setdefault(l1, relabel[BRICK_INPUTS[0]])
-        starts.setdefault(l2, relabel[BRICK_INPUTS[1]])
-        ends[l1] = relabel[BRICK_OUTPUTS[0]]
-        ends[l2] = relabel[BRICK_OUTPUTS[1]]
-    inputs = tuple(starts[w] for w in sorted(starts))
-    outputs = tuple(ends[w] for w in sorted(ends))
-    return frag.with_io_order(inputs, outputs), grid
-
-
-def layout_brickwork(layers: list[BrickLayer]) -> PatternFragment:
-    """Chain bricks by wiring lane outputs to lane inputs.
-
-    Wire order of the result follows lane index. Corrections and adaptive
-    rules thread through composition automatically.
-    """
-    return _layout(layers)[0]
-
-
-def brickwork_grid(layers: list[BrickLayer]) -> dict[int, tuple[int, int]]:
-    """Grid site per vertex of the laid-out pattern (distinct by design)."""
-    return _layout(layers)[1]
+        if depth:
+            piece = piece.rename_variables(f"g{depth + 1}.")
+        lanes = (layer.pair, layer.pair + 1)
+        wiring = {ends[w]: i for w, i in zip(lanes, BRICK_INPUTS) if w in ends}
+        relabel, n = _attach(piece, wiring, n, edges, measurements, corrections)
+        for w, i, o in zip(lanes, BRICK_INPUTS, BRICK_OUTPUTS):
+            if w not in starts:
+                starts[w] = relabel[i]
+                input_errors[relabel[i]] = piece.input_errors[i]
+            ends[w] = relabel[o]
+    graph = PGraph(n, piece.pattern.graph.base_exponent, tuple(edges))
+    return PatternFragment(
+        MeasurementPattern(graph, measurements),
+        tuple(starts[w] for w in sorted(starts)),
+        tuple(ends[w] for w in sorted(ends)),
+        input_errors,
+        corrections,
+    )
 
 
 def compile_circuit(c: Circuit) -> PatternFragment:

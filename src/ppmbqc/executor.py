@@ -20,7 +20,6 @@ Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,13 +31,13 @@ from .errors import (
     ImpossibleBranchError,
     PpmError,
     StateSizeError,
-    WellFoundednessError,
 )
 from .pattern import (
     BASIS_BY_CHOICE,
     MeasurementPattern,
     PatternFragment,
     _bare_fragment,
+    _ready_order,
     dependency_schedule,
 )
 from .statevec import (
@@ -122,29 +121,7 @@ def measurement_order(f: PatternFragment) -> list[int]:
     produced. A cyclic dependency raises :class:`WellFoundednessError`
     carrying the cycle.
     """
-    ambient = set(f.error_variables())
-    producers = f.pattern.producer_of()
-    waiting = dict.fromkeys(f.pattern.measurements, 0)
-    readers: dict[int, list[int]] = {v: [] for v in waiting}
-    for v, m in f.pattern.measurements.items():
-        for u in {producers[name] for name in m.choice.variables if name not in ambient}:
-            if u != v:
-                waiting[v] += 1
-                readers[u].append(v)
-    ready = [v for v, count in waiting.items() if count == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in readers[v]:
-            waiting[w] -= 1
-            if not waiting[w]:
-                heapq.heappush(ready, w)
-    if len(order) < len(waiting):
-        dependency_schedule(f.pattern, ambient)  # raises with the cycle
-        raise WellFoundednessError("no ready vertex")  # pragma: no cover
-    return order
+    return _ready_order(f.pattern, set(f.error_variables()))[0]
 
 
 def feed_forward_depth(p: MeasurementPattern | PatternFragment) -> int:

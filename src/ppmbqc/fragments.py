@@ -56,8 +56,7 @@ class BrickSettings:
             raise StructuralError("cz must be 0 or 1")
 
     def label(self) -> str:
-        lanes = f"{self.left or 'I'}x{self.right or 'I'}"
-        lanes = lanes.replace("PAD", "I")
+        lanes = f"{self.left}x{self.right}".replace("PAD", "I")
         return f"CZ*({lanes})" if self.cz else lanes
 
 
@@ -331,9 +330,6 @@ def _e_plan(b: _Builder, mode: str, with_middle_hair: bool) -> _Lane:
     return lane
 
 
-E_TARGETS = {"T": "T", "Tdg": "Tdg", "H": "H", "S": "S"}
-
-
 def e_fragment(mode: str) -> PatternFragment:
     """Six-vertex gadget: carrier spine plus hairs b, d, e.
 
@@ -342,7 +338,7 @@ def e_fragment(mode: str) -> PatternFragment:
     """
     b = _Builder()
     lane = _e_plan(b, mode, with_middle_hair=True)
-    return _finalize(b, [lane], E_TARGETS[mode])
+    return _finalize(b, [lane], mode)
 
 
 def e_fragment_nomiddle(mode: str = "T") -> PatternFragment:
@@ -351,7 +347,7 @@ def e_fragment_nomiddle(mode: str = "T") -> PatternFragment:
         raise StructuralError("the trimmed gadget only has T and Tdg modes")
     b = _Builder()
     lane = _e_plan(b, mode, with_middle_hair=False)
-    return _finalize(b, [lane], E_TARGETS[mode])
+    return _finalize(b, [lane], mode)
 
 
 def cz_fragment(on: int) -> PatternFragment:
@@ -470,34 +466,6 @@ def brick(settings: BrickSettings) -> PatternFragment:
 
     entangler = _cz_hook(b, left, right, settings.cz, mid_var="mb", hair_var="ma")
     return _finalize(b, [left, right], settings.label(), entangler)
-
-
-def brick_grid(layer: int = 0) -> dict[int, tuple[int, int]]:
-    """Grid coordinates for one brick, rows offset by 3 per layer.
-
-    Stacked bricks reuse the previous layer's lane outputs as inputs, so
-    per layer only the 14 fresh vertices occupy new sites; the layout
-    keeps all sites distinct under vertical tiling.
-    """
-    r = 3 * layer
-    return {
-        0: (2, r),       # left lane in
-        1: (0, r),       # b1
-        2: (1, r),       # e1
-        3: (2, r + 1),   # left lane mid
-        4: (0, r + 1),   # d1
-        5: (2, r + 2),   # left lane out
-        6: (0, r + 2),   # s1
-        7: (4, r),       # right lane in
-        8: (5, r),       # s2
-        9: (4, r + 1),   # right lane mid
-        10: (5, r + 1),  # b2
-        11: (6, r + 1),  # e2
-        12: (4, r + 2),  # right lane out
-        13: (5, r + 2),  # s3
-        14: (3, r + 2),  # entangler middle
-        15: (3, r + 1),  # entangler hair
-    }
 
 
 BRICK_INPUTS = (0, 7)

@@ -13,13 +13,13 @@ gate G when feeding it ``X^x Z^z |psi>`` yields ``X^xi Z^zeta G |psi>``.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 
 from .boolfn import BoolFn
 from .errors import StructuralError, WellFoundednessError
-from .pgraph import PGraph
+from .pgraph import Edge, PGraph
 
 SCHEMA_VERSION = 1
 
@@ -44,25 +44,6 @@ class Correction:
 
 
 @dataclass(frozen=True)
-class PauliFrame:
-    """Per-wire (z, x) correction bits; composition is bitwise XOR."""
-
-    bits: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for z, x in self.bits:
-            if z not in (0, 1) or x not in (0, 1):
-                raise StructuralError("frame bits must be 0 or 1")
-
-    def compose(self, other: PauliFrame) -> PauliFrame:
-        if len(self.bits) != len(other.bits):
-            raise StructuralError("frame widths differ")
-        return PauliFrame(
-            tuple((z1 ^ z2, x1 ^ x2) for (z1, x1), (z2, x2) in zip(self.bits, other.bits))
-        )
-
-
-@dataclass(frozen=True)
 class MeasurementPattern:
     """A P-graph whose measured vertices carry measurement expressions."""
 
@@ -77,9 +58,6 @@ class MeasurementPattern:
             if meas.var in seen_vars:
                 raise StructuralError(f"output variable {meas.var!r} is not fresh")
             seen_vars.add(meas.var)
-
-    def measured_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.measurements))
 
     def producer_of(self) -> dict[str, int]:
         return {m.var: v for v, m in self.measurements.items()}
@@ -99,6 +77,47 @@ class MeasurementPattern:
                     raise StructuralError(f"vertex {v} choice references its own outcome")
 
 
+def _ready_order(
+    pattern: MeasurementPattern, ambient: set[str]
+) -> tuple[list[int], dict[int, set[int]]]:
+    """Measured vertices lowest ready first, plus each vertex's dependencies.
+
+    A vertex is ready once every non-ambient outcome its (valid) choice
+    function reads has been produced. A cyclic dependency raises
+    :class:`WellFoundednessError` carrying one offending cycle.
+    """
+    producers = pattern.producer_of()
+    deps: dict[int, set[int]] = {}
+    readers: dict[int, list[int]] = {v: [] for v in pattern.measurements}
+    for v, m in pattern.measurements.items():
+        deps[v] = {producers[name] for name in m.choice.variables if name not in ambient}
+        for u in deps[v]:
+            readers[u].append(v)
+    waiting = {v: len(us) for v, us in deps.items()}
+    ready = [v for v, count in waiting.items() if not count]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in readers[v]:
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, w)
+    if len(order) < len(deps):
+        # Every stuck vertex waits on another stuck one: walk until a repeat.
+        v = min(v for v, count in waiting.items() if count)
+        seen: dict[int, int] = {}
+        while v not in seen:
+            seen[v] = len(seen)
+            v = min(u for u in deps[v] if waiting[u])
+        cycle = list(seen)[seen[v] :]
+        raise WellFoundednessError(
+            f"cyclic dependency between vertices {cycle}", cycle=cycle
+        )
+    return order, deps
+
+
 def dependency_schedule(
     pattern: MeasurementPattern, ambient: set[str] | None = None
 ) -> list[list[int]]:
@@ -111,21 +130,7 @@ def dependency_schedule(
     """
     ambient = ambient or set()
     pattern.validate_references(ambient)
-    producers = pattern.producer_of()
-    deps: dict[int, set[int]] = {}
-    for v, meas in pattern.measurements.items():
-        deps[v] = {
-            producers[name]
-            for name in meas.choice.variables
-            if name not in ambient and producers[name] != v
-        }
-    try:
-        order = list(TopologicalSorter(deps).static_order())
-    except CycleError as err:
-        cycle = [int(v) for v in err.args[1]]
-        raise WellFoundednessError(
-            f"cyclic dependency between vertices {cycle}", cycle=cycle
-        ) from None
+    order, deps = _ready_order(pattern, ambient)
     depth: dict[int, int] = {}
     for v in order:
         depth[v] = 1 + max((depth[u] for u in deps[v]), default=-1)
@@ -266,50 +271,69 @@ def compose_with_map(
             k += 1
         f2 = f2.rename_variables(f"g{k}.")
 
-    n1 = g1.vertex_count
-    wired_rev = {i: o for o, i in wiring.items()}
-    relabel: dict[int, int] = {}
-    nxt = n1
-    for v in range(g2.vertex_count):
-        if v in wired_rev:
-            relabel[v] = wired_rev[v]
-        else:
-            relabel[v] = nxt
-            nxt += 1
-
-    graph = PGraph(nxt, g1.base_exponent, g1.edges + g2.relabel(relabel, nxt).edges)
-
-    # Replace wired inputs' error variables by f1's corrections.
-    bindings: dict[str, BoolFn] = {}
-    for o, i in wiring.items():
-        zvar, xvar = f2.input_errors[i]
-        corr = f1.corrections[o]
-        bindings[zvar] = corr.zeta
-        bindings[xvar] = corr.xi
-
+    edges = list(g1.edges)
     measurements = dict(f1.pattern.measurements)
-    for v, m in f2.pattern.measurements.items():
-        measurements[relabel[v]] = Measurement(m.var, m.choice.substitute(bindings))
-
-    inputs = f1.inputs + tuple(relabel[v] for v in f2.inputs if v not in wired_rev)
+    corrections = dict(f1.corrections)
+    relabel, n = _attach(f2, wiring, g1.vertex_count, edges, measurements, corrections)
+    wired = set(wiring.values())
+    inputs = f1.inputs + tuple(relabel[v] for v in f2.inputs if v not in wired)
     outputs = tuple(o for o in f1.outputs if o not in wiring) + tuple(
         relabel[v] for v in f2.outputs
     )
     input_errors = dict(f1.input_errors)
     for v in f2.inputs:
-        if v not in wired_rev:
+        if v not in wired:
             input_errors[relabel[v]] = f2.input_errors[v]
-    corrections = {o: c for o, c in f1.corrections.items() if o not in wiring}
-    for v, c in f2.corrections.items():
-        corrections[relabel[v]] = Correction(
-            c.zeta.substitute(bindings), c.xi.substitute(bindings)
-        )
     # A wired vertex that was also an f1 input stays an input; if it was
     # measured by f2 it is no longer an output, which the relabel handles.
     composite = PatternFragment(
-        MeasurementPattern(graph, measurements), inputs, outputs, input_errors, corrections
+        MeasurementPattern(PGraph(n, g1.base_exponent, tuple(edges)), measurements),
+        inputs,
+        outputs,
+        input_errors,
+        corrections,
     )
     return composite, relabel
+
+
+def _attach(
+    piece: PatternFragment,
+    wiring: dict[int, int],
+    n: int,
+    edges: list[Edge],
+    measurements: dict[int, Measurement],
+    corrections: dict[int, Correction],
+) -> tuple[dict[int, int], int]:
+    """Add ``piece`` in place to an ``n``-vertex pattern held in shared collections.
+
+    ``wiring`` maps pattern outputs to piece inputs. A wired input takes the
+    output's vertex and its ``(z, x)`` variables are bound to the output's
+    correction (which leaves ``corrections``) in the piece's choices and
+    corrections; other piece vertices are numbered from ``n``. Returns the
+    piece-to-pattern vertex map and the new vertex count.
+    """
+    wired_rev = {i: o for o, i in wiring.items()}
+    relabel: dict[int, int] = {}
+    for v in range(piece.pattern.graph.vertex_count):
+        if v in wired_rev:
+            relabel[v] = wired_rev[v]
+        else:
+            relabel[v] = n
+            n += 1
+    edges.extend(piece.pattern.graph.relabel(relabel, n).edges)
+    bindings: dict[str, BoolFn] = {}
+    for o, i in wiring.items():
+        zvar, xvar = piece.input_errors[i]
+        corr = corrections.pop(o)
+        bindings[zvar] = corr.zeta
+        bindings[xvar] = corr.xi
+    for v, m in piece.pattern.measurements.items():
+        measurements[relabel[v]] = Measurement(m.var, m.choice.substitute(bindings))
+    for v, c in piece.corrections.items():
+        corrections[relabel[v]] = Correction(
+            c.zeta.substitute(bindings), c.xi.substitute(bindings)
+        )
+    return relabel, n
 
 
 # -- JSON schema ------------------------------------------------------
@@ -337,11 +361,6 @@ def fragment_to_dict(f: PatternFragment) -> dict:
             for v in sorted(f.corrections)
         },
     }
-
-
-def pattern_to_dict(p: MeasurementPattern) -> dict:
-    d = fragment_to_dict(_bare_fragment(p))
-    return d
 
 
 def _bare_fragment(p: MeasurementPattern) -> PatternFragment:

@@ -71,24 +71,7 @@ class PGraph:
         self._check_pair(u, v)
         return PGraph(self.vertex_count, self.base_exponent, self.edges + ((*_norm_pair(u, v), k),))
 
-    def add_vertices(self, count: int) -> PGraph:
-        return PGraph(self.vertex_count + count, self.base_exponent, self.edges)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = set()
-        for a, b, _ in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out))
-
     def relabel(self, mapping: dict[int, int], vertex_count: int) -> PGraph:
         """Map vertex ids; merged vertices accumulate multiplicities."""
         edges = tuple((mapping[u], mapping[v], k) for u, v, k in self.edges)
         return PGraph(vertex_count, self.base_exponent, edges)
-
-
-def add_edges(g: PGraph, u: int, v: int, k: int) -> PGraph:
-    """Functional alias for :meth:`PGraph.add_edges`."""
-    return g.add_edges(u, v, k)

@@ -84,10 +84,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def check_normalized(self) -> None:
-        if abs(self.norm**2 - 1.0) > 1e-10:
-            raise ValueError(f"state norm^2 deviates: {self.norm**2}")
-
     def to_amplitude_pairs(self) -> list[list[float]]:
         """Debug dump as [re, im] pairs."""
         return [[float(a.real), float(a.imag)] for a in self.amplitudes]

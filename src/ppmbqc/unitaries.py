@@ -49,7 +49,16 @@ def parity_phase_matrix(alpha: float) -> np.ndarray:
     return np.diag([even, odd, odd, even]).astype(complex)
 
 
+class LabelError(ValueError):
+    pass
+
+
 def parse_angle(text: str) -> float:
+    """Angle in radians from ``[+-][num[*]]pi[/den]`` or a plain number.
+
+    Any other text, a zero denominator or a non-finite value raises
+    :class:`LabelError`.
+    """
     s = text.replace(" ", "")
     sign = 1.0
     if s.startswith("-"):
@@ -57,11 +66,18 @@ def parse_angle(text: str) -> float:
     elif s.startswith("+"):
         s = s[1:]
     m = re.fullmatch(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?", s)
-    if m:
-        num = float(m.group(1)) if m.group(1) else 1.0
-        den = float(m.group(2)) if m.group(2) else 1.0
-        return sign * num * math.pi / den
-    return sign * float(s)
+    try:
+        if m:
+            num = float(m.group(1)) if m.group(1) else 1.0
+            den = float(m.group(2)) if m.group(2) else 1.0
+            angle = sign * num * math.pi / den
+        else:
+            angle = sign * float(s)
+    except (ValueError, ZeroDivisionError):
+        raise LabelError(f"malformed angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise LabelError(f"angle {text!r} is not finite")
+    return angle
 
 
 # Bare gate names start uppercase and avoid 'x', which is the tensor
@@ -69,10 +85,6 @@ def parse_angle(text: str) -> float:
 _TOKEN = re.compile(
     r"\s*([A-Z][A-Za-z]*\([^()]*\)|[A-Z][a-wyzA-WYZ]*|\(|\)|\*|x|⊗|·)"
 )
-
-
-class LabelError(ValueError):
-    pass
 
 
 def _tokenize(text: str) -> list[str]:

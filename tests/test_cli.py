@@ -63,6 +63,13 @@ def test_unknown_builtin_is_json_error(capsys):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("target", ["Z(pi/0)", "Z(abc)", "X()", "Z(1e400)"])
+def test_malformed_target_angle_is_json_usage_error(capsys, target):
+    code, out, _ = run_cli(capsys, "--json", "verify", "builtin:xhalf", "--target", target)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_run_pattern_with_tape_and_branches(tmp_path, capsys):
     frag = hierarchy_fragment(1)
     # strip the input to make a closed pattern: measure everything instead

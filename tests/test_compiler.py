@@ -6,7 +6,6 @@ import pytest
 from ppmbqc.compiler import (
     BrickLayer,
     Circuit,
-    brickwork_grid,
     circuit_unitary,
     compile_circuit,
     compile_to_bricks,
@@ -17,8 +16,8 @@ from ppmbqc.compiler import (
 )
 from ppmbqc.errors import CircuitParseError, StructuralError
 from ppmbqc.executor import feed_forward_depth
-from ppmbqc.fragments import BrickSettings
-from ppmbqc.pattern import fragment_from_json
+from ppmbqc.fragments import BRICK_INPUTS, BRICK_OUTPUTS, BrickSettings, brick
+from ppmbqc.pattern import compose, fragment_from_json, fragment_to_json
 from ppmbqc.unitaries import phase_matched
 from ppmbqc.verifier import verify_fragment
 
@@ -47,6 +46,15 @@ def test_parse_rejects_bad_operands():
         parse_circuit("qubits 2\nH 5")
     with pytest.raises(CircuitParseError):
         parse_circuit("qubits 2\nCZ 0")
+
+
+def test_parse_rejects_non_ascii_digit_qubit_count():
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit("qubits ²\nH 0")
+    assert err.value.line == 1
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit("qubits 2\nH ²")
+    assert err.value.line == 2
 
 
 def test_parse_comments_and_blank_lines():
@@ -119,9 +127,68 @@ def test_two_stacked_layers_tile_without_collisions():
     ]
     frag = layout_brickwork(layers)
     assert frag.pattern.graph.vertex_count == 30  # 16 + 14 after merging
-    grid = brickwork_grid(layers)
-    assert len(grid) == 30
-    assert len(set(grid.values())) == 30
+
+
+def _random_circuit(rng, qubits: int, gates: int) -> Circuit:
+    """Seeded Clifford+T circuit; about 30 % of the gates entangle adjacent lanes."""
+    lines = [f"qubits {qubits}"]
+    for _ in range(gates):
+        if qubits > 1 and rng.random() < 0.3:
+            q = int(rng.integers(qubits - 1))
+            a, b = (q, q + 1) if rng.random() < 0.5 else (q + 1, q)
+            lines.append(f"{('CZ', 'CNOT')[int(rng.integers(2))]} {a} {b}")
+        else:
+            gate = ("H", "S", "Sdg", "T", "Tdg")[int(rng.integers(5))]
+            lines.append(f"{gate} {int(rng.integers(qubits))}")
+    return parse_circuit("\n".join(lines))
+
+
+def _composed_layout(layers):
+    """Reference layout: one ``compose`` per brick, then lane-ordered wires."""
+    frag, starts, ends = None, {}, {}
+    for layer in layers:
+        piece = brick(layer.settings)
+        lanes = (layer.pair, layer.pair + 1)
+        wiring = {ends[w]: i for w, i in zip(lanes, BRICK_INPUTS) if w in ends}
+        # compose keeps wired inputs on their outputs and numbers the rest on
+        n = frag.pattern.graph.vertex_count if frag else 0
+        wired = {i: o for o, i in wiring.items()}
+        fresh = iter(range(n, n + 16))
+        relabel = {v: wired[v] if v in wired else next(fresh) for v in range(16)}
+        frag = compose(frag, piece, wiring) if frag else piece
+        for w, i, o in zip(lanes, BRICK_INPUTS, BRICK_OUTPUTS):
+            starts.setdefault(w, relabel[i])
+            ends[w] = relabel[o]
+    inputs = tuple(starts[w] for w in sorted(starts))
+    outputs = tuple(ends[w] for w in sorted(ends))
+    return frag.with_io_order(inputs, outputs)
+
+
+def test_layout_matches_brick_by_brick_composition():
+    for seed in range(12):
+        rng = np.random.default_rng([0x1A7, seed])
+        c = _random_circuit(rng, 1 + seed % 4, int(rng.integers(1, 9)))
+        layers = compile_to_bricks(c)
+        expected = fragment_to_json(_composed_layout(layers))
+        assert fragment_to_json(layout_brickwork(layers)) == expected, c
+
+
+@pytest.mark.parametrize(
+    "text, vertices",
+    [
+        ("qubits 3\nH 0\nCNOT 0 1\nT 2\nCZ 1 2\nTdg 1\nS 2", 143),
+        ("qubits 4\nCZ 0 1\nCZ 2 3\nCZ 1 2", 46),
+    ],
+)
+def test_multi_lane_circuits_certify(text, vertices):
+    c = parse_circuit(text)
+    frag = compile_circuit(c)
+    assert frag.pattern.graph.vertex_count == vertices
+    assert len(frag.inputs) == len(frag.outputs) == c.qubit_count
+    rep = verify_fragment(
+        frag, circuit_unitary(c), branches=("sample", 1), keep_branches=False
+    )
+    assert rep.passed, rep.worst_infidelity
 
 
 def test_compiled_pipeline_certifies_composite():

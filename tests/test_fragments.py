@@ -7,7 +7,6 @@ from ppmbqc.errors import StructuralError
 from ppmbqc.fragments import (
     BrickSettings,
     brick,
-    brick_grid,
     builtin_fragment,
     cz_fragment,
     e_fragment,
@@ -199,17 +198,6 @@ def test_brick_rejects_unknown_settings():
         BrickSettings("HTH", "PAD", 0)
     with pytest.raises(StructuralError):
         BrickSettings("H", "H", 2)
-
-
-def test_brick_grid_sites_distinct_and_tile():
-    sites = set()
-    for layer in range(3):
-        coords = brick_grid(layer).values()
-        fresh = set(coords)
-        assert len(fresh) == 16
-        # boundary vertices merge on composition, so overlap only there
-        sites |= fresh
-    assert len(sites) == 48
 
 
 def test_xhalf_forced_one_outcome_frame():

@@ -6,13 +6,13 @@ import pytest
 
 from ppmbqc.boolfn import BoolFn
 from ppmbqc.errors import StructuralError, WellFoundednessError
+from ppmbqc.executor import measurement_order
 from ppmbqc.fragments import e_fragment, xhalf_fragment
 from ppmbqc.pattern import (
     Correction,
     Measurement,
     MeasurementPattern,
     PatternFragment,
-    PauliFrame,
     compose,
     dependency_schedule,
     fragment_from_dict,
@@ -44,6 +44,19 @@ def test_cyclic_two_vertex_pattern_rejected():
     with pytest.raises(WellFoundednessError) as err:
         dependency_schedule(p)
     assert set(err.value.cycle) == {0, 1}
+
+
+def test_cycle_is_reported_without_the_vertices_waiting_on_it():
+    reads = {0: "w1", 1: "w3", 2: "w1", 3: "w2"}  # 1 -> 3 -> 2 -> 1; 0 waits on it
+    p = MeasurementPattern(
+        PGraph(4), {v: Measurement(f"w{v}", BoolFn.var(r)) for v, r in reads.items()}
+    )
+    with pytest.raises(WellFoundednessError) as err:
+        dependency_schedule(p)
+    assert sorted(err.value.cycle) == [1, 2, 3]
+    with pytest.raises(WellFoundednessError) as err:
+        measurement_order(PatternFragment(p))
+    assert sorted(err.value.cycle) == [1, 2, 3]
 
 
 def test_t_gadget_schedule_rounds():
@@ -188,11 +201,3 @@ def _mutations():
 def test_malformed_fragment_dict_raises_structural_error(data):
     with pytest.raises(StructuralError):
         fragment_from_dict(data)
-
-
-def test_pauli_frame_composition_is_xor():
-    a = PauliFrame(((1, 0), (0, 1)))
-    b = PauliFrame(((1, 1), (0, 1)))
-    assert a.compose(b) == PauliFrame(((0, 1), (0, 0)))
-    with pytest.raises(StructuralError):
-        PauliFrame(((2, 0),))

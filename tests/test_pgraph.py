@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ppmbqc.errors import StructuralError
-from ppmbqc.pgraph import PGraph, add_edges
+from ppmbqc.pgraph import PGraph
 
 
 def test_double_edge_from_two_singles():
     g = PGraph(2, base_exponent=2)
-    g = add_edges(g, 0, 1, 2)
+    g = g.add_edges(0, 1, 2)
     assert g.multiplicity(0, 1) == 2
 
 
