@@ -25,7 +25,13 @@ from .fragments import (
     BrickSettings,
     brick,
 )
-from .pattern import MeasurementPattern, PatternFragment, _attach, fragment_to_json
+from .pattern import (
+    BASIS_BY_CHOICE,
+    MeasurementPattern,
+    PatternFragment,
+    _attach,
+    fragment_to_json,
+)
 from .pgraph import PGraph
 from .unitaries import CNOT, CZ, FIXED
 
@@ -271,11 +277,9 @@ def _to_dot(p: PatternFragment) -> str:
         label = str(v)
         if v in p.pattern.measurements:
             m = p.pattern.measurements[v]
-            basis = (
-                ("Z" if m.choice.constant_value() else "X")
-                if m.choice.is_constant()
-                else "?"
-            )
+            basis = "?"
+            if m.choice.is_constant():
+                basis = BASIS_BY_CHOICE[m.choice.constant_value()]
             label = f"{v}:{m.var}={basis}"
         if v in ins and v in outs:
             attrs.append("shape=doublecircle")

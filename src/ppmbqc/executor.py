@@ -46,11 +46,11 @@ from .statevec import (
     Statevector,
     X,
     Z,
+    _children,
+    _phase,
     apply_matrix,
     plus_state,
 )
-
-SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,13 @@ class BranchEnsemble:
     error_bits: dict[str, int]
     scale: float = 1.0
 
-    def _weights(self) -> np.ndarray:
+    def weights(self) -> np.ndarray:
+        """Squared row norms; times ``scale`` they are the branch probabilities."""
         return np.einsum("ij,ij->i", self.states.conj(), self.states).real
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self.scale * self._weights()
+        return self.scale * self.weights()
 
     def full_env_rows(self) -> dict[str, np.ndarray]:
         rows = self.states.shape[0]
@@ -167,7 +168,7 @@ class BranchEnsemble:
         qubits = self.states.shape[1].bit_length() - 1
         corrections = [(o, f.corrections[o]) for o in f.outputs]
         out = []
-        for r, w in enumerate(self._weights()):
+        for r, w in enumerate(self.weights()):
             env = {k: int(bits[r]) for k, bits in self.env.items()} | self.error_bits
             ok = w >= IMPOSSIBLE_PROB
             out.append(
@@ -198,36 +199,6 @@ def _plan(f: PatternFragment) -> tuple[list[int], list[list[tuple[int, int, int]
     for e in f.pattern.graph.edges:
         edges[min(rank.get(e[0], len(order)), rank.get(e[1], len(order)))].append(e)
     return order, edges
-
-
-def _phase(amps: np.ndarray, p: int, q: int, live: int, alpha: float) -> np.ndarray:
-    """Parity phase of angle ``alpha`` between register axes ``p`` and ``q``."""
-    p, q = min(p, q), max(p, q)
-    rows = amps.shape[0]
-    t = amps.reshape(rows, 1 << p, 2, 1 << (q - p - 1), 2, 1 << (live - q - 1))
-    even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
-    t *= np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
-    return t.reshape(rows, -1)
-
-
-def _children(amps: np.ndarray, pos: int, choices: np.ndarray) -> np.ndarray:
-    """Both outcome halves of register axis ``pos``, shape ``(rows, 2, rest)``.
-
-    Rows whose choice is 0 are rotated into the X basis first.
-    """
-    rows = amps.shape[0]
-    t = amps.reshape(rows, 1 << pos, 2, -1)
-    kids = np.empty((rows, 2, t.shape[1], t.shape[3]), dtype=complex)
-    x = choices == 0
-    for picked, rotate in ((x, True), (~x, False)):
-        if not picked.any():
-            continue
-        sel = slice(None) if picked.all() else np.nonzero(picked)[0]
-        a0, a1 = t[sel, :, 0], t[sel, :, 1]
-        if rotate:
-            a0, a1 = (a0 + a1) * SQRT_HALF, (a0 - a1) * SQRT_HALF
-        kids[sel, 0], kids[sel, 1] = a0, a1
-    return kids.reshape(rows, 2, -1)
 
 
 def _picker(src: OutcomeSource):
@@ -292,6 +263,9 @@ def _execute(
     pick = _picker(src)
 
     errs = input_errors or {}
+    stray = set(errs) - set(f.inputs)
+    if stray:
+        raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
     error_bits: dict[str, int] = {}
     for pos, v in enumerate(f.inputs):  # X^x Z^z on each input wire, Z first
         zb, xb = (b & 1 for b in errs.get(v, (0, 0)))

@@ -110,9 +110,38 @@ def from_amplitudes(amps: Iterable[complex]) -> Statevector:
     return Statevector(n, arr)
 
 
-def _bit_masks(n: int, q: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return (idx >> (n - 1 - q)) & 1
+def _phase(amps: np.ndarray, p: int, q: int, live: int, alpha: float) -> np.ndarray:
+    """Parity phase of angle ``alpha`` between axes ``p`` and ``q``, in place.
+
+    ``amps`` has shape ``(rows, 2**live)``; every row gets the same phase.
+    """
+    p, q = min(p, q), max(p, q)
+    rows = amps.shape[0]
+    t = amps.reshape(rows, 1 << p, 2, 1 << (q - p - 1), 2, 1 << (live - q - 1))
+    even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
+    t *= np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
+    return t.reshape(rows, -1)
+
+
+def _children(amps: np.ndarray, pos: int, choices: np.ndarray) -> np.ndarray:
+    """Both outcome halves of axis ``pos`` of each row, shape ``(rows, 2, rest)``.
+
+    Rows whose choice is 0 are rotated into the X basis first; ``amps`` is
+    not modified.
+    """
+    rows = amps.shape[0]
+    t = amps.reshape(rows, 1 << pos, 2, -1)
+    kids = np.empty((rows, 2, t.shape[1], t.shape[3]), dtype=complex)
+    x = choices == 0
+    for picked, rotate in ((x, True), (~x, False)):
+        if not picked.any():
+            continue
+        sel = slice(None) if picked.all() else np.nonzero(picked)[0]
+        a0, a1 = t[sel, :, 0], t[sel, :, 1]
+        if rotate:
+            a0, a1 = (a0 + a1) * SQRT2_INV, (a0 - a1) * SQRT2_INV
+        kids[sel, 0], kids[sel, 1] = a0, a1
+    return kids.reshape(rows, 2, -1)
 
 
 def apply_matrix(s: Statevector, q: int, mat: np.ndarray) -> Statevector:
@@ -139,9 +168,8 @@ def apply_parity_phase(s: Statevector, q1: int, q2: int, alpha: float) -> Statev
     for q in (q1, q2):
         if not 0 <= q < n:
             raise DimensionError(f"qubit {q} out of range [0, {n})")
-    parity = _bit_masks(n, q1) ^ _bit_masks(n, q2)
-    phases = np.where(parity == 0, np.exp(-0.5j * alpha), np.exp(0.5j * alpha))
-    return Statevector(n, s.amplitudes * phases)
+    amps = _phase(s.amplitudes.reshape(1, -1).copy(), q1, q2, n, alpha)
+    return Statevector(n, amps.reshape(-1))
 
 
 def measure(
@@ -163,9 +191,8 @@ def measure(
         raise DimensionError(f"qubit {q} out of range [0, {n})")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
-    work = apply_matrix(s, q, H) if basis == "X" else s
-    tensor = work.amplitudes.reshape((2,) * n)
-    branch = np.moveaxis(tensor, q, 0)[outcome & 1].reshape(-1)
+    choice = np.array([basis == "Z"], dtype=np.uint8)
+    branch = _children(s.amplitudes.reshape(1, -1), q, choice)[0, outcome & 1]
     prob = float(np.real(np.vdot(branch, branch)))
     if prob < IMPOSSIBLE_PROB:
         return prob, None

@@ -9,6 +9,7 @@ a passing report is a proof by exhaustion at machine precision.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,11 +22,12 @@ from .errors import DimensionError, InferenceError, TableDerivationError
 from .executor import (
     BranchEnsemble,
     OutcomeSource,
+    _execute,
     enumerate_fragment,
     measurement_order,
-    run_fragment,
 )
-from .pattern import Correction, PatternFragment
+from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES, BrickSettings, brick
+from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
 from .statevec import DEFAULT_QUBIT_CAP, IMPOSSIBLE_PROB, Statevector
 from .unitaries import is_unitary, pauli_product, unitary_from_label
 
@@ -98,16 +100,10 @@ def choi_input(wires: int) -> Statevector:
     return Statevector(2 * wires, amps)
 
 
-def _expected_state(U: np.ndarray, frame: tuple[tuple[int, int], ...]) -> np.ndarray:
-    wires = len(frame)
-    P = pauli_product(list(frame))
-    return (P @ U).reshape(-1) / math.sqrt(1 << wires)
-
-
-def _error_combos(n_in: int):
-    """All (z, x) bit assignments per input, z before x, first input first."""
-    for bits in product((0, 1), repeat=2 * n_in):
-        yield {i: (bits[2 * i], bits[2 * i + 1]) for i in range(n_in)}, bits
+def _error_combos(inputs: tuple[int, ...]):
+    """All (z, x) bit pairs keyed by input vertex, z before x, first input first."""
+    for bits in product((0, 1), repeat=2 * len(inputs)):
+        yield {v: bits[2 * i : 2 * i + 2] for i, v in enumerate(inputs)}, bits
 
 
 def _frame_codes(f: PatternFragment, ens: BranchEnsemble) -> np.ndarray:
@@ -129,21 +125,33 @@ def _frame_from_code(code: int, wires: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _branch_fidelities(f: PatternFragment, ens: BranchEnsemble, expected_for):
-    """Per-row fidelity against ``expected_for(frame code)``, grouped by code.
+def _frame_targets(U: np.ndarray, wires: int):
+    """Cached map from a frame code to the Choi vector of the frame-dressed target."""
 
-    Returns ``(probabilities, possible, frame codes, fidelities)``; the
-    fidelity of an impossible row is left at 0.
+    @functools.cache
+    def expected(code: int) -> np.ndarray:
+        P = pauli_product(list(_frame_from_code(code, wires)))
+        return (P @ U).reshape(-1) / math.sqrt(1 << wires)
+
+    return expected
+
+
+def _branch_fidelities(ens: BranchEnsemble, codes: np.ndarray, expected_for):
+    """Per-row fidelity against ``expected_for(code)`` of the row's frame code.
+
+    A row is possible when its weight (squared norm) reaches the impossible
+    threshold; shots carry their branch probability in ``ens.scale``
+    instead. Returns ``(probabilities, possible, fidelities)``; an
+    impossible row's fidelity is left at 0.
     """
-    probs = ens.probabilities
-    codes = _frame_codes(f, ens)
-    ok = probs >= IMPOSSIBLE_PROB
-    fids = np.zeros(len(probs))
+    weights = ens.weights()
+    ok = weights >= IMPOSSIBLE_PROB
+    fids = np.zeros(len(weights))
     for code in np.unique(codes[ok]):
         rows = np.nonzero(ok & (codes == code))[0]
         overlaps = ens.states[rows] @ expected_for(int(code)).conj()
-        fids[rows] = np.abs(overlaps) ** 2 / probs[rows]
-    return probs, ok, codes, fids
+        fids[rows] = np.abs(overlaps) ** 2 / weights[rows]
+    return ens.scale * weights, ok, fids
 
 
 def verify_fragment(
@@ -160,7 +168,8 @@ def verify_fragment(
     Checks, for every outcome branch and every input Pauli-error
     combination, that the output equals the frame-dressed target on a
     maximally entangled input. ``branches`` is ``"all"`` for exhaustive
-    enumeration or ``("sample", k)`` for k seeded runs per error combo.
+    enumeration or ``("sample", k)`` for k seeded runs per error combo;
+    ``tol`` is the worst accepted infidelity, strictly between 0 and 1.
     """
     U, label = _as_matrix(target)
     n_in, n_out = len(f.inputs), len(f.outputs)
@@ -170,6 +179,8 @@ def verify_fragment(
         raise DimensionError(f"target shape {U.shape} does not match arity {n_in}")
     if not is_unitary(U):
         raise DimensionError("target is not unitary")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
 
     measured = len(f.pattern.measurements)
     exhaustive = branches == "all"
@@ -181,72 +192,46 @@ def verify_fragment(
     totals: list[float] = []
     possible = impossible = 0
 
-    expected_cache: dict[int, np.ndarray] = {}
-
-    def expected_for(code: int) -> np.ndarray:
-        if code not in expected_cache:
-            expected_cache[code] = _expected_state(U, _frame_from_code(code, n_out))
-        return expected_cache[code]
-
+    expected_for = _frame_targets(U, n_out)
     keep = keep_branches
     if keep is None:
         keep = (1 << measured) * (1 << (2 * n_in)) <= 4096 or not exhaustive
 
-    for errs, err_bits in _error_combos(n_in):
+    for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         if exhaustive:
-            ens = enumerate_fragment(
-                f, choi_input(n_in), errs, spectators=n_in, cap=cap
+            runs = [enumerate_fragment(f, choi_input(n_in), errs, n_in, cap)]
+        else:
+            base = seed * 0x9E3779B1 + combo * 1009
+            runs = (
+                _execute(
+                    f, OutcomeSource.seeded((base + k) & 0x7FFFFFFF),
+                    choi_input(n_in), errs, n_in, cap,
+                )
+                for k in range(sample_count)
             )
-            probs, ok, codes, fids = _branch_fidelities(f, ens, expected_for)
-            totals.append(float(probs.sum()))
+        total = 0.0
+        for ens in runs:
+            codes = _frame_codes(f, ens)
+            probs, ok, fids = _branch_fidelities(ens, codes, expected_for)
+            total += float(probs.sum())
             possible += int(ok.sum())
             impossible += int((~ok).sum())
             if ok.any():
                 worst = max(worst, float((1.0 - fids[ok]).max()))
-            if keep:
-                k = measured
-                for r in range(len(probs)):
-                    outcome_bits = tuple((r >> (k - 1 - j)) & 1 for j in range(k))
-                    records.append(
-                        BranchRecord(
-                            err_bits,
-                            outcome_bits,
-                            float(probs[r]) if ok[r] else 0.0,
-                            _frame_from_code(int(codes[r]), n_out),
-                            float(1.0 - fids[r]) if ok[r] else None,
-                        )
-                    )
-        else:
-            total = 0.0
-            for k in range(sample_count):
-                run_seed = (seed * 0x9E3779B1 + len(totals) * 1009 + k) & 0x7FFFFFFF
-                trace = run_fragment(
-                    f,
-                    choi_input(n_in),
-                    errs,
-                    OutcomeSource.seeded(run_seed),
-                    spectators=n_in,
-                    cap=cap,
-                )
-                frame = tuple(trace.frame[o] for o in f.outputs)
-                exp = _expected_state(U, frame)
-                fid = float(abs(np.vdot(exp, trace.state.amplitudes)) ** 2)
-                worst = max(worst, 1.0 - fid)
-                total += trace.probability
-                possible += 1
+            if not keep:
+                continue
+            outcomes = [ens.env[f.pattern.measurements[v].var] for v in ens.order]
+            for r in range(len(probs)):
                 records.append(
                     BranchRecord(
                         err_bits,
-                        tuple(
-                            trace.outcomes[f.pattern.measurements[v].var]
-                            for v in trace.bases  # keyed in measurement order
-                        ),
-                        trace.probability,
-                        frame,
-                        1.0 - fid,
+                        tuple(int(bits[r]) for bits in outcomes),
+                        float(probs[r]) if ok[r] else 0.0,
+                        _frame_from_code(int(codes[r]), n_out),
+                        float(1.0 - fids[r]) if ok[r] else None,
                     )
                 )
-            totals.append(total)
+        totals.append(total)
 
     prob_ok = (
         all(abs(t - 1.0) < 1e-9 for t in totals) if exhaustive else True
@@ -293,7 +278,7 @@ def verify_fragment_product_inputs(
     n_in = len(f.inputs)
     n_out = len(f.outputs)
     worst = 0.0
-    combos = list(_error_combos(n_in)) if with_errors else [({}, ())]
+    combos = list(_error_combos(f.inputs)) if with_errors else [({}, ())]
     for labels in product(PRODUCT_INPUT_STATES, repeat=n_in):
         vec = np.array([1.0], dtype=complex)
         for name in labels:
@@ -306,7 +291,7 @@ def verify_fragment_product_inputs(
 
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs, cap=cap)
-            _, ok, _, fids = _branch_fidelities(f, ens, expected_for)
+            _, ok, fids = _branch_fidelities(ens, _frame_codes(f, ens), expected_for)
             if ok.any():
                 worst = max(worst, float((1.0 - fids[ok]).max()))
     return worst
@@ -341,48 +326,39 @@ def infer_corrections(
 
     zeta_tab = {o: np.zeros(1 << k, dtype=np.uint8) for o in f.outputs}
     xi_tab = {o: np.zeros(1 << k, dtype=np.uint8) for o in f.outputs}
-    candidates = [
-        (code, _expected_state(U, _frame_from_code(code, n_out)))
-        for code in range(1 << (2 * n_out))
-    ]
-    err_bit_count = 2 * n_in
+    expected_for = _frame_targets(U, n_out)
 
-    for errs, err_bits in _error_combos(n_in):
+    for errs, err_bits in _error_combos(f.inputs):
         ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in, cap=cap)
-        probs = ens.probabilities
-        err_index = 0
-        for b in err_bits:
-            err_index = (err_index << 1) | b
-        overlap = np.zeros((len(candidates), len(probs)))
-        for i, (_code, exp) in enumerate(candidates):
-            overlap[i] = np.abs(ens.states @ exp.conj()) ** 2
-        ok = probs >= IMPOSSIBLE_PROB
-        fids = np.where(ok, overlap / np.where(ok, probs, 1.0), 0.0)
-        hits = fids > 1.0 - FIT_TOL
+        rows = ens.states.shape[0]
+        hits = np.zeros((1 << (2 * n_out), rows), dtype=bool)
+        for code in range(len(hits)):
+            _, ok, fids = _branch_fidelities(ens, np.full(rows, code), expected_for)
+            hits[code] = fids > 1.0 - FIT_TOL
         n_hits = hits.sum(axis=0)
-        if np.any(ok & (n_hits != 1)):
-            bad = int(np.nonzero(ok & (n_hits != 1))[0][0])
+        bad = np.nonzero(ok & (n_hits != 1))[0]
+        if len(bad):
             raise InferenceError(
-                f"branch {bad} of error combo {err_bits} admits "
-                f"{int(n_hits[bad])} Pauli solutions against {label}"
+                f"branch {int(bad[0])} of error combo {err_bits} admits "
+                f"{int(n_hits[bad[0]])} Pauli solutions against {label}"
             )
-        codes = np.argmax(hits, axis=0)
-        for row in range(len(probs)):
-            idx = (row << err_bit_count) | err_index
-            if not ok[row]:
-                continue  # impossible branch: leave the don't-care at 0
-            frame = _frame_from_code(int(candidates[codes[row]][0]), n_out)
-            for w, o in enumerate(f.outputs):
-                zeta_tab[o][idx] = frame[w][0]
-                xi_tab[o][idx] = frame[w][1]
+        # Impossible branches are don't-cares and stay at 0.
+        codes = np.argmax(hits, axis=0)[ok]
+        env = ens.full_env_rows()
+        idx = np.zeros(rows, dtype=np.int64)
+        for name in names:
+            idx = (idx << 1) | env[name]
+        idx = idx[ok]
+        for w, o in enumerate(f.outputs):
+            shift = 2 * (n_out - 1 - w)
+            zeta_tab[o][idx] = (codes >> (shift + 1)) & 1
+            xi_tab[o][idx] = (codes >> shift) & 1
 
     fitted = {
         o: Correction(mobius_anf(zeta_tab[o], names), mobius_anf(xi_tab[o], names))
         for o in f.outputs
     }
-    candidate = PatternFragment(
-        f.pattern, f.inputs, f.outputs, f.input_errors, fitted
-    )
+    candidate = with_corrections(f, fitted)
     report = verify_fragment(candidate, U, tol=tol, cap=cap, keep_branches=False)
     if not report.passed:
         raise InferenceError(
@@ -462,26 +438,20 @@ def standard_dictionary() -> dict[str, np.ndarray]:
 
 
 def _lane_dictionary() -> dict[str, np.ndarray]:
-    from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES
-
-    out = {}
-    for l in LEFT_LANE_GATES:
-        for r in RIGHT_LANE_GATES:
-            for cz in (0, 1):
-                ll = "I" if l == "PAD" else l
-                rr = "I" if r == "PAD" else r
-                label = f"CZ*({ll}x{rr})" if cz else f"{ll}x{rr}"
-                out[label] = unitary_from_label(label)
-    return out
+    labels = (
+        BrickSettings(l, r, cz).label()
+        for l in LEFT_LANE_GATES
+        for r in RIGHT_LANE_GATES
+        for cz in (0, 1)
+    )
+    return {label: unitary_from_label(label) for label in labels}
 
 
 def _basis_assignment(f: PatternFragment) -> dict[str, str]:
     out = {}
-    for v, m in sorted(f.pattern.measurements.items()):
-        if m.choice.is_constant():
-            out[m.var] = "Z" if m.choice.constant_value() else "X"
-        else:
-            out[m.var] = "ADAPT"
+    for _, m in sorted(f.pattern.measurements.items()):
+        c = m.choice
+        out[m.var] = BASIS_BY_CHOICE[c.constant_value()] if c.is_constant() else "ADAPT"
     return out
 
 
@@ -510,10 +480,8 @@ class BrickTableEntry:
 ADVERTISED_LANE_GATES = ("H", "S", "HSH", "HSHS", "HTH", "T")
 
 
-def canonical_brick_settings() -> list["BrickSettings"]:
+def canonical_brick_settings() -> list[BrickSettings]:
     """One witness per advertised gate and switch state, plus extras."""
-    from .fragments import BrickSettings, LEFT_LANE_GATES
-
     rows = []
     for cz in (0, 1):
         rows.append(BrickSettings("PAD", "PAD", cz))
@@ -531,19 +499,15 @@ def scan_brick_settings(seed: int = 0xC0FFEE) -> dict[tuple[str, str, int], str]
     Runs a single sampled branch per triple and classifies the conditional
     map up to a Pauli frame. Full certification is reserved for the table.
     """
-    from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES, BrickSettings, brick
-
     dictionary = _lane_dictionary()
     out = {}
     for l in LEFT_LANE_GATES:
         for r in RIGHT_LANE_GATES:
             for cz in (0, 1):
                 frag = brick(BrickSettings(l, r, cz))
-                trace = run_fragment(
-                    frag, choi_input(2), src=OutcomeSource.seeded(seed), spectators=2
-                )
-                M = trace.state.amplitudes.reshape(4, 4) * 2.0
-                M = M / (np.linalg.norm(M) / 2.0)
+                src = OutcomeSource.seeded(seed)
+                ens = _execute(frag, src, choi_input(2), None, 2, DEFAULT_QUBIT_CAP)
+                M = branch_operator(ens.states, 0, 2)
                 hit = classify_up_to_frame(M, dictionary, wires=2, threshold=1 - 1e-7)
                 if hit is None:
                     raise TableDerivationError(
@@ -561,8 +525,6 @@ def derive_brick_table(tol: float = 1e-9, cap: int = DEFAULT_QUBIT_CAP) -> list[
     input-error combinations. A missing witness raises, signalling a
     topology transcription error.
     """
-    from .fragments import brick
-
     entries = []
     covered: set[tuple[str, int]] = set()
     for settings in canonical_brick_settings():

@@ -70,6 +70,13 @@ def test_malformed_target_angle_is_json_usage_error(capsys, target):
     assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_meaningless_tolerance_is_json_usage_error(capsys, tol):
+    code, out, _ = run_cli(capsys, "--json", "verify", "builtin:xhalf", "--tol", tol)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_run_pattern_with_tape_and_branches(tmp_path, capsys):
     frag = hierarchy_fragment(1)
     # strip the input to make a closed pattern: measure everything instead

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ppmbqc.boolfn import BoolFn
 from ppmbqc.compiler import (
     BrickLayer,
     Circuit,
@@ -17,9 +18,9 @@ from ppmbqc.compiler import (
 from ppmbqc.errors import CircuitParseError, StructuralError
 from ppmbqc.executor import feed_forward_depth
 from ppmbqc.fragments import BRICK_INPUTS, BRICK_OUTPUTS, BrickSettings, brick
-from ppmbqc.pattern import compose, fragment_from_json, fragment_to_json
+from ppmbqc.pattern import Correction, compose, fragment_from_json, fragment_to_json
 from ppmbqc.unitaries import phase_matched
-from ppmbqc.verifier import verify_fragment
+from ppmbqc.verifier import verify_fragment, with_corrections
 
 RNG = np.random.default_rng(0xA11CE)
 
@@ -189,6 +190,8 @@ def test_multi_lane_circuits_certify(text, vertices):
         frag, circuit_unitary(c), branches=("sample", 1), keep_branches=False
     )
     assert rep.passed, rep.worst_infidelity
+    assert rep.branch_count == 4**c.qubit_count  # one sample per error combination
+    assert rep.impossible_count == 0
 
 
 def test_compiled_pipeline_certifies_composite():
@@ -198,6 +201,24 @@ def test_compiled_pipeline_certifies_composite():
         frag, circuit_unitary(c), branches=("sample", 4), keep_branches=False
     )
     assert rep.passed, rep.worst_infidelity
+    assert rep.branch_count == 4**2 * 4
+    assert rep.impossible_count == 0
+
+
+def test_sampled_verify_sees_errors_on_the_second_input():
+    # The second input is not vertex 1; a correction that reads its x error
+    # where none belongs must fail.
+    c = parse_circuit("qubits 2\nT 1\nCNOT 0 1\nH 1")
+    frag = compile_circuit(c)
+    x2 = BoolFn.var(frag.input_errors[frag.inputs[1]][1])
+    wrong = with_corrections(
+        frag, {o: Correction(cr.zeta, cr.xi ^ x2) for o, cr in frag.corrections.items()}
+    )
+    for f, ok in ((frag, True), (wrong, False)):
+        rep = verify_fragment(
+            f, circuit_unitary(c), branches=("sample", 1), keep_branches=False
+        )
+        assert rep.passed is ok, rep.worst_infidelity
 
 
 def test_one_qubit_circuit_borrows_a_lane():

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppmbqc.boolfn import BoolFn
-from ppmbqc.errors import ImpossibleBranchError, StateSizeError, WellFoundednessError
+from ppmbqc.errors import (
+    DimensionError,
+    ImpossibleBranchError,
+    StateSizeError,
+    WellFoundednessError,
+)
 from ppmbqc.executor import (
     OutcomeSource,
     enumerate_fragment,
@@ -318,3 +323,12 @@ def test_seeded_tape_and_exhaustive_runs_agree(case, spectators, seed):
             assert fidelity_up_to_phase(other.state, shot.state) >= 1 - 1e-9
             assert other.bases == shot.bases
             assert other.frame == shot.frame
+
+
+def test_input_errors_must_name_input_vertices():
+    f = xhalf_fragment()
+    assert f.inputs == (0,)
+    with pytest.raises(DimensionError):
+        run_fragment(f, zero_state(1), {1: (1, 0)}, OutcomeSource.fixed([0]))
+    with pytest.raises(DimensionError):
+        enumerate_fragment(f, zero_state(1), {1: (0, 1)})

@@ -234,3 +234,28 @@ def test_embed_state_places_qubits():
     # qubit 1 must be |1>, rest |+>: measure qubit 1 in Z.
     p1, _ = measure(joint, 1, "Z", 1)
     assert p1 == pytest.approx(1.0)
+
+
+def test_kernels_match_index_oracles_on_distant_qubits_and_keep_their_input():
+    # Reference: phases from the parity of basis-index bits, and measurement
+    # as a slice of the (Hadamard-rotated) tensor along the measured axis.
+    n = 4
+    s = random_state(n)
+    before = s.amplitudes.copy()
+    bits = (np.arange(1 << n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    for q1, q2 in ((0, 3), (2, 1), (1, 3)):
+        parity = bits[:, q1] ^ bits[:, q2]
+        want = s.amplitudes * np.where(parity == 0, np.exp(-0.2j), np.exp(0.2j))
+        got = apply_parity_phase(s, q1, q2, 0.4)
+        assert np.allclose(got.amplitudes, want, atol=1e-12)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    for q in range(n):
+        for basis in ("X", "Z"):
+            work = apply_matrix(s, q, h) if basis == "X" else s
+            for outcome in (0, 1):
+                branch = np.moveaxis(work.amplitudes.reshape((2,) * n), q, 0)[outcome]
+                p, post = measure(s, q, basis, outcome)
+                assert p == pytest.approx(np.vdot(branch, branch).real, abs=1e-12)
+                want = branch.reshape(-1) / math.sqrt(p)
+                assert np.allclose(post.amplitudes, want, atol=1e-12)
+    assert np.array_equal(s.amplitudes, before)

@@ -77,6 +77,12 @@ def test_sampled_mode_agrees():
     assert rep.mode == "sample:5"
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, math.inf, math.nan])
+def test_verify_rejects_tolerances_outside_the_open_unit_interval(tol):
+    with pytest.raises(ValueError):
+        verify_fragment(xhalf_fragment(), "T", tol=tol)
+
+
 @pytest.mark.parametrize("branches", [("sample", 0), ("sample", -3), ("every", 2)])
 def test_sampled_mode_rejects_counts_below_one(branches):
     with pytest.raises(ValueError):
@@ -95,15 +101,6 @@ def test_sampled_records_follow_the_measurement_order():
             record.outcomes
         )
         assert replay.probability == pytest.approx(record.probability, abs=1e-12)
-
-
-def test_infer_recovers_xhalf_exactly():
-    f = xhalf_fragment()
-    stripped = with_corrections(
-        f, {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in f.outputs}
-    )
-    fitted = infer_corrections(stripped, "X(pi/2)")
-    assert fitted == f.corrections
 
 
 def test_infer_recovers_e_t_reference_anf_exactly():
@@ -128,6 +125,38 @@ def test_infer_derives_h_mode_from_scratch_and_is_idempotent():
     assert rep.passed
     again = infer_corrections(with_corrections(f, fitted), "H")
     assert again == fitted
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["xhalf", "e_t", "e_tdg", "e_h", "e_s", "e_t_nomiddle", "cz_on", "cz_off",
+     "brick", "hier_m1", "hier_m2", "hier_m3", "hier_m4"],
+)
+def test_infer_recovers_every_builtin_correction(name):
+    from ppmbqc.fragments import builtin_fragment
+
+    f, label = builtin_fragment(name)
+    stripped = with_corrections(
+        f, {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in f.outputs}
+    )
+    assert infer_corrections(stripped, label) == f.corrections
+
+
+def test_brick_fails_without_its_second_wire_error_terms():
+    # The brick's inputs are vertices 0 and 7: errors on the second wire
+    # must reach vertex 7, so dropping the z2/x2 terms has to show.
+    f = brick(BrickSettings("T", "HTH", 0))
+    zero = {"z2": BoolFn.zero(), "x2": BoolFn.zero()}
+    stripped = with_corrections(
+        f,
+        {
+            o: Correction(c.zeta.substitute(zero), c.xi.substitute(zero))
+            for o, c in f.corrections.items()
+        },
+    )
+    assert verify_fragment(f, "TxHTH", keep_branches=False).passed
+    rep = verify_fragment(stripped, "TxHTH", keep_branches=False)
+    assert not rep.passed and rep.worst_infidelity > 0.5
 
 
 def test_infer_fails_against_wrong_target():
