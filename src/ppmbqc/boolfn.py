@@ -170,10 +170,8 @@ def mobius_anf(table: np.ndarray, names: list[str]) -> BoolFn:
         raise ValueError(f"table must have {1 << k} rows, got {table.shape}")
     coeff = np.array(table, dtype=np.uint8)
     for j in range(k):
-        step = 1 << (k - 1 - j)
-        block = 2 * step
-        for start in range(0, 1 << k, block):
-            coeff[start + step : start + block] ^= coeff[start : start + step]
+        c = coeff.reshape(-1, 2, 1 << (k - 1 - j))  # a view: pairs of blocks
+        c[:, 1] ^= c[:, 0]
     monomials = []
     for idx in np.nonzero(coeff)[0]:
         mono = [names[j] for j in range(k) if (idx >> (k - 1 - j)) & 1]

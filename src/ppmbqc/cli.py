@@ -21,10 +21,11 @@ from .executor import (
     OutcomeSource,
     enumerate_fragment,
     feed_forward_depth,
-    run_pattern,
+    run_fragment,
 )
 from .fragments import builtin_fragment
 from .pattern import PatternFragment, fragment_from_json
+from .statevec import plus_state
 from .unitaries import LabelError, unitary_from_label
 from .verifier import brick_table_to_json, derive_brick_table, verify_fragment
 
@@ -123,12 +124,10 @@ def _cmd_run(args) -> int:
     frag, _ = _load_fragment(args.pattern)
     if frag.inputs:
         raise UsageError("pattern has input wires; use 'verify' for fragments")
-    pattern = frag.pattern
     if args.branches:
         mode = _parse_branches(args.branches)
         if mode == "all":
-            ens = enumerate_fragment(frag)
-            traces = ens.traces(frag)
+            traces = enumerate_fragment(frag).traces(frag)
             payload = {
                 "probability_total": float(sum(t.probability for t in traces)),
                 "traces": [t.to_dict(args.amplitudes) for t in traces],
@@ -137,17 +136,18 @@ def _cmd_run(args) -> int:
             return 0
         _, k = mode
         traces = [
-            run_pattern(pattern, OutcomeSource.seeded(args.seed + i)) for i in range(k)
+            run_fragment(frag, plus_state(0), src=OutcomeSource.seeded(args.seed + i))
+            for i in range(k)
         ]
         _emit({"traces": [t.to_dict(args.amplitudes) for t in traces]}, args.json)
         return 0
     if args.tape is not None:
         if set(args.tape) - set("01"):
             raise UsageError(f"--tape takes only the digits 0 and 1, got {args.tape!r}")
-        trace = run_pattern(pattern, OutcomeSource.fixed([int(ch) for ch in args.tape]))
+        src = OutcomeSource.fixed([int(ch) for ch in args.tape])
     else:
-        trace = run_pattern(pattern, OutcomeSource.seeded(args.seed))
-    _emit(trace.to_dict(args.amplitudes), args.json)
+        src = OutcomeSource.seeded(args.seed)
+    _emit(run_fragment(frag, plus_state(0), src=src).to_dict(args.amplitudes), args.json)
     return 0
 
 

@@ -162,18 +162,24 @@ def _lane_layers(label: str, side: int, pair: int) -> list[BrickLayer]:
     return out
 
 
+def _pair(q: int, qubits: int) -> int:
+    """The lane pair a single-qubit gate on ``q`` uses; the last lane pairs down."""
+    return q - 1 if (q == qubits - 1 and q > 0) else q
+
+
 def compile_to_bricks(c: Circuit) -> list[BrickLayer]:
     """Greedy one-gate-per-brick compilation onto lane pairs.
 
     Single-qubit gates land on the operand's lane with PAD opposite;
     entangling gates require adjacent lanes and use the brick's switch.
-    A one-qubit circuit borrows a padding lane.
+    Every lane that no gate touches first gets a PAD brick, so the pattern
+    has one wire per circuit qubit; a one-qubit circuit borrows a lane.
     """
     layers: list[BrickLayer] = []
     for label, args in c.gates:
         if label in GATES_1Q:
             (q,) = args
-            pair = q - 1 if (q == c.qubit_count - 1 and q > 0) else q
+            pair = _pair(q, c.qubit_count)
             layers.extend(_lane_layers(label, q - pair, pair))
             continue
         q1, q2 = args
@@ -189,9 +195,14 @@ def compile_to_bricks(c: Circuit) -> list[BrickLayer]:
             layers.extend(_lane_layers("H", tgt_side, pair))
             layers.append(BrickLayer(pair, BrickSettings("PAD", "PAD", 1)))
             layers.extend(_lane_layers("H", tgt_side, pair))
-    if not layers:
-        layers.append(BrickLayer(0, BrickSettings("PAD", "PAD", 0)))
-    return layers
+    covered = {w for layer in layers for w in (layer.pair, layer.pair + 1)}
+    pads = []
+    for q in range(c.qubit_count):
+        if q not in covered:
+            pair = _pair(q, c.qubit_count)
+            pads.append(BrickLayer(pair, BrickSettings("PAD", "PAD", 0)))
+            covered |= {pair, pair + 1}
+    return pads + layers
 
 
 def layers_unitary(layers: list[BrickLayer], lanes: int) -> np.ndarray:
@@ -200,9 +211,7 @@ def layers_unitary(layers: list[BrickLayer], lanes: int) -> np.ndarray:
     U = np.eye(dim, dtype=complex)
     for layer in layers:
         s = layer.settings
-        left = FIXED["I"] if s.left == "PAD" else FIXED[s.left]
-        right = FIXED["I"] if s.right == "PAD" else FIXED[s.right]
-        block = np.kron(left, right)
+        block = np.kron(FIXED[s.left], FIXED[s.right])
         if s.cz:
             block = CZ @ block
         G = np.eye(1, dtype=complex)
@@ -221,27 +230,30 @@ def layers_unitary(layers: list[BrickLayer], lanes: int) -> np.ndarray:
 def layout_brickwork(layers: list[BrickLayer]) -> PatternFragment:
     """Chain bricks by wiring lane outputs to lane inputs, in one pass.
 
-    Each brick is wired on as :func:`compose` would, its variables prefixed
-    ``g{d+1}.`` from depth ``d`` = 1 on, and the fragment is validated once
-    at the end. Wire order of the result follows lane index.
+    Each distinct setting is built once, as a template, and wired on as
+    :func:`compose` would, its variables prefixed ``g{d+1}.`` from depth
+    ``d`` = 1 on; the fragment is validated once at the end. Wire order of
+    the result follows lane index.
     """
     if not layers:
         raise StructuralError("cannot lay out an empty layer list")
     edges, measurements, corrections, input_errors = [], {}, {}, {}
+    templates: dict[BrickSettings, PatternFragment] = {}
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
     n = 0
     for depth, layer in enumerate(layers):
-        piece = brick(layer.settings)
-        if depth:
-            piece = piece.rename_variables(f"g{depth + 1}.")
+        if layer.settings not in templates:
+            templates[layer.settings] = brick(layer.settings)
+        piece = templates[layer.settings]
         lanes = (layer.pair, layer.pair + 1)
         wiring = {ends[w]: i for w, i in zip(lanes, BRICK_INPUTS) if w in ends}
-        relabel, n = _attach(piece, wiring, n, edges, measurements, corrections)
+        prefix = f"g{depth + 1}." if depth else ""
+        relabel, n = _attach(
+            piece, wiring, prefix, n, edges, measurements, corrections, input_errors
+        )
         for w, i, o in zip(lanes, BRICK_INPUTS, BRICK_OUTPUTS):
-            if w not in starts:
-                starts[w] = relabel[i]
-                input_errors[relabel[i]] = piece.input_errors[i]
+            starts.setdefault(w, relabel[i])
             ends[w] = relabel[o]
     graph = PGraph(n, piece.pattern.graph.base_exponent, tuple(edges))
     return PatternFragment(

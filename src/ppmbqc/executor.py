@@ -151,7 +151,8 @@ class BranchEnsemble:
 
     def weights(self) -> np.ndarray:
         """Squared row norms; times ``scale`` they are the branch probabilities."""
-        return np.einsum("ij,ij->i", self.states.conj(), self.states).real
+        re, im = self.states.real, self.states.imag
+        return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -365,5 +366,5 @@ def enumerate_fragment(
     return _execute(f, src, input_state, input_errors, spectators, cap)
 
 
-def enumerate_pattern(p: MeasurementPattern, cap: int = DEFAULT_QUBIT_CAP) -> BranchEnsemble:
-    return enumerate_fragment(_bare_fragment(p), cap=cap)
+def enumerate_pattern(p: MeasurementPattern) -> BranchEnsemble:
+    return enumerate_fragment(_bare_fragment(p))

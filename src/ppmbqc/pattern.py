@@ -194,34 +194,8 @@ class PatternFragment:
     def schedule(self) -> list[list[int]]:
         return dependency_schedule(self.pattern, set(self.error_variables()))
 
-    def rename_variables(self, prefix: str) -> PatternFragment:
-        """Prefix every variable name; used to keep namespaces disjoint."""
-        mapping = {name: prefix + name for name in self._all_variables()}
-        return self._apply_renaming(mapping)
-
     def _all_variables(self) -> tuple[str, ...]:
         return tuple(self.pattern.producer_of()) + self.error_variables()
-
-    def _apply_renaming(self, mapping: dict[str, str]) -> PatternFragment:
-        meas = {
-            v: Measurement(mapping.get(m.var, m.var), m.choice.rename(mapping))
-            for v, m in self.pattern.measurements.items()
-        }
-        errs = {
-            v: (mapping.get(z, z), mapping.get(x, x))
-            for v, (z, x) in self.input_errors.items()
-        }
-        corrs = {
-            v: Correction(c.zeta.rename(mapping), c.xi.rename(mapping))
-            for v, c in self.corrections.items()
-        }
-        return PatternFragment(
-            MeasurementPattern(self.pattern.graph, meas),
-            self.inputs,
-            self.outputs,
-            errs,
-            corrs,
-        )
 
     def with_io_order(
         self, inputs: tuple[int, ...], outputs: tuple[int, ...]
@@ -265,25 +239,26 @@ def compose_with_map(
         raise StructuralError("wiring must be injective")
 
     used = set(f1._all_variables())
+    prefix = ""
     if used & set(f2._all_variables()):
         k = 2
         while any((f"g{k}." + v) in used for v in f2._all_variables()):
             k += 1
-        f2 = f2.rename_variables(f"g{k}.")
+        prefix = f"g{k}."
 
     edges = list(g1.edges)
     measurements = dict(f1.pattern.measurements)
     corrections = dict(f1.corrections)
-    relabel, n = _attach(f2, wiring, g1.vertex_count, edges, measurements, corrections)
+    input_errors = dict(f1.input_errors)
+    relabel, n = _attach(
+        f2, wiring, prefix, g1.vertex_count,
+        edges, measurements, corrections, input_errors,
+    )
     wired = set(wiring.values())
     inputs = f1.inputs + tuple(relabel[v] for v in f2.inputs if v not in wired)
     outputs = tuple(o for o in f1.outputs if o not in wiring) + tuple(
         relabel[v] for v in f2.outputs
     )
-    input_errors = dict(f1.input_errors)
-    for v in f2.inputs:
-        if v not in wired:
-            input_errors[relabel[v]] = f2.input_errors[v]
     # A wired vertex that was also an f1 input stays an input; if it was
     # measured by f2 it is no longer an output, which the relabel handles.
     composite = PatternFragment(
@@ -299,18 +274,22 @@ def compose_with_map(
 def _attach(
     piece: PatternFragment,
     wiring: dict[int, int],
+    prefix: str,
     n: int,
     edges: list[Edge],
     measurements: dict[int, Measurement],
     corrections: dict[int, Correction],
+    input_errors: dict[int, tuple[str, str]],
 ) -> tuple[dict[int, int], int]:
     """Add ``piece`` in place to an ``n``-vertex pattern held in shared collections.
 
-    ``wiring`` maps pattern outputs to piece inputs. A wired input takes the
-    output's vertex and its ``(z, x)`` variables are bound to the output's
-    correction (which leaves ``corrections``) in the piece's choices and
-    corrections; other piece vertices are numbered from ``n``. Returns the
-    piece-to-pattern vertex map and the new vertex count.
+    This is the one wiring step. Every piece variable is renamed to
+    ``prefix + name``. ``wiring`` maps pattern outputs to piece inputs: a
+    wired input takes the output's vertex and its ``(z, x)`` variables are
+    bound to the output's correction (which leaves ``corrections``); other
+    piece vertices are numbered from ``n``, and each unwired input's renamed
+    error pair goes into ``input_errors``. Returns the piece-to-pattern
+    vertex map and the new vertex count.
     """
     wired_rev = {i: o for o, i in wiring.items()}
     relabel: dict[int, int] = {}
@@ -321,14 +300,16 @@ def _attach(
             relabel[v] = n
             n += 1
     edges.extend(piece.pattern.graph.relabel(relabel, n).edges)
-    bindings: dict[str, BoolFn] = {}
-    for o, i in wiring.items():
-        zvar, xvar = piece.input_errors[i]
-        corr = corrections.pop(o)
-        bindings[zvar] = corr.zeta
-        bindings[xvar] = corr.xi
+    bindings = {name: BoolFn.var(prefix + name) for name in piece._all_variables()}
+    for v, (zvar, xvar) in piece.input_errors.items():
+        if v in wired_rev:
+            corr = corrections.pop(wired_rev[v])
+            bindings[zvar], bindings[xvar] = corr.zeta, corr.xi
+        else:
+            input_errors[relabel[v]] = (prefix + zvar, prefix + xvar)
     for v, m in piece.pattern.measurements.items():
-        measurements[relabel[v]] = Measurement(m.var, m.choice.substitute(bindings))
+        choice = m.choice.substitute(bindings)
+        measurements[relabel[v]] = Measurement(prefix + m.var, choice)
     for v, c in piece.corrections.items():
         corrections[relabel[v]] = Correction(
             c.zeta.substitute(bindings), c.xi.substitute(bindings)

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DimensionError, StateSizeError
 from .pgraph import PGraph
 
-NORM_TOL = 1e-12
 IMPOSSIBLE_PROB = 1e-12
 DEFAULT_QUBIT_CAP = 24
 
@@ -43,26 +42,6 @@ def zrot(theta: float) -> np.ndarray:
 
 def xrot(theta: float) -> np.ndarray:
     return H @ zrot(theta) @ H
-
-
-_FIXED = {"H": H, "X": X, "Z": Z, "S": S, "Sdg": SDG, "T": T, "Tdg": TDG, "I": I2}
-
-
-@dataclass(frozen=True)
-class LocalGate:
-    """A labelled single-qubit gate; rotations carry an angle in radians."""
-
-    label: str
-    theta: float | None = None
-
-    def matrix(self) -> np.ndarray:
-        if self.label in _FIXED:
-            return _FIXED[self.label]
-        if self.label == "Zrot":
-            return zrot(float(self.theta))
-        if self.label == "Xrot":
-            return xrot(float(self.theta))
-        raise ValueError(f"unknown gate label {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -156,10 +135,6 @@ def apply_matrix(s: Statevector, q: int, mat: np.ndarray) -> Statevector:
     return Statevector(n, out.reshape(-1))
 
 
-def apply_local(s: Statevector, q: int, g: LocalGate) -> Statevector:
-    return apply_matrix(s, q, g.matrix())
-
-
 def apply_parity_phase(s: Statevector, q1: int, q2: int, alpha: float) -> Statevector:
     """Two-qubit diagonal phase keyed on the parity of ``q1 q2``."""
     if q1 == q2:
@@ -212,14 +187,14 @@ def tensor(a: Statevector, b: Statevector) -> Statevector:
     return Statevector(a.qubit_count + b.qubit_count, np.kron(a.amplitudes, b.amplitudes))
 
 
-def embed_state(sub: Statevector, total: int, targets: list[int], cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def embed_state(sub: Statevector, total: int, targets: list[int]) -> Statevector:
     """Place ``sub`` on qubits ``targets`` of a register padded with |+>.
 
     Qubit ``i`` of ``sub`` lands on register position ``targets[i]``; every
     other position starts in |+>.
     """
-    if total > cap:
-        raise StateSizeError(f"register of {total} qubits exceeds cap {cap}")
+    if total > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{total} qubits exceed cap {DEFAULT_QUBIT_CAP}")
     if len(targets) != sub.qubit_count:
         raise DimensionError("targets must match sub-state qubit count")
     if len(set(targets)) != len(targets) or any(not 0 <= t < total for t in targets):
@@ -235,10 +210,10 @@ def embed_state(sub: Statevector, total: int, targets: list[int], cap: int = DEF
     return permute(full, new_order)
 
 
-def prepare_resource(g: PGraph, cap: int = DEFAULT_QUBIT_CAP) -> Statevector:
+def prepare_resource(g: PGraph) -> Statevector:
     """All-|+> register entangled by every edge of the graph."""
-    if g.vertex_count > cap:
-        raise StateSizeError(f"{g.vertex_count} qubits exceeds cap {cap}")
+    if g.vertex_count > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{g.vertex_count} qubits exceed cap {DEFAULT_QUBIT_CAP}")
     return apply_edges(plus_state(g.vertex_count), g)
 
 

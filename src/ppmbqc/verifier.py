@@ -32,6 +32,8 @@ from .statevec import DEFAULT_QUBIT_CAP, IMPOSSIBLE_PROB, Statevector
 from .unitaries import is_unitary, pauli_product, unitary_from_label
 
 FIT_TOL = 1e-7
+# Largest truth table, in outcome and error bits, that inference will fit.
+MAX_TABLE_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,6 @@ def verify_fragment(
     tol: float = 1e-9,
     branches: str | tuple[str, int] = "all",
     seed: int = 0xC0FFEE,
-    cap: int = DEFAULT_QUBIT_CAP,
     keep_branches: bool | None = None,
 ) -> VerificationReport:
     """Certify that a fragment implements its advertised gate.
@@ -199,13 +200,13 @@ def verify_fragment(
 
     for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         if exhaustive:
-            runs = [enumerate_fragment(f, choi_input(n_in), errs, n_in, cap)]
+            runs = [enumerate_fragment(f, choi_input(n_in), errs, n_in)]
         else:
             base = seed * 0x9E3779B1 + combo * 1009
             runs = (
                 _execute(
                     f, OutcomeSource.seeded((base + k) & 0x7FFFFFFF),
-                    choi_input(n_in), errs, n_in, cap,
+                    choi_input(n_in), errs, n_in, DEFAULT_QUBIT_CAP,
                 )
                 for k in range(sample_count)
             )
@@ -264,8 +265,6 @@ PRODUCT_INPUT_STATES = {
 def verify_fragment_product_inputs(
     f: PatternFragment,
     target: np.ndarray | str,
-    tol: float = 1e-9,
-    cap: int = DEFAULT_QUBIT_CAP,
     with_errors: bool = True,
 ) -> float:
     """Independent cross-check: sweep product inputs instead of Bell pairs.
@@ -290,7 +289,7 @@ def verify_fragment_product_inputs(
             return pauli_product(list(_frame_from_code(code, n_out))) @ base
 
         for errs, _bits in combos:
-            ens = enumerate_fragment(f, state, errs, cap=cap)
+            ens = enumerate_fragment(f, state, errs)
             _, ok, fids = _branch_fidelities(ens, _frame_codes(f, ens), expected_for)
             if ok.any():
                 worst = max(worst, float((1.0 - fids[ok]).max()))
@@ -301,8 +300,6 @@ def infer_corrections(
     f: PatternFragment,
     target: np.ndarray | str,
     tol: float = 1e-9,
-    cap: int = DEFAULT_QUBIT_CAP,
-    max_table_bits: int = 20,
 ) -> dict[int, Correction]:
     """Fit exact ANF correction polynomials from branch-wise Pauli solves.
 
@@ -321,7 +318,7 @@ def infer_corrections(
     err_names = [name for v in f.inputs for name in f.input_errors[v]]
     names = out_names + err_names
     k = len(names)
-    if k > max_table_bits:
+    if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
     zeta_tab = {o: np.zeros(1 << k, dtype=np.uint8) for o in f.outputs}
@@ -329,7 +326,7 @@ def infer_corrections(
     expected_for = _frame_targets(U, n_out)
 
     for errs, err_bits in _error_combos(f.inputs):
-        ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in, cap=cap)
+        ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in)
         rows = ens.states.shape[0]
         hits = np.zeros((1 << (2 * n_out), rows), dtype=bool)
         for code in range(len(hits)):
@@ -359,7 +356,7 @@ def infer_corrections(
         for o in f.outputs
     }
     candidate = with_corrections(f, fitted)
-    report = verify_fragment(candidate, U, tol=tol, cap=cap, keep_branches=False)
+    report = verify_fragment(candidate, U, tol=tol, keep_branches=False)
     if not report.passed:
         raise InferenceError(
             f"fitted corrections fail certification (worst infidelity"
@@ -517,7 +514,7 @@ def scan_brick_settings(seed: int = 0xC0FFEE) -> dict[tuple[str, str, int], str]
     return out
 
 
-def derive_brick_table(tol: float = 1e-9, cap: int = DEFAULT_QUBIT_CAP) -> list[BrickTableEntry]:
+def derive_brick_table(tol: float = 1e-9) -> list[BrickTableEntry]:
     """Derive and certify the settings table for the 16-qubit brick.
 
     Every advertised lane gate together with both switch states receives a
@@ -529,9 +526,7 @@ def derive_brick_table(tol: float = 1e-9, cap: int = DEFAULT_QUBIT_CAP) -> list[
     covered: set[tuple[str, int]] = set()
     for settings in canonical_brick_settings():
         frag = brick(settings)
-        report = verify_fragment(
-            frag, settings.label(), tol=tol, cap=cap, keep_branches=False
-        )
+        report = verify_fragment(frag, settings.label(), tol=tol, keep_branches=False)
         if not report.passed:
             raise TableDerivationError(
                 f"witness {settings} fails certification"

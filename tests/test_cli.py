@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ppmbqc.cli import main
@@ -117,6 +118,46 @@ def test_run_pattern_with_tape_and_branches(tmp_path, capsys):
     )
     assert code == 0
     assert len(json.loads(out)["traces"]) == 3
+
+
+def test_run_uses_the_fragments_outputs_and_corrections(tmp_path, capsys):
+    # Outputs are declared out of vertex order and the corrections read the
+    # outcome, so a run that re-wraps the bare pattern reports another frame
+    # and another amplitude order.
+    from ppmbqc.boolfn import BoolFn
+    from ppmbqc.pattern import (
+        Correction,
+        Measurement,
+        MeasurementPattern,
+        PatternFragment,
+    )
+    from ppmbqc.pgraph import PGraph
+
+    a = BoolFn.var("a")
+    g = PGraph(3, base_exponent=2).add_edges(0, 1, 1).add_edges(1, 2, 2)
+    frag = PatternFragment(
+        MeasurementPattern(g, {0: Measurement("a", BoolFn.one())}),
+        (),
+        (2, 1),
+        {},
+        {1: Correction(a, BoolFn.zero()), 2: Correction(BoolFn.zero(), a)},
+    )
+    path = tmp_path / "pattern.json"
+    path.write_text(fragment_to_json(frag))
+
+    def run(*flags):
+        argv = ("--json", "run", str(path), *flags, "--amplitudes")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return json.loads(out)
+
+    branches = {t["outcomes"]["a"]: t for t in run("--branches", "all")["traces"]}
+    assert branches[1]["frame"] == {"1": [1, 0], "2": [0, 1]}
+    sampled = run("--branches", "sample:4")["traces"]
+    for trace in (run("--tape", "0"), run("--tape", "1"), *sampled):
+        expected = branches[trace["outcomes"]["a"]]
+        assert trace["frame"] == expected["frame"]
+        assert np.allclose(trace["amplitudes"], expected["amplitudes"], atol=1e-12)
 
 
 def test_run_rejects_fragments_with_inputs(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ppmbqc import compiler
 from ppmbqc.boolfn import BoolFn
 from ppmbqc.compiler import (
     BrickLayer,
@@ -174,11 +175,28 @@ def test_layout_matches_brick_by_brick_composition():
         assert fragment_to_json(layout_brickwork(layers)) == expected, c
 
 
+def test_layout_builds_each_setting_once(monkeypatch):
+    built = []
+
+    def counting_brick(settings):
+        built.append(settings)
+        return brick(settings)
+
+    monkeypatch.setattr(compiler, "brick", counting_brick)
+    layers = compile_to_bricks(parse_circuit("qubits 2\nT 0\nH 1\nT 0\nCZ 0 1\nH 1"))
+    layout_brickwork(layers)
+    assert len(built) == len(set(built)) == len({layer.settings for layer in layers})
+    assert len(built) < len(layers)
+
+
 @pytest.mark.parametrize(
     "text, vertices",
     [
         ("qubits 3\nH 0\nCNOT 0 1\nT 2\nCZ 1 2\nTdg 1\nS 2", 143),
         ("qubits 4\nCZ 0 1\nCZ 2 3\nCZ 1 2", 46),
+        # A lane no gate touches still gets its wire, through a PAD brick.
+        ("qubits 3\nH 1\nCZ 1 2", 45),
+        ("qubits 3\nT 0\nCZ 0 1", 45),
     ],
 )
 def test_multi_lane_circuits_certify(text, vertices):

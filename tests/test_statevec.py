@@ -8,11 +8,8 @@ import pytest
 from ppmbqc.errors import DimensionError
 from ppmbqc.pgraph import PGraph
 from ppmbqc.statevec import (
-    H,
     S,
-    LocalGate,
     Statevector,
-    apply_local,
     apply_matrix,
     apply_parity_phase,
     embed_state,
@@ -25,6 +22,7 @@ from ppmbqc.statevec import (
     zero_state,
     zrot,
 )
+from ppmbqc.unitaries import FIXED
 
 RNG = np.random.default_rng(0xBEEF)
 
@@ -73,26 +71,22 @@ def test_parity_phase_rejects_coincident_qubits():
 
 
 def test_h_on_zero_gives_plus():
-    out = apply_local(zero_state(1), 0, LocalGate("H"))
+    out = apply_matrix(zero_state(1), 0, FIXED["H"])
     assert np.allclose(out.amplitudes, plus_state(1).amplitudes)
 
 
 def test_zrot_additivity_s_from_two_eighth_turns():
     s = random_state(1)
-    twice = apply_local(
-        apply_local(s, 0, LocalGate("Zrot", math.pi / 4)), 0, LocalGate("Zrot", math.pi / 4)
-    )
-    once = apply_local(s, 0, LocalGate("S"))
+    twice = apply_matrix(apply_matrix(s, 0, zrot(math.pi / 4)), 0, zrot(math.pi / 4))
+    once = apply_matrix(s, 0, FIXED["S"])
     assert np.allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
 
 
 def test_x_equals_h_zpi_h():
     s = random_state(1)
-    lhs = apply_local(s, 0, LocalGate("X"))
-    rhs = apply_local(
-        apply_local(apply_local(s, 0, LocalGate("H")), 0, LocalGate("Zrot", math.pi)),
-        0,
-        LocalGate("H"),
+    lhs = apply_matrix(s, 0, FIXED["X"])
+    rhs = apply_matrix(
+        apply_matrix(apply_matrix(s, 0, FIXED["H"]), 0, zrot(math.pi)), 0, FIXED["H"]
     )
     assert fidelity_up_to_phase(lhs, rhs) == pytest.approx(1.0)
     assert np.allclose(lhs.amplitudes, rhs.amplitudes, atol=1e-12)
@@ -101,7 +95,7 @@ def test_x_equals_h_zpi_h():
 def test_norm_preserved_under_gates():
     s = random_state(3)
     s = apply_parity_phase(s, 0, 2, 1.234)
-    s = apply_local(s, 1, LocalGate("T"))
+    s = apply_matrix(s, 1, FIXED["T"])
     assert abs(s.norm**2 - 1.0) < 1e-12
 
 
