@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -33,7 +34,10 @@ def _canonical(monomials: Iterable[Iterable[str]]) -> frozenset[Monomial]:
 
 @dataclass(frozen=True)
 class BoolFn:
-    """An ANF polynomial: XOR over monomials of AND over variables."""
+    """An ANF polynomial: XOR over monomials of AND over variables.
+
+    Construction canonicalises ``monomials``, any iterable of name iterables.
+    """
 
     monomials: frozenset[Monomial] = field(default_factory=frozenset)
 
@@ -61,7 +65,7 @@ class BoolFn:
     @staticmethod
     def parse(monomials: Iterable[Iterable[str]]) -> BoolFn:
         """Build from a list of monomials, e.g. ``[["a"], ["b", "z"], []]``."""
-        return BoolFn(_canonical(monomials))
+        return BoolFn(monomials)
 
     @staticmethod
     def xor_of(*fns: BoolFn | str) -> BoolFn:
@@ -76,7 +80,7 @@ class BoolFn:
 
     def __and__(self, other: BoolFn) -> BoolFn:
         # Distribute; x AND x = x inside a monomial via set union.
-        return BoolFn(_canonical(a | b for a in self.monomials for b in other.monomials))
+        return BoolFn(a | b for a in self.monomials for b in other.monomials)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -127,19 +131,19 @@ class BoolFn:
     # -- substitution -------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, BoolFn]) -> BoolFn:
-        """Replace variables by ANF polynomials, re-expanding to canonical form."""
-        result = BoolFn.zero()
+        """Replace bound variables by ANF polynomials, canonicalising once."""
+        terms = []
         for mono in self.monomials:
-            term = BoolFn.one()
-            for name in mono:
-                term = term & bindings.get(name, BoolFn.var(name))
-            result = result ^ term
-        return result
+            bound = [name for name in mono if name in bindings]
+            if not bound:
+                terms.append(mono)
+                continue
+            factors = product(*(bindings[name].monomials for name in bound))
+            terms.extend(mono.difference(bound).union(*picks) for picks in factors)
+        return BoolFn(terms)
 
     def rename(self, mapping: Mapping[str, str]) -> BoolFn:
-        return BoolFn(
-            frozenset(frozenset(mapping.get(n, n) for n in m) for m in self.monomials)
-        )
+        return BoolFn(frozenset(mapping.get(n, n) for n in m) for m in self.monomials)
 
     # -- serialization ------------------------------------------------
 

@@ -26,7 +26,7 @@ from .executor import (
 from .fragments import builtin_fragment
 from .pattern import PatternFragment, fragment_from_json
 from .statevec import plus_state
-from .unitaries import LabelError, unitary_from_label
+from .unitaries import LabelError
 from .verifier import brick_table_to_json, derive_brick_table, verify_fragment
 
 
@@ -81,8 +81,7 @@ def _emit(payload: dict, as_json: bool, text: str | None = None) -> None:
 
 def _load_fragment(ref: str) -> tuple[PatternFragment, str | None]:
     if ref.startswith("builtin:"):
-        frag, label = builtin_fragment(ref[len("builtin:"):])
-        return frag, label
+        return builtin_fragment(ref[len("builtin:"):])
     return fragment_from_json(Path(ref).read_text()), None
 
 
@@ -100,18 +99,15 @@ def _cmd_verify(args) -> int:
     label = args.target or default_label
     if label is None:
         raise UsageError("--target is required for file-loaded fragments")
-    target = unitary_from_label(label)
     report = verify_fragment(
         frag,
-        target,
+        label,
         tol=args.tol,
         branches=_parse_branches(args.branches),
         seed=args.seed,
     )
-    report.target_label = label
-    payload = report.to_dict()
     _emit(
-        payload,
+        report.to_dict(),
         args.json,
         f"{'PASS' if report.passed else 'FAIL'} {args.fragment} vs {label}: "
         f"worst infidelity {report.worst_infidelity:.3e} over "

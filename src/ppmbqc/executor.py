@@ -59,8 +59,8 @@ class OutcomeSource:
 
     ``seeded`` draws outcomes from the true branch distribution with a
     reproducible generator; ``tape`` forces a fixed outcome list of 0s and
-    1s (consumed in execution order); ``exhaustive`` marks branch
-    enumeration and is only valid with the enumeration entry points.
+    1s (consumed in execution order). :func:`enumerate_fragment` takes no
+    source: it keeps every outcome.
     """
 
     mode: str = "seeded"
@@ -68,7 +68,7 @@ class OutcomeSource:
     tape: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("seeded", "tape", "exhaustive"):
+        if self.mode not in ("seeded", "tape"):
             raise ValueError(f"unknown outcome mode {self.mode!r}")
         if any(b not in (0, 1) for b in self.tape):
             raise ValueError(f"tape entries must be 0 or 1, got {list(self.tape)}")
@@ -81,10 +81,6 @@ class OutcomeSource:
     @staticmethod
     def fixed(tape: tuple[int, ...] | list[int]) -> OutcomeSource:
         return OutcomeSource("tape", tape=tuple(tape))
-
-    @staticmethod
-    def exhaustive() -> OutcomeSource:
-        return OutcomeSource("exhaustive")
 
 
 @dataclass(frozen=True)
@@ -202,13 +198,14 @@ def _plan(f: PatternFragment) -> tuple[list[int], list[list[tuple[int, int, int]
     return order, edges
 
 
-def _picker(src: OutcomeSource):
+def _picker(src: OutcomeSource | None):
     """Which children of a measurement survive, as ``(amps, parents, bits, p)``.
 
     ``parents[i]`` is the row that surviving row ``i`` came from, ``bits[i]``
     its outcome and ``p`` the probability divided out of the amplitudes.
+    Without a source every child survives.
     """
-    if src.mode == "exhaustive":
+    if src is None:
 
         def pick(step, v, kids):
             rows = kids.shape[0]
@@ -237,13 +234,13 @@ def _picker(src: OutcomeSource):
 
 def _execute(
     f: PatternFragment,
-    src: OutcomeSource,
+    src: OutcomeSource | None,
     input_state: Statevector | None,
     input_errors: dict[int, tuple[int, int]] | None,
     spectators: int,
     cap: int,
 ) -> BranchEnsemble:
-    """Run the fragment's plan with outcomes from ``src``.
+    """Run the fragment's plan with outcomes from ``src``, or all of them if None.
 
     ``cap`` bounds log2(rows) plus the live qubits after every allocation,
     the input register included.
@@ -259,7 +256,7 @@ def _execute(
         )
     order, edges = _plan(f)
     k = len(order)
-    if src.mode == "tape" and len(src.tape) < k:
+    if src is not None and src.mode == "tape" and len(src.tape) < k:
         raise PpmError(f"tape of {len(src.tape)} bits is shorter than {k} measurements")
     pick = _picker(src)
 
@@ -344,8 +341,6 @@ def run_fragment(
     The last ``spectators`` qubits of ``input_state`` are reference qubits
     that ride along untouched and follow the outputs in the result.
     """
-    if src.mode == "exhaustive":
-        raise ValueError("use enumerate_fragment for exhaustive enumeration")
     return _execute(f, src, input_state, input_errors, spectators, cap).traces(f)[0]
 
 
@@ -362,8 +357,7 @@ def enumerate_fragment(
     cap: int = DEFAULT_QUBIT_CAP,
 ) -> BranchEnsemble:
     """Enumerate every outcome branch with shared-prefix vectorization."""
-    src = OutcomeSource.exhaustive()
-    return _execute(f, src, input_state, input_errors, spectators, cap)
+    return _execute(f, None, input_state, input_errors, spectators, cap)
 
 
 def enumerate_pattern(p: MeasurementPattern) -> BranchEnsemble:

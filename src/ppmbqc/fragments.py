@@ -30,9 +30,10 @@ from .errors import StructuralError
 from .pattern import Correction, Measurement, MeasurementPattern, PatternFragment
 from .pgraph import PGraph
 from .statevec import xrot, zrot
-from .unitaries import CZ, pauli_product, phase_matched, unitary_from_label
+from .unitaries import CZ, frame_bits, pauli_product, phase_matched, unitary_from_label
 
 E_MODES = ("T", "Tdg", "H", "S")
+MAX_HIERARCHY_EXPONENT = 8
 
 # Lane gates realizable per brick side; PAD is identity up to Pauli frame.
 LEFT_LANE_GATES = ("PAD", "T", "Tdg", "S", "H", "HSH", "HSHS")
@@ -211,7 +212,7 @@ def _finalize(
         raise StructuralError(f"label {label!r} has wrong arity for {len(lanes)} lanes")
 
     cluster_ids = [id(c) for c in b.clusters]
-    match: tuple[dict[int, int], list[tuple[int, int]]] | None = None
+    frames = frame_bits(np.arange(dim * dim), len(lanes)).tolist()
     for bits in product((0, 1), repeat=len(cluster_ids)):
         signs = dict(zip(cluster_ids, bits))
         built = lanes[0].matrix(signs)
@@ -219,18 +220,15 @@ def _finalize(
             built = np.kron(built, lane.matrix(signs))
         if entangler is not None:
             built = entangler @ built
-        for pauli_bits in product(product((0, 1), repeat=2), repeat=len(lanes)):
-            candidate = pauli_product(list(pauli_bits)) @ target
-            if phase_matched(built, candidate):
-                match = (signs, list(pauli_bits))
-                break
-        if match:
+        frame = next(
+            (fr for fr in frames if phase_matched(built, pauli_product(fr) @ target)), None
+        )
+        if frame is not None:
             break
-    if match is None:
+    else:
         raise StructuralError(
             f"assembled map does not realize {label!r} up to a Pauli frame"
         )
-    signs, frame_bits = match
     subst = _resolve_clusters(b, signs)
 
     measurements = {
@@ -239,7 +237,7 @@ def _finalize(
     }
     corrections: dict[int, Correction] = {}
     outputs = []
-    for lane, (zbit, xbit) in zip(lanes, frame_bits):
+    for lane, (zbit, xbit) in zip(lanes, frame):
         zeta = lane.zeta.substitute(subst) ^ BoolFn.const(zbit)
         xi = lane.xi.substitute(subst) ^ BoolFn.const(xbit)
         for fn in (zeta, xi):
@@ -364,7 +362,7 @@ def cz_fragment(on: int) -> PatternFragment:
     return _finalize(b, [lane1, lane2], label, entangler)
 
 
-def hierarchy_fragment(m: int, cap_exponent: int = 8) -> PatternFragment:
+def hierarchy_fragment(m: int) -> PatternFragment:
     """Deterministic Z(pi/2^m) via the correction cascade.
 
     Base exponent m: a single edge carries a phase of pi/2^m, so the
@@ -375,8 +373,8 @@ def hierarchy_fragment(m: int, cap_exponent: int = 8) -> PatternFragment:
     """
     if m < 1:
         raise StructuralError("exponent must be >= 1")
-    if m > cap_exponent:
-        raise StructuralError(f"exponent {m} exceeds cap {cap_exponent}")
+    if m > MAX_HIERARCHY_EXPONENT:
+        raise StructuralError(f"exponent {m} exceeds cap {MAX_HIERARCHY_EXPONENT}")
     b = _Builder(base_exponent=m)
     lane = _Lane(b, "z", "x")
     lane.teleport("a")

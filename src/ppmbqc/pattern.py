@@ -285,8 +285,8 @@ def _attach(
 
     This is the one wiring step. Every piece variable is renamed to
     ``prefix + name``. ``wiring`` maps pattern outputs to piece inputs: a
-    wired input takes the output's vertex and its ``(z, x)`` variables are
-    bound to the output's correction (which leaves ``corrections``); other
+    wired input takes the output's vertex and its renamed ``(z, x)`` are
+    substituted by the output's correction (which leaves ``corrections``); other
     piece vertices are numbered from ``n``, and each unwired input's renamed
     error pair goes into ``input_errors``. Returns the piece-to-pattern
     vertex map and the new vertex count.
@@ -300,20 +300,23 @@ def _attach(
             relabel[v] = n
             n += 1
     edges.extend(piece.pattern.graph.relabel(relabel, n).edges)
-    bindings = {name: BoolFn.var(prefix + name) for name in piece._all_variables()}
+    names = {name: prefix + name for name in piece._all_variables()}
+    bindings: dict[str, BoolFn] = {}
     for v, (zvar, xvar) in piece.input_errors.items():
+        zvar, xvar = prefix + zvar, prefix + xvar
         if v in wired_rev:
             corr = corrections.pop(wired_rev[v])
             bindings[zvar], bindings[xvar] = corr.zeta, corr.xi
         else:
-            input_errors[relabel[v]] = (prefix + zvar, prefix + xvar)
+            input_errors[relabel[v]] = (zvar, xvar)
+
+    def wire(fn: BoolFn) -> BoolFn:
+        return fn.rename(names).substitute(bindings)
+
     for v, m in piece.pattern.measurements.items():
-        choice = m.choice.substitute(bindings)
-        measurements[relabel[v]] = Measurement(prefix + m.var, choice)
+        measurements[relabel[v]] = Measurement(prefix + m.var, wire(m.choice))
     for v, c in piece.corrections.items():
-        corrections[relabel[v]] = Correction(
-            c.zeta.substitute(bindings), c.xi.substitute(bindings)
-        )
+        corrections[relabel[v]] = Correction(wire(c.zeta), wire(c.xi))
     return relabel, n
 
 
@@ -373,10 +376,13 @@ def _key(obj, key: str, kind: type, default=None):
 
 
 def _vertex(key: str) -> int:
+    """A vertex key must be an integer's own decimal form, so no two keys collide."""
     try:
-        return int(key)
+        if str(int(key)) == key:
+            return int(key)
     except ValueError:
-        raise StructuralError(f"vertex key {key!r} is not an integer") from None
+        pass
+    raise StructuralError(f"vertex key {key!r} is not an integer")
 
 
 def _anf(monomials: list) -> BoolFn:

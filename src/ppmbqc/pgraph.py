@@ -15,6 +15,9 @@ from .errors import StructuralError
 
 Edge = tuple[int, int, int]  # (u, v, multiplicity) with u < v
 
+# Past this exponent pi / 2**m is no longer a normal float.
+MAX_BASE_EXPONENT = 1023
+
 
 def _norm_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -31,8 +34,8 @@ class PGraph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise StructuralError("vertex_count must be non-negative")
-        if self.base_exponent < 1:
-            raise StructuralError("base_exponent must be >= 1")
+        if not 1 <= self.base_exponent <= MAX_BASE_EXPONENT:
+            raise StructuralError(f"base_exponent must lie in [1, {MAX_BASE_EXPONENT}]")
         modulus = self.multiplicity_modulus
         seen: dict[tuple[int, int], int] = {}
         for u, v, k in self.edges:

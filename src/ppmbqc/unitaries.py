@@ -163,6 +163,26 @@ def is_unitary(mat: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= tol)
 
 
+def _frame_shifts(wires: int) -> np.ndarray:
+    return np.arange(2 * wires - 1, -1, -1).reshape(wires, 2)
+
+
+def frame_bits(codes, wires: int) -> np.ndarray:
+    """Unpack Pauli-frame codes into ``(..., wires, 2)`` bits ``(z, x)``.
+
+    The one frame convention: z before x on each wire, wire 0 most
+    significant, so codes count up in nested ``product`` order.
+    """
+    codes = np.asarray(codes, dtype=np.int64)[..., None, None]
+    return ((codes >> _frame_shifts(wires)) & 1).astype(np.uint8)
+
+
+def frame_codes(bits) -> np.ndarray:
+    """Pack ``(..., wires, 2)`` frame bits into codes; inverse of :func:`frame_bits`."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return (bits << _frame_shifts(bits.shape[-2])).sum(axis=(-2, -1))
+
+
 def pauli_product(bits: list[tuple[int, int]]) -> np.ndarray:
     """Tensor product of per-wire X^x Z^z factors (wire 0 leftmost)."""
     acc = np.eye(1, dtype=complex)

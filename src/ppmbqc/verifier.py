@@ -29,7 +29,7 @@ from .executor import (
 from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
 from .statevec import DEFAULT_QUBIT_CAP, IMPOSSIBLE_PROB, Statevector
-from .unitaries import is_unitary, pauli_product, unitary_from_label
+from .unitaries import frame_bits, frame_codes, is_unitary, pauli_product, unitary_from_label
 
 FIT_TOL = 1e-7
 # Largest truth table, in outcome and error bits, that inference will fit.
@@ -103,43 +103,31 @@ def choi_input(wires: int) -> Statevector:
 
 
 def _error_combos(inputs: tuple[int, ...]):
-    """All (z, x) bit pairs keyed by input vertex, z before x, first input first."""
-    for bits in product((0, 1), repeat=2 * len(inputs)):
-        yield {v: bits[2 * i : 2 * i + 2] for i, v in enumerate(inputs)}, bits
+    """All (z, x) bit pairs keyed by input vertex, in frame-code order."""
+    for bits in frame_bits(np.arange(1 << (2 * len(inputs))), len(inputs)).tolist():
+        yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
 
 
-def _frame_codes(f: PatternFragment, ens: BranchEnsemble) -> np.ndarray:
-    env = ens.full_env_rows()
-    rows = ens.states.shape[0]
-    code = np.zeros(rows, dtype=np.int64)
-    for o in f.outputs:
-        corr = f.corrections[o]
-        code = (code << 1) | corr.zeta.evaluate_rows(env)
-        code = (code << 1) | corr.xi.evaluate_rows(env)
-    return code
+def _row_frames(f: PatternFragment, ens: BranchEnsemble) -> np.ndarray:
+    """Each row's declared output frame as ``(rows, wires, 2)`` bits."""
+    env, rows = ens.full_env_rows(), ens.states.shape[0]
+    fns = [fn for o in f.outputs for fn in (f.corrections[o].zeta, f.corrections[o].xi)]
+    bits = np.array([np.broadcast_to(fn.evaluate_rows(env), rows) for fn in fns])
+    return bits.T.reshape(rows, len(f.outputs), 2)
 
 
-def _frame_from_code(code: int, wires: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    for w in range(wires):
-        shift = 2 * (wires - 1 - w)
-        out.append(((code >> (shift + 1)) & 1, (code >> shift) & 1))
-    return tuple(out)
-
-
-def _frame_targets(U: np.ndarray, wires: int):
-    """Cached map from a frame code to the Choi vector of the frame-dressed target."""
+def _frame_targets(base: np.ndarray, wires: int):
+    """Cached map from a frame code to ``base`` dressed with that frame, flattened."""
 
     @functools.cache
     def expected(code: int) -> np.ndarray:
-        P = pauli_product(list(_frame_from_code(code, wires)))
-        return (P @ U).reshape(-1) / math.sqrt(1 << wires)
+        return (pauli_product(frame_bits(code, wires).tolist()) @ base).reshape(-1)
 
     return expected
 
 
-def _branch_fidelities(ens: BranchEnsemble, codes: np.ndarray, expected_for):
-    """Per-row fidelity against ``expected_for(code)`` of the row's frame code.
+def _branch_fidelities(ens: BranchEnsemble, frames: np.ndarray, expected_for):
+    """Per-row fidelity against ``expected_for`` at the code of the row's frame.
 
     A row is possible when its weight (squared norm) reaches the impossible
     threshold; shots carry their branch probability in ``ens.scale``
@@ -148,11 +136,12 @@ def _branch_fidelities(ens: BranchEnsemble, codes: np.ndarray, expected_for):
     """
     weights = ens.weights()
     ok = weights >= IMPOSSIBLE_PROB
-    fids = np.zeros(len(weights))
-    for code in np.unique(codes[ok]):
-        rows = np.nonzero(ok & (codes == code))[0]
-        overlaps = ens.states[rows] @ expected_for(int(code)).conj()
-        fids[rows] = np.abs(overlaps) ** 2 / weights[rows]
+    codes = frame_codes(frames)
+    # Impossible rows borrow a possible row's code, so only seen frames are built.
+    seen, which = np.unique(np.where(ok, codes, codes[ok.argmax()]), return_inverse=True)
+    targets = np.array([expected_for(int(c)) for c in seen]).conj()
+    overlaps = np.abs(np.einsum("ij,ij->i", ens.states, targets[which])) ** 2
+    fids = np.divide(overlaps, weights, out=np.zeros(len(weights)), where=ok)
     return ens.scale * weights, ok, fids
 
 
@@ -193,7 +182,7 @@ def verify_fragment(
     totals: list[float] = []
     possible = impossible = 0
 
-    expected_for = _frame_targets(U, n_out)
+    expected_for = _frame_targets(U / math.sqrt(1 << n_in), n_out)  # Choi vectors
     keep = keep_branches
     if keep is None:
         keep = (1 << measured) * (1 << (2 * n_in)) <= 4096 or not exhaustive
@@ -212,8 +201,8 @@ def verify_fragment(
             )
         total = 0.0
         for ens in runs:
-            codes = _frame_codes(f, ens)
-            probs, ok, fids = _branch_fidelities(ens, codes, expected_for)
+            frames = _row_frames(f, ens)
+            probs, ok, fids = _branch_fidelities(ens, frames, expected_for)
             total += float(probs.sum())
             possible += int(ok.sum())
             impossible += int((~ok).sum())
@@ -222,13 +211,13 @@ def verify_fragment(
             if not keep:
                 continue
             outcomes = [ens.env[f.pattern.measurements[v].var] for v in ens.order]
-            for r in range(len(probs)):
+            for r, frame in enumerate(frames.tolist()):
                 records.append(
                     BranchRecord(
                         err_bits,
                         tuple(int(bits[r]) for bits in outcomes),
                         float(probs[r]) if ok[r] else 0.0,
-                        _frame_from_code(int(codes[r]), n_out),
+                        tuple(map(tuple, frame)),
                         float(1.0 - fids[r]) if ok[r] else None,
                     )
                 )
@@ -283,14 +272,10 @@ def verify_fragment_product_inputs(
         for name in labels:
             vec = np.kron(vec, PRODUCT_INPUT_STATES[name])
         state = Statevector(n_in, vec)
-        base = U @ vec
-
-        def expected_for(code: int) -> np.ndarray:
-            return pauli_product(list(_frame_from_code(code, n_out))) @ base
-
+        expected_for = _frame_targets(U @ vec, n_out)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            _, ok, fids = _branch_fidelities(ens, _frame_codes(f, ens), expected_for)
+            _, ok, fids = _branch_fidelities(ens, _row_frames(f, ens), expected_for)
             if ok.any():
                 worst = max(worst, float((1.0 - fids[ok]).max()))
     return worst
@@ -313,26 +298,23 @@ def infer_corrections(
     n_in, n_out = len(f.inputs), len(f.outputs)
     if U.shape != (1 << n_out, 1 << n_in):
         raise DimensionError("target shape mismatch")
-    order = measurement_order(f)
-    out_names = [f.pattern.measurements[v].var for v in order]
+    out_names = [f.pattern.measurements[v].var for v in measurement_order(f)]
     err_names = [name for v in f.inputs for name in f.input_errors[v]]
-    names = out_names + err_names
+    names = err_names + out_names
     k = len(names)
     if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
-    zeta_tab = {o: np.zeros(1 << k, dtype=np.uint8) for o in f.outputs}
-    xi_tab = {o: np.zeros(1 << k, dtype=np.uint8) for o in f.outputs}
-    expected_for = _frame_targets(U, n_out)
-
-    for errs, err_bits in _error_combos(f.inputs):
+    expected_for = _frame_targets(U / math.sqrt(1 << n_in), n_out)
+    targets = np.array([expected_for(c) for c in range(1 << (2 * n_out))]).conj().T
+    codes = np.zeros((1 << (2 * n_in), 1 << len(out_names)), dtype=np.int64)
+    for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in)
-        rows = ens.states.shape[0]
-        hits = np.zeros((1 << (2 * n_out), rows), dtype=bool)
-        for code in range(len(hits)):
-            _, ok, fids = _branch_fidelities(ens, np.full(rows, code), expected_for)
-            hits[code] = fids > 1.0 - FIT_TOL
-        n_hits = hits.sum(axis=0)
+        weights = ens.weights()
+        ok = weights >= IMPOSSIBLE_PROB
+        fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, weights, 1.0)[:, None]
+        hits = fids > 1.0 - FIT_TOL
+        n_hits = hits.sum(axis=1)
         bad = np.nonzero(ok & (n_hits != 1))[0]
         if len(bad):
             raise InferenceError(
@@ -340,20 +322,15 @@ def infer_corrections(
                 f"{int(n_hits[bad[0]])} Pauli solutions against {label}"
             )
         # Impossible branches are don't-cares and stay at 0.
-        codes = np.argmax(hits, axis=0)[ok]
-        env = ens.full_env_rows()
-        idx = np.zeros(rows, dtype=np.int64)
-        for name in names:
-            idx = (idx << 1) | env[name]
-        idx = idx[ok]
-        for w, o in enumerate(f.outputs):
-            shift = 2 * (n_out - 1 - w)
-            zeta_tab[o][idx] = (codes >> (shift + 1)) & 1
-            xi_tab[o][idx] = (codes >> shift) & 1
+        codes[combo] = np.where(ok, hits.argmax(axis=1), 0)
 
+    # Combos count up in frame-code order and row r of an enumeration packs
+    # the outcomes in order, first one most significant, so the flat codes
+    # are the truth table over ``names``.
+    table = frame_bits(codes.reshape(-1), n_out)
     fitted = {
-        o: Correction(mobius_anf(zeta_tab[o], names), mobius_anf(xi_tab[o], names))
-        for o in f.outputs
+        o: Correction(mobius_anf(table[:, w, 0], names), mobius_anf(table[:, w, 1], names))
+        for w, o in enumerate(f.outputs)
     }
     candidate = with_corrections(f, fitted)
     report = verify_fragment(candidate, U, tol=tol, keep_branches=False)
@@ -396,11 +373,11 @@ def classify_up_to_frame(
     threshold: float = 1.0 - 1e-9,
 ) -> tuple[str, tuple[tuple[int, int], ...]] | None:
     """Classify allowing an extra per-wire Pauli frame in front."""
-    for bits in product(product((0, 1), repeat=2), repeat=wires):
-        P = pauli_product(list(bits))
+    for bits in frame_bits(np.arange(1 << (2 * wires)), wires).tolist():
+        P = pauli_product(bits)
         label = classify_unitary(P.conj().T @ U, dictionary, threshold)
         if label is not None:
-            return label, tuple(bits)
+            return label, tuple(map(tuple, bits))
     return None
 
 

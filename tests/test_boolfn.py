@@ -111,3 +111,23 @@ def test_rename_and_json_lists_roundtrip():
     g = f.rename({"a": "g2.a"})
     assert g == anf(["g2.a", "b"], ["z"], [])
     assert BoolFn.from_anf_lists(f.to_anf_lists()) == f
+
+
+FREE = ["u", "v", "w"]
+
+
+@st.composite
+def bindings(draw):
+    """Bind some of VARS to renames, constants or polynomials over VARS + FREE."""
+    names = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=4))
+    pool = st.sampled_from(VARS + FREE)
+    poly = st.lists(st.lists(pool, max_size=3), max_size=4).map(BoolFn.parse)
+    return {n: draw(st.one_of(pool.map(BoolFn.var), poly)) for n in names}
+
+
+@given(boolfns(), bindings(), st.integers(min_value=0, max_value=2**10 - 1))
+def test_substitute_agrees_with_evaluating_each_binding(monos, binds, bits):
+    f = BoolFn.parse(monos)
+    env = {n: (bits >> i) & 1 for i, n in enumerate(VARS + FREE)}
+    bound_env = env | {n: g.evaluate(env) for n, g in binds.items()}
+    assert f.substitute(binds).evaluate(env) == f.evaluate(bound_env)

@@ -278,3 +278,22 @@ def test_malformed_fragment_json_is_a_usage_error(tmp_path, capsys, shape, comma
     code, out, _ = run_cli(capsys, "--json", command, str(path), *extra)
     assert code == 2
     assert json.loads(out)["error"].startswith(EXPECTED_MESSAGE[shape])
+
+
+def test_base_exponent_past_float_range_is_a_json_usage_error(tmp_path, capsys):
+    data = {
+        "schema_version": 1,
+        "vertices": 2,
+        "base_exponent": 2000,
+        "edges": [{"u": 0, "v": 1, "mult": 1}],
+        "measurements": {"1": {"var": "a", "anf": [[]]}},
+        "outputs": [0],
+        "corrections": {"0": {"zeta": [], "xi": []}},
+    }
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "--json", "run", str(path))
+    assert code == 2
+    assert "base_exponent" in json.loads(out)["error"]
+    path.write_text(json.dumps(dict(data, base_exponent=1023)))
+    assert run_cli(capsys, "--json", "run", str(path))[0] == 0

@@ -201,3 +201,19 @@ def _mutations():
 def test_malformed_fragment_dict_raises_structural_error(data):
     with pytest.raises(StructuralError):
         fragment_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["+0", " 0", "0 ", "00", "-0", "1_0", "\u0663", "0x0"])
+def test_vertex_keys_must_be_an_integers_own_decimal_form(key):
+    data = fragment_to_dict(xhalf_fragment())
+    data["measurements"] = {key: data["measurements"]["0"]}
+    with pytest.raises(StructuralError, match="is not an integer"):
+        fragment_from_dict(data)
+
+
+def test_two_spellings_of_one_vertex_do_not_overwrite_each_other():
+    data = fragment_to_dict(xhalf_fragment())
+    entry = data["measurements"]["0"]
+    data["measurements"] = {"0": entry, "+0": dict(entry, var="b")}
+    with pytest.raises(StructuralError, match="'\\+0' is not an integer"):
+        fragment_from_dict(data)

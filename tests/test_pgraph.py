@@ -1,5 +1,7 @@
 """Multigraph edge-multiplicity arithmetic."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,3 +61,10 @@ def test_relabel_merges_multiplicities():
     g = PGraph(3).add_edges(0, 1, 1).add_edges(1, 2, 1)
     merged = g.relabel({0: 0, 1: 1, 2: 0}, 2)
     assert merged.multiplicity(0, 1) == 2
+
+
+def test_base_exponent_stops_where_the_edge_angle_stops_being_normal():
+    assert PGraph(2, base_exponent=1023).edge_angle > sys.float_info.min
+    for m in (0, 1024, 2000):
+        with pytest.raises(StructuralError, match="base_exponent"):
+            PGraph(2, base_exponent=m)

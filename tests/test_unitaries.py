@@ -1,10 +1,18 @@
 """Target labels and their angles."""
 
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 
-from ppmbqc.unitaries import LabelError, parse_angle, unitary_from_label
+from ppmbqc.unitaries import (
+    LabelError,
+    frame_bits,
+    frame_codes,
+    parse_angle,
+    unitary_from_label,
+)
 
 
 def test_parse_angle_forms():
@@ -21,3 +29,18 @@ def test_parse_angle_forms():
 def test_malformed_rotation_labels_raise_label_error(label):
     with pytest.raises(LabelError):
         unitary_from_label(label)
+
+
+@pytest.mark.parametrize("wires", range(4))
+def test_frame_codes_invert_frame_bits_in_nested_product_order(wires):
+    codes = np.arange(4**wires)
+    bits = frame_bits(codes, wires)
+    assert bits.shape == (4**wires, wires, 2)
+    assert (frame_codes(bits) == codes).all()
+    nested = list(product(product((0, 1), repeat=2), repeat=wires))
+    assert [tuple(map(tuple, frame)) for frame in bits.tolist()] == nested
+
+
+def test_frame_bits_put_z_before_x_and_wire_zero_first():
+    assert frame_bits(0b1001, 2).tolist() == [[1, 0], [0, 1]]
+    assert frame_codes([[0, 1], [1, 1]]) == 0b0111
