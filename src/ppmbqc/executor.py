@@ -1,19 +1,23 @@
 """Adaptive execution of patterns and fragments.
 
-One engine runs every outcome source. Per call it builds a plan in the
-standard form of the measurement calculus (Danos, Kashefi and Panangaden,
-arXiv:0704.1263): the measurement order (lowest
-ready vertex first) and, before each measurement, the edges whose
-first-measured endpoint it is; edges joining two unmeasured vertices come
-last. It walks the plan over a ``(rows, 2**live)`` amplitude array. A qubit
-is allocated in |+> when its first edge or measurement needs it and dropped
-once measured; spectator qubits ride along as ordinary register axes.
+One engine runs every outcome source. Once per fragment it builds a plan
+in the standard form of the measurement calculus (Danos, Kashefi and
+Panangaden, arXiv:0704.1263) and keeps it on the fragment: the
+measurement order (lowest ready vertex first); before each measurement, the
+qubits it prepares and the edges whose first-measured endpoint it is, with
+their parity-phase tables; edges joining two unmeasured vertices come last;
+and every choice and output correction compiled to row-history columns.
+Every call walks the plan over a ``(rows, 2**live)`` amplitude array. A
+qubit is allocated in |+> when its first edge or measurement needs it and
+dropped once measured; spectator qubits ride along as ordinary register
+axes.
 
 Only the choice of surviving outcome rows depends on the source: exhaustive
 enumeration splits every row into both outcomes (row r into rows 2r and
 2r+1, so the first measurement is the most significant bit of the branch
 index), a seeded shot draws one outcome from the branch distribution, and a
-tape forces it.
+tape forces it. A run with a source keeps one row, so it evaluates choices
+on plain Python bits and splits the measured axis without row masks.
 
 Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 """
@@ -47,8 +51,10 @@ from .statevec import (
     X,
     Z,
     _children,
+    _halves,
     _phase,
     apply_matrix,
+    phase_table,
     plus_state,
 )
 
@@ -139,10 +145,12 @@ class BranchEnsemble:
     """
 
     order: list[int]
+    names: list[str]  # outcome variable of each step
     states: np.ndarray  # (rows, 2**(outputs+spectators))
-    env: dict[str, np.ndarray]
-    choice_bits: dict[int, np.ndarray]
+    outcomes: np.ndarray  # (steps, rows)
+    choices: np.ndarray  # (steps, rows)
     error_bits: dict[str, int]
+    frames: np.ndarray  # (rows, outputs, 2): each output's (zeta, xi)
     scale: float = 1.0
 
     def weights(self) -> np.ndarray:
@@ -155,26 +163,28 @@ class BranchEnsemble:
         return self.scale * self.weights()
 
     def full_env_rows(self) -> dict[str, np.ndarray]:
+        """Each variable's bit in every row: the outcomes, then the input errors."""
         rows = self.states.shape[0]
-        full = {k: np.asarray(v, dtype=np.uint8) for k, v in self.env.items()}
+        full = dict(zip(self.names, self.outcomes))
         for k, b in self.error_bits.items():
             full[k] = np.full(rows, b, dtype=np.uint8)
         return full
 
     def traces(self, f: PatternFragment) -> list[ExecutionTrace]:
         qubits = self.states.shape[1].bit_length() - 1
-        corrections = [(o, f.corrections[o]) for o in f.outputs]
+        var_order = [m.var for m in f.pattern.measurements.values()]
+        outcomes, choices = self.outcomes.T.tolist(), self.choices.T.tolist()
         out = []
-        for r, w in enumerate(self.weights()):
-            env = {k: int(bits[r]) for k, bits in self.env.items()} | self.error_bits
+        for r, (w, frame) in enumerate(zip(self.weights(), self.frames.tolist())):
+            got = dict(zip(self.names, outcomes[r]))
             ok = w >= IMPOSSIBLE_PROB
             out.append(
                 ExecutionTrace(
-                    {m.var: env[m.var] for m in f.pattern.measurements.values()},
-                    {v: BASIS_BY_CHOICE[int(self.choice_bits[v][r])] for v in self.order},
+                    {var: got[var] for var in var_order},
+                    {v: BASIS_BY_CHOICE[c] for v, c in zip(self.order, choices[r])},
                     self.scale * float(w) if ok else 0.0,
                     Statevector(qubits, self.states[r] / math.sqrt(w)) if ok else None,
-                    {o: (c.zeta.evaluate(env), c.xi.evaluate(env)) for o, c in corrections},
+                    dict(zip(f.outputs, map(tuple, frame))),
                     dict(self.error_bits),
                 )
             )
@@ -183,40 +193,104 @@ class BranchEnsemble:
 
 # -- the engine -------------------------------------------------------------
 
+# An ANF compiled against a fragment's row history: one tuple of history
+# columns per monomial.
+CompiledAnf = tuple[tuple[int, ...], ...]
 
-def _plan(f: PatternFragment) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
-    """Measurement order plus the edges to apply before each measurement.
 
-    An edge goes just before its first-measured endpoint; the extra last
-    entry holds the edges between unmeasured vertices.
+@dataclass(frozen=True)
+class _Plan:
+    """A fragment's standard form, compiled once.
+
+    Row history columns: the outcome of step j is column j, its choice
+    column k + j, then the input-error bits in ``error_variables`` order.
+    Before step j the vertices ``fresh[j]`` are prepared in |+> and the
+    edges ``edges[j]`` applied, each with its parity-phase table; the extra
+    last entries prepare the unmeasured vertices and join them.
+    ``corrections`` lists each output's zeta then xi.
     """
+
+    order: tuple[int, ...]
+    names: tuple[str, ...]
+    fresh: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[tuple[int, int, np.ndarray], ...], ...]
+    choices: tuple[CompiledAnf, ...]
+    corrections: tuple[CompiledAnf, ...]
+
+
+def _compile_plan(f: PatternFragment) -> _Plan:
     order = measurement_order(f)
+    k = len(order)
+    names = [f.pattern.measurements[v].var for v in order]
+    column = {name: j for j, name in enumerate(names)}
+    column.update((name, 2 * k + i) for i, name in enumerate(f.error_variables()))
+
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct monomial
+
+    def compiled(fn) -> CompiledAnf:
+        monos = (tuple(column[name] for name in mono) for mono in fn.monomials)
+        return tuple(shared.setdefault(m, m) for m in monos)
+
+    graph = f.pattern.graph
+    tables = {m: phase_table(graph.angle(m)) for m in {mult for *_, mult in graph.edges}}
     rank = {v: step for step, v in enumerate(order)}
-    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(len(order) + 1)]
-    for e in f.pattern.graph.edges:
-        edges[min(rank.get(e[0], len(order)), rank.get(e[1], len(order)))].append(e)
-    return order, edges
+    edges: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in range(k + 1)]
+    for u, w, mult in graph.edges:
+        edges[min(rank.get(u, k), rank.get(w, k))].append((u, w, tables[mult]))
+    prepared, fresh = set(f.inputs), []
+    for step, now in enumerate([*([v] for v in order), list(f.outputs)]):
+        touched = [*now, *(w for e in edges[step] for w in e[:2])]
+        fresh.append(tuple(w for w in dict.fromkeys(touched) if w not in prepared))
+        prepared.update(touched)
+    corrections = [f.corrections[o] for o in f.outputs]
+    return _Plan(
+        tuple(order),
+        tuple(names),
+        tuple(fresh),
+        tuple(map(tuple, edges)),
+        tuple(compiled(f.pattern.measurements[v].choice) for v in order),
+        tuple(compiled(fn) for c in corrections for fn in (c.zeta, c.xi)),
+    )
 
 
-def _picker(src: OutcomeSource | None):
-    """Which children of a measurement survive, as ``(amps, parents, bits, p)``.
+def _plan(f: PatternFragment) -> _Plan:
+    """The fragment's compiled plan, built on first use and kept on ``f``.
 
-    ``parents[i]`` is the row that surviving row ``i`` came from, ``bits[i]``
-    its outcome and ``p`` the probability divided out of the amplitudes.
-    Without a source every child survives.
+    Living on the fragment, the plan is freed with it; fragments are
+    immutable, so it never goes stale.
     """
-    if src is None:
+    plan = vars(f).get("_plan")
+    if plan is None:
+        plan = _compile_plan(f)
+        object.__setattr__(f, "_plan", plan)
+    return plan
 
-        def pick(step, v, kids):
-            rows = kids.shape[0]
-            bits = np.tile(np.array([0, 1], dtype=np.uint8), rows)
-            return kids.reshape(2 * rows, -1), np.repeat(np.arange(rows), 2), bits, 1.0
 
-        return pick
+def _evaluate(anf: CompiledAnf, hist: list[int] | np.ndarray):
+    """XOR of the monomials of ``anf`` over the row history ``hist``.
+
+    ``hist`` is a list of bits for a one-row run, giving an int, or a
+    ``(columns, rows)`` bit array, giving a row of bits.
+    """
+    acc = np.zeros(hist.shape[1], dtype=np.uint8) if isinstance(hist, np.ndarray) else 0
+    for mono in anf:
+        term = 1
+        for c in mono:
+            term = term & hist[c]
+        acc ^= term
+    return acc
+
+
+def _drawer(src: OutcomeSource):
+    """The outcome of a one-row measurement as ``(bit, probability)``.
+
+    Seeded sources draw from the branch distribution, one draw per step;
+    tapes force the bit.
+    """
     rng = np.random.default_rng(src.seed) if src.mode == "seeded" else None
 
-    def pick(step, v, kids):
-        p0, p1 = (float(np.vdot(k, k).real) for k in kids[0])
+    def draw(step, v, halves):
+        p0, p1 = [float(np.vdot(h, h).real) for h in halves]
         if rng is None:
             b = src.tape[step]
             if (p0, p1)[b] < IMPOSSIBLE_PROB:
@@ -224,12 +298,11 @@ def _picker(src: OutcomeSource | None):
                     f"tape forces outcome {b} on vertex {v} (p={(p0, p1)[b]:.3e})"
                 )
         else:
-            draw = rng.random()
-            b = 0 if (draw < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
-        p = (p0, p1)[b]
-        return kids[:, b] / math.sqrt(p), np.zeros(1, dtype=np.intp), np.uint8([b]), p
+            u = rng.random()
+            b = 0 if (u < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
+        return b, (p0, p1)[b]
 
-    return pick
+    return draw
 
 
 def _execute(
@@ -242,11 +315,11 @@ def _execute(
 ) -> BranchEnsemble:
     """Run the fragment's plan with outcomes from ``src``, or all of them if None.
 
-    ``cap`` bounds log2(rows) plus the live qubits after every allocation,
-    the input register included.
+    A run with a source keeps one row; without one, every row splits into
+    both outcomes at every measurement. ``cap`` bounds log2(rows) plus the
+    live qubits after every allocation, the input register included.
     """
-    graph = f.pattern.graph
-    n, n_in = graph.vertex_count, len(f.inputs)
+    n, n_in = f.pattern.graph.vertex_count, len(f.inputs)
     if input_state is None:
         input_state = plus_state(0)
     if input_state.qubit_count != n_in + spectators:
@@ -254,11 +327,11 @@ def _execute(
             f"input state must have {n_in + spectators} qubits, got"
             f" {input_state.qubit_count}"
         )
-    order, edges = _plan(f)
-    k = len(order)
+    plan = _plan(f)
+    k = len(plan.order)
     if src is not None and src.mode == "tape" and len(src.tape) < k:
         raise PpmError(f"tape of {len(src.tape)} bits is shorter than {k} measurements")
-    pick = _picker(src)
+    draw = None if src is None else _drawer(src)
 
     errs = input_errors or {}
     stray = set(errs) - set(f.inputs)
@@ -279,51 +352,57 @@ def _execute(
     amps = np.array(input_state.amplitudes).reshape(1, -1)
     if len(axes) > cap:
         raise StateSizeError(f"{len(axes)} qubits exceed cap {cap}")
-    # Row history: outcome of step j in row j, its choice in row k + j, then
-    # the input-error bits.
-    hist = np.zeros((2 * k + len(error_bits), 1), dtype=np.uint8)
-    hist[2 * k :, 0] = list(error_bits.values())
-    names = [f.pattern.measurements[v].var for v in order]
-    column = dict(zip(names + list(error_bits), [*range(k), *range(2 * k, len(hist))]))
+    hist = [0] * (2 * k) + list(error_bits.values())  # columns as in _Plan
+    if draw is None:
+        hist = np.array(hist, dtype=np.uint8).reshape(-1, 1)
 
-    def entangle(vertices, step_edges):
-        """Allocate what ``vertices`` and ``step_edges`` touch, then apply the edges."""
+    def entangle(step):
+        """Prepare the step's fresh vertices, then apply its edges."""
         nonlocal amps
-        touched = [*vertices, *(w for e in step_edges for w in e[:2])]
-        fresh = [w for w in dict.fromkeys(touched) if w not in axes]
+        fresh = plan.fresh[step]
         if fresh:
             qubits = amps.shape[0].bit_length() - 1 + len(axes) + len(fresh)
             if qubits > cap:
                 raise StateSizeError(f"{qubits} qubits would exceed cap {cap}")
             amps = np.repeat(amps, 1 << len(fresh), axis=1) * 2.0 ** (-len(fresh) / 2)
             axes.extend(fresh)
-        for u, w, mult in step_edges:
-            alpha = mult * graph.edge_angle
-            amps = _phase(amps, axes.index(u), axes.index(w), len(axes), alpha)
+        for u, w, table in plan.edges[step]:
+            amps = _phase(amps, axes.index(u), axes.index(w), len(axes), table)
 
     scale = 1.0
-    for step, v in enumerate(order):
-        entangle([v], edges[step])
-        choice = f.pattern.measurements[v].choice
-        env = {name: hist[column[name]] for name in choice.variables}
-        choices = np.broadcast_to(choice.evaluate_rows(env), amps.shape[:1])
-        kids = _children(amps, axes.index(v), choices)
+    for step, v in enumerate(plan.order):
+        entangle(step)
+        pos = axes.index(v)
         axes.remove(v)
-        amps, parents, bits, p = pick(step, v, kids)
-        scale *= p
-        hist = hist[:, parents]
-        hist[step], hist[k + step] = bits, choices[parents]
+        if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
+            rows = amps.shape[0]
+            choices = _evaluate(plan.choices[step], hist)
+            amps = _children(amps, pos, choices).reshape(2 * rows, -1)
+            hist = np.repeat(hist, 2, axis=1)
+            hist[step, 1::2] = 1
+            hist[k + step] = np.repeat(choices, 2)
+        else:
+            choice = _evaluate(plan.choices[step], hist)
+            halves = _halves(amps, pos, choice)
+            b, p = draw(step, v, halves)
+            amps = (halves[b] / math.sqrt(p)).reshape(1, -1)
+            scale *= p
+            hist[step], hist[k + step] = b, choice
 
-    entangle(list(f.outputs), edges[k])
+    entangle(k)
     rows, live = amps.shape[0], len(axes)
     want = [axes.index(w) for w in (*f.outputs, *range(n, n + spectators))]
     amps = amps.reshape((rows,) + (2,) * live).transpose([0, *(1 + a for a in want)])
+    frames = [_evaluate(c, hist) for c in plan.corrections]
+    hist = np.asarray(hist, dtype=np.uint8).reshape(len(hist), rows)
     return BranchEnsemble(
-        order,
+        list(plan.order),
+        list(plan.names),
         amps.reshape(rows, -1),
-        dict(zip(names, hist)),
-        dict(zip(order, hist[k:])),
+        hist[:k],
+        hist[k : 2 * k],
         error_bits,
+        np.array(frames, dtype=np.uint8).reshape(len(f.outputs), 2, rows).transpose(2, 0, 1),
         scale,
     )
 

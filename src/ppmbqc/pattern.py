@@ -142,7 +142,10 @@ def dependency_schedule(
 
 @dataclass(frozen=True)
 class PatternFragment:
-    """A pattern with inputs, outputs, input errors and output corrections."""
+    """A pattern with inputs, outputs, input errors and output corrections.
+
+    The executor keeps its compiled plan for the fragment on the instance.
+    """
 
     pattern: MeasurementPattern
     inputs: tuple[int, ...] = ()

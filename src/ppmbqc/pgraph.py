@@ -59,7 +59,15 @@ class PGraph:
     @property
     def edge_angle(self) -> float:
         """Rotation angle contributed by a single edge."""
-        return math.pi / (1 << self.base_exponent)
+        return self.angle(1)
+
+    def angle(self, mult: int) -> float:
+        """Rotation angle of ``mult`` parallel edges, ``mult * pi / 2**m``.
+
+        The quotient ``mult / 2**m`` is formed first, so a multiplicity past
+        the float range (the modulus is ``2**(m+1)``) never converts on its own.
+        """
+        return math.pi * (mult / (1 << self.base_exponent))
 
     def multiplicity(self, u: int, v: int) -> int:
         self._check_pair(u, v)

@@ -89,17 +89,38 @@ def from_amplitudes(amps: Iterable[complex]) -> Statevector:
     return Statevector(n, arr)
 
 
-def _phase(amps: np.ndarray, p: int, q: int, live: int, alpha: float) -> np.ndarray:
-    """Parity phase of angle ``alpha`` between axes ``p`` and ``q``, in place.
+def phase_table(alpha: float) -> np.ndarray:
+    """Factors of the parity phase of angle ``alpha``, laid out for :func:`_phase`.
+
+    Entry ``[a, :, b, :]`` multiplies the components whose two qubits read
+    ``a`` and ``b``: ``e^{-ia/2}`` on even parity, ``e^{+ia/2}`` on odd.
+    """
+    even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
+    return np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
+
+
+def _phase(amps: np.ndarray, p: int, q: int, live: int, table: np.ndarray) -> np.ndarray:
+    """Apply the parity-phase ``table`` between axes ``p`` and ``q``, in place.
 
     ``amps`` has shape ``(rows, 2**live)``; every row gets the same phase.
     """
     p, q = min(p, q), max(p, q)
     rows = amps.shape[0]
     t = amps.reshape(rows, 1 << p, 2, 1 << (q - p - 1), 2, 1 << (live - q - 1))
-    even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
-    t *= np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
+    t *= table
     return t.reshape(rows, -1)
+
+
+def _halves(amps: np.ndarray, pos: int, choice: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcome halves of axis ``pos`` of one register, flattened.
+
+    Choice 0 rotates the axis into the X basis first; ``amps`` is not modified.
+    """
+    t = amps.reshape(1 << pos, 2, -1)
+    a0, a1 = t[:, 0], t[:, 1]
+    if not choice:
+        a0, a1 = (a0 + a1) * SQRT2_INV, (a0 - a1) * SQRT2_INV
+    return a0.reshape(-1), a1.reshape(-1)
 
 
 def _children(amps: np.ndarray, pos: int, choices: np.ndarray) -> np.ndarray:
@@ -143,7 +164,7 @@ def apply_parity_phase(s: Statevector, q1: int, q2: int, alpha: float) -> Statev
     for q in (q1, q2):
         if not 0 <= q < n:
             raise DimensionError(f"qubit {q} out of range [0, {n})")
-    amps = _phase(s.amplitudes.reshape(1, -1).copy(), q1, q2, n, alpha)
+    amps = _phase(s.amplitudes.reshape(1, -1).copy(), q1, q2, n, phase_table(alpha))
     return Statevector(n, amps.reshape(-1))
 
 
@@ -166,8 +187,7 @@ def measure(
         raise DimensionError(f"qubit {q} out of range [0, {n})")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
-    choice = np.array([basis == "Z"], dtype=np.uint8)
-    branch = _children(s.amplitudes.reshape(1, -1), q, choice)[0, outcome & 1]
+    branch = _halves(s.amplitudes, q, basis == "Z")[outcome & 1]
     prob = float(np.real(np.vdot(branch, branch)))
     if prob < IMPOSSIBLE_PROB:
         return prob, None
@@ -219,11 +239,10 @@ def prepare_resource(g: PGraph) -> Statevector:
 
 def apply_edges(s: Statevector, g: PGraph, positions: dict[int, int] | None = None) -> Statevector:
     """Apply every edge of ``g``; vertex v acts on qubit positions[v] (default v)."""
-    alpha0 = g.edge_angle
     for u, v, k in g.edges:
         qu = positions[u] if positions else u
         qv = positions[v] if positions else v
-        s = apply_parity_phase(s, qu, qv, (k % g.multiplicity_modulus) * alpha0)
+        s = apply_parity_phase(s, qu, qv, g.angle(k))
     return s
 
 

@@ -108,14 +108,6 @@ def _error_combos(inputs: tuple[int, ...]):
         yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
 
 
-def _row_frames(f: PatternFragment, ens: BranchEnsemble) -> np.ndarray:
-    """Each row's declared output frame as ``(rows, wires, 2)`` bits."""
-    env, rows = ens.full_env_rows(), ens.states.shape[0]
-    fns = [fn for o in f.outputs for fn in (f.corrections[o].zeta, f.corrections[o].xi)]
-    bits = np.array([np.broadcast_to(fn.evaluate_rows(env), rows) for fn in fns])
-    return bits.T.reshape(rows, len(f.outputs), 2)
-
-
 def _frame_targets(base: np.ndarray, wires: int):
     """Cached map from a frame code to ``base`` dressed with that frame, flattened."""
 
@@ -126,7 +118,7 @@ def _frame_targets(base: np.ndarray, wires: int):
     return expected
 
 
-def _branch_fidelities(ens: BranchEnsemble, frames: np.ndarray, expected_for):
+def _branch_fidelities(ens: BranchEnsemble, expected_for):
     """Per-row fidelity against ``expected_for`` at the code of the row's frame.
 
     A row is possible when its weight (squared norm) reaches the impossible
@@ -136,7 +128,7 @@ def _branch_fidelities(ens: BranchEnsemble, frames: np.ndarray, expected_for):
     """
     weights = ens.weights()
     ok = weights >= IMPOSSIBLE_PROB
-    codes = frame_codes(frames)
+    codes = frame_codes(ens.frames)
     # Impossible rows borrow a possible row's code, so only seen frames are built.
     seen, which = np.unique(np.where(ok, codes, codes[ok.argmax()]), return_inverse=True)
     targets = np.array([expected_for(int(c)) for c in seen]).conj()
@@ -201,8 +193,7 @@ def verify_fragment(
             )
         total = 0.0
         for ens in runs:
-            frames = _row_frames(f, ens)
-            probs, ok, fids = _branch_fidelities(ens, frames, expected_for)
+            probs, ok, fids = _branch_fidelities(ens, expected_for)
             total += float(probs.sum())
             possible += int(ok.sum())
             impossible += int((~ok).sum())
@@ -210,12 +201,11 @@ def verify_fragment(
                 worst = max(worst, float((1.0 - fids[ok]).max()))
             if not keep:
                 continue
-            outcomes = [ens.env[f.pattern.measurements[v].var] for v in ens.order]
-            for r, frame in enumerate(frames.tolist()):
+            for r, frame in enumerate(ens.frames.tolist()):
                 records.append(
                     BranchRecord(
                         err_bits,
-                        tuple(int(bits[r]) for bits in outcomes),
+                        tuple(int(bits[r]) for bits in ens.outcomes),
                         float(probs[r]) if ok[r] else 0.0,
                         tuple(map(tuple, frame)),
                         float(1.0 - fids[r]) if ok[r] else None,
@@ -275,7 +265,7 @@ def verify_fragment_product_inputs(
         expected_for = _frame_targets(U @ vec, n_out)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            _, ok, fids = _branch_fidelities(ens, _row_frames(f, ens), expected_for)
+            _, ok, fids = _branch_fidelities(ens, expected_for)
             if ok.any():
                 worst = max(worst, float((1.0 - fids[ok]).max()))
     return worst

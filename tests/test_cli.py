@@ -297,3 +297,22 @@ def test_base_exponent_past_float_range_is_a_json_usage_error(tmp_path, capsys):
     assert "base_exponent" in json.loads(out)["error"]
     path.write_text(json.dumps(dict(data, base_exponent=1023)))
     assert run_cli(capsys, "--json", "run", str(path))[0] == 0
+
+
+def test_multiplicity_past_float_range_runs(tmp_path, capsys):
+    data = {
+        "schema_version": 1,
+        "vertices": 2,
+        "base_exponent": 1023,
+        "edges": [{"u": 0, "v": 1, "mult": 2**1024 - 1}],
+        "measurements": {"1": {"var": "a", "anf": [[]]}},
+        "outputs": [0],
+        "corrections": {"0": {"zeta": [], "xi": []}},
+    }
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "--json", "run", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["outcomes"]) == {"a"}
+    assert payload["probability"] == pytest.approx(0.5)

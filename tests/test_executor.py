@@ -1,12 +1,17 @@
 """Adaptive execution: sources, traces, branch enumeration, depth."""
 
+import gc
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ppmbqc import executor
 from ppmbqc.boolfn import BoolFn
+from ppmbqc.compiler import compile_circuit, parse_circuit
 from ppmbqc.errors import (
     DimensionError,
     ImpossibleBranchError,
@@ -22,7 +27,7 @@ from ppmbqc.executor import (
     run_fragment,
     run_pattern,
 )
-from ppmbqc.fragments import e_fragment, xhalf_fragment
+from ppmbqc.fragments import BrickSettings, brick, e_fragment, xhalf_fragment
 from ppmbqc.pattern import (
     Correction,
     Measurement,
@@ -36,6 +41,7 @@ from ppmbqc.statevec import (
     Statevector,
     fidelity_up_to_phase,
     from_amplitudes,
+    permute,
     plus_state,
     zero_state,
     zrot,
@@ -136,6 +142,60 @@ def test_seeded_runs_are_bit_reproducible():
     assert t3.outcomes != t1.outcomes or np.allclose(
         t3.state.amplitudes, t1.state.amplitudes
     )
+
+
+# SHA-256 of the outcome tape (outcomes in execution order, as "0"/"1") of
+# seeded shots on PINNED_CIRCUIT, keyed by seed. A change to the engine must
+# leave every seeded outcome where it was.
+PINNED_BLOCK = ["H 0", "CZ 0 1", "T 1", "S 0", "CNOT 0 1", "H 1", "Tdg 0", "CNOT 1 0"]
+PINNED_CIRCUIT = "qubits 2\n" + "\n".join(PINNED_BLOCK * 5) + "\n"
+PINNED_TAPES = {
+    1: "18d5d3486e8af06961a78c6aaf5fa0ef776cceb273e26f5a49be89e89748e401",
+    2: "fcd328d1224feb6cf051d24ca9c54df4c6f66386f321bc895c3fc813eb810b22",
+    3: "51bebecc1641f87a627cd22cec03a2a43a05201b2abfcf4e7aedb66e270d21a6",
+}
+
+
+def test_seeded_outcome_tapes_are_pinned():
+    f = compile_circuit(parse_circuit(PINNED_CIRCUIT))
+    assert len(PINNED_BLOCK * 5) >= 40
+    psi = from_amplitudes([0.6, 0.3j, -0.5, 0.2 + 0.4j])
+    errs = {f.inputs[0]: (1, 0), f.inputs[1]: (0, 1)}
+    var = {v: m.var for v, m in f.pattern.measurements.items()}
+    for seed, digest in PINNED_TAPES.items():
+        trace = run_fragment(f, psi, errs, OutcomeSource.seeded(seed))
+        tape = "".join(str(trace.outcomes[var[v]]) for v in trace.bases)
+        assert len(tape) == len(f.pattern.measurements)
+        assert hashlib.sha256(tape.encode()).hexdigest() == digest
+
+
+def test_plan_is_built_once_per_fragment(monkeypatch):
+    calls = []
+    order = executor.measurement_order
+    monkeypatch.setattr(executor, "measurement_order", lambda f: calls.append(f) or order(f))
+    f = brick(BrickSettings("T", "HTH", 1))
+    psi = random_state(2)
+    first = run_fragment(f, psi, {}, OutcomeSource.seeded(3))
+    run_fragment(f, psi, {}, OutcomeSource.seeded(4))
+    enumerate_fragment(f, psi)
+    assert len(calls) == 1
+
+    g = f.with_io_order(f.inputs, f.outputs[::-1])
+    swapped = run_fragment(g, psi, {}, OutcomeSource.seeded(3))
+    assert len(calls) == 2
+    assert list(swapped.frame) == list(g.outputs)
+    assert swapped.outcomes == first.outcomes and swapped.frame == first.frame
+    want = permute(first.state, [1, 0]).amplitudes
+    assert np.allclose(swapped.state.amplitudes, want, rtol=0, atol=1e-12)
+
+
+def test_plan_is_freed_with_its_fragment():
+    f = e_fragment("T")
+    run_fragment(f, random_state(1), src=OutcomeSource.seeded(1))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_tape_and_exhaustive_agree_per_branch():

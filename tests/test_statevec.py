@@ -17,6 +17,7 @@ from ppmbqc.statevec import (
     from_amplitudes,
     measure,
     permute,
+    phase_table,
     plus_state,
     prepare_resource,
     zero_state,
@@ -63,6 +64,15 @@ def test_parity_phase_additivity_on_random_states():
         one = apply_parity_phase(apply_parity_phase(s, 0, 1, a), 0, 1, b)
         two = apply_parity_phase(s, 0, 1, a + b)
         assert np.allclose(one.amplitudes, two.amplitudes, atol=1e-12)
+
+
+def test_edge_table_matches_the_float_multiplicity_form():
+    for m in range(1, 7):
+        for mult in range(1 << (m + 1)):
+            alpha = mult * (math.pi / (1 << m))
+            even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
+            table = phase_table(PGraph(2, m).angle(mult)).reshape(2, 2)
+            assert np.abs(table - [[even, odd], [odd, even]]).max() <= 1e-15
 
 
 def test_parity_phase_rejects_coincident_qubits():
