@@ -33,10 +33,25 @@ from .pattern import (
     fragment_to_json,
 )
 from .pgraph import PGraph
-from .unitaries import CNOT, CZ, FIXED
+from .unitaries import FIXED, unitary_from_label
 
 GATES_1Q = ("H", "S", "Sdg", "T", "Tdg")
 GATES_2Q = ("CZ", "CNOT")
+
+
+def _gate_problem(label: str, args: tuple[int, ...], qubits: int) -> str | None:
+    """What is wrong with one gate on ``qubits`` qubits, or None."""
+    if label not in GATES_1Q + GATES_2Q:
+        return f"unknown gate {label!r}"
+    want = 1 if label in GATES_1Q else 2
+    if len(args) != want:
+        return f"{label} takes {want} operand(s)"
+    for q in args:
+        if not 0 <= q < qubits:
+            return f"operand {q} out of range"
+    if want == 2 and args[0] == args[1]:
+        return f"{label} operands must differ"
+    return None
 
 
 @dataclass(frozen=True)
@@ -48,19 +63,9 @@ class Circuit:
         if self.qubit_count < 1:
             raise StructuralError("circuit needs at least one qubit")
         for label, args in self.gates:
-            if label in GATES_1Q:
-                if len(args) != 1:
-                    raise StructuralError(f"{label} takes one operand")
-            elif label in GATES_2Q:
-                if len(args) != 2:
-                    raise StructuralError(f"{label} takes two operands")
-                if args[0] == args[1]:
-                    raise StructuralError(f"{label} operands must differ")
-            else:
-                raise StructuralError(f"unknown gate {label!r}")
-            for q in args:
-                if not 0 <= q < self.qubit_count:
-                    raise StructuralError(f"operand {q} out of range")
+            problem = _gate_problem(label, args, self.qubit_count)
+            if problem:
+                raise StructuralError(problem)
 
     def t_count(self) -> int:
         return sum(1 for label, _ in self.gates if label in ("T", "Tdg"))
@@ -84,25 +89,23 @@ def parse_circuit(text: str) -> Circuit:
             continue
         if qubits is None:
             raise CircuitParseError("missing 'qubits N' header", lineno)
-        label = parts[0]
-        if label not in GATES_1Q + GATES_2Q:
-            raise CircuitParseError(f"unknown gate {label!r}", lineno)
         try:
             args = tuple(int(p) for p in parts[1:])
         except ValueError:
             raise CircuitParseError("operands must be integers", lineno) from None
-        want = 1 if label in GATES_1Q else 2
-        if len(args) != want:
-            raise CircuitParseError(f"{label} takes {want} operand(s)", lineno)
-        for q in args:
-            if not 0 <= q < qubits:
-                raise CircuitParseError(f"operand {q} out of range", lineno)
-        if label in GATES_2Q and args[0] == args[1]:
-            raise CircuitParseError(f"{label} operands must differ", lineno)
-        gates.append((label, args))
+        problem = _gate_problem(parts[0], args, qubits)
+        if problem:
+            raise CircuitParseError(problem, lineno)
+        gates.append((parts[0], args))
     if qubits is None:
         raise CircuitParseError("missing 'qubits N' header", 1)
     return Circuit(qubits, tuple(gates))
+
+
+def _on_lanes(block: np.ndarray, first: int, lanes: int) -> np.ndarray:
+    """``block`` on lanes ``first, first + 1, ...`` of ``lanes``, identity elsewhere."""
+    rest = lanes - first - (block.shape[0].bit_length() - 1)
+    return np.kron(np.kron(np.eye(1 << first), block), np.eye(1 << rest))
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -113,11 +116,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     idx = np.arange(dim)
     for label, args in c.gates:
         if label in GATES_1Q:
-            (q,) = args
-            G = np.eye(1, dtype=complex)
-            for w in range(n):
-                G = np.kron(G, FIXED[label] if w == q else np.eye(2, dtype=complex))
-            U = G @ U
+            U = _on_lanes(FIXED[label], args[0], n) @ U
         elif label == "CZ":
             b1 = (idx >> (n - 1 - args[0])) & 1
             b2 = (idx >> (n - 1 - args[1])) & 1
@@ -207,23 +206,9 @@ def compile_to_bricks(c: Circuit) -> list[BrickLayer]:
 
 def layers_unitary(layers: list[BrickLayer], lanes: int) -> np.ndarray:
     """Matrix product of the layers' certified labels (table oracle)."""
-    dim = 1 << lanes
-    U = np.eye(dim, dtype=complex)
+    U = np.eye(1 << lanes, dtype=complex)
     for layer in layers:
-        s = layer.settings
-        block = np.kron(FIXED[s.left], FIXED[s.right])
-        if s.cz:
-            block = CZ @ block
-        G = np.eye(1, dtype=complex)
-        w = 0
-        while w < lanes:
-            if w == layer.pair:
-                G = np.kron(G, block)
-                w += 2
-            else:
-                G = np.kron(G, np.eye(2, dtype=complex))
-                w += 1
-        U = G @ U
+        U = _on_lanes(unitary_from_label(layer.settings.label()), layer.pair, lanes) @ U
     return U
 
 

@@ -48,15 +48,13 @@ from .statevec import (
     DEFAULT_QUBIT_CAP,
     IMPOSSIBLE_PROB,
     Statevector,
-    X,
-    Z,
     _children,
     _halves,
     _phase,
-    apply_matrix,
     phase_table,
     plus_state,
 )
+from .unitaries import apply_frames, frame_codes
 
 
 @dataclass(frozen=True)
@@ -338,21 +336,22 @@ def _execute(
     if stray:
         raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
     error_bits: dict[str, int] = {}
-    for pos, v in enumerate(f.inputs):  # X^x Z^z on each input wire, Z first
-        zb, xb = (b & 1 for b in errs.get(v, (0, 0)))
+    for v in f.inputs:
         zvar, xvar = f.input_errors[v]
-        error_bits[zvar], error_bits[xvar] = zb, xb
-        if zb:
-            input_state = apply_matrix(input_state, pos, Z)
-        if xb:
-            input_state = apply_matrix(input_state, pos, X)
+        error_bits[zvar], error_bits[xvar] = (b & 1 for b in errs.get(v, (0, 0)))
+    frame = list(error_bits.values())  # (z, x) per input wire; the names are distinct
 
     # Register axis i holds vertex axes[i]; spectator j is the key n + j.
     axes = [*f.inputs, *range(n, n + spectators)]
-    amps = np.array(input_state.amplitudes).reshape(1, -1)
+    # A new array, so the in-place kernels below never touch the caller's state.
+    amps = apply_frames(
+        frame_codes(np.reshape(frame, (n_in, 2))),
+        input_state.amplitudes.reshape(1 << n_in, -1),
+        n_in,
+    ).reshape(1, -1)
     if len(axes) > cap:
         raise StateSizeError(f"{len(axes)} qubits exceed cap {cap}")
-    hist = [0] * (2 * k) + list(error_bits.values())  # columns as in _Plan
+    hist = [0] * (2 * k) + frame  # columns as in _Plan
     if draw is None:
         hist = np.array(hist, dtype=np.uint8).reshape(-1, 1)
 

@@ -30,7 +30,7 @@ from .errors import StructuralError
 from .pattern import Correction, Measurement, MeasurementPattern, PatternFragment
 from .pgraph import PGraph
 from .statevec import xrot, zrot
-from .unitaries import CZ, frame_bits, pauli_product, phase_matched, unitary_from_label
+from .unitaries import CZ, apply_frames, frame_bits, phase_matched, unitary_from_label
 
 E_MODES = ("T", "Tdg", "H", "S")
 MAX_HIERARCHY_EXPONENT = 8
@@ -212,7 +212,7 @@ def _finalize(
         raise StructuralError(f"label {label!r} has wrong arity for {len(lanes)} lanes")
 
     cluster_ids = [id(c) for c in b.clusters]
-    frames = frame_bits(np.arange(dim * dim), len(lanes)).tolist()
+    dressed = apply_frames(np.arange(dim * dim), target, len(lanes))
     for bits in product((0, 1), repeat=len(cluster_ids)):
         signs = dict(zip(cluster_ids, bits))
         built = lanes[0].matrix(signs)
@@ -220,10 +220,9 @@ def _finalize(
             built = np.kron(built, lane.matrix(signs))
         if entangler is not None:
             built = entangler @ built
-        frame = next(
-            (fr for fr in frames if phase_matched(built, pauli_product(fr) @ target)), None
-        )
-        if frame is not None:
+        hits = np.flatnonzero(phase_matched(built, dressed))
+        if len(hits):
+            frame = frame_bits(hits[0], len(lanes)).tolist()
             break
     else:
         raise StructuralError(

@@ -44,9 +44,7 @@ ROTATIONS = {"Z": sv.zrot, "X": sv.xrot}
 
 def parity_phase_matrix(alpha: float) -> np.ndarray:
     """4x4 matrix of the two-qubit parity-phase interaction."""
-    even = np.exp(-0.5j * alpha)
-    odd = np.exp(0.5j * alpha)
-    return np.diag([even, odd, odd, even]).astype(complex)
+    return np.diag(sv.phase_table(alpha).reshape(-1))
 
 
 class LabelError(ValueError):
@@ -156,11 +154,11 @@ def unitary_from_label(label: str) -> np.ndarray:
     return mat
 
 
-def is_unitary(mat: np.ndarray, tol: float = 1e-9) -> bool:
+def is_unitary(mat: np.ndarray) -> bool:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= tol)
+    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-9)
 
 
 def _frame_shifts(wires: int) -> np.ndarray:
@@ -183,6 +181,24 @@ def frame_codes(bits) -> np.ndarray:
     return (bits << _frame_shifts(bits.shape[-2])).sum(axis=(-2, -1))
 
 
+def apply_frames(codes, mat: np.ndarray, wires: int) -> np.ndarray:
+    """``X^x Z^z mat`` for each frame code, acting on the first axis of ``mat``.
+
+    ``mat`` (a matrix or a vector) has ``2**wires`` rows; the result has
+    the shape of ``codes`` followed by that of ``mat``. A Pauli acts on basis
+    indices as a bit flip plus a sign: row ``j`` of the result is row
+    ``j ^ x`` of ``mat`` times ``(-1)**popcount(z & (j ^ x))``. The result
+    is always a new array, never a view of ``mat``.
+    """
+    masks = (1 << np.arange(wires - 1, -1, -1)) @ frame_bits(codes, wires)  # (..., [z, x])
+    rows = np.arange(1 << wires)
+    src = rows ^ masks[..., 1:]
+    odd = ((rows[:, None] >> np.arange(wires)) & 1).sum(axis=1) & 1
+    sign = 1 - 2 * odd[masks[..., :1] & src]
+    mat = np.asarray(mat)
+    return mat[src] * sign.reshape(sign.shape + (1,) * (mat.ndim - 1))
+
+
 def pauli_product(bits: list[tuple[int, int]]) -> np.ndarray:
     """Tensor product of per-wire X^x Z^z factors (wire 0 leftmost)."""
     acc = np.eye(1, dtype=complex)
@@ -196,7 +212,7 @@ def pauli_product(bits: list[tuple[int, int]]) -> np.ndarray:
     return acc
 
 
-def phase_matched(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when ``a`` equals ``b`` up to a global phase."""
+def phase_matched(a: np.ndarray, b: np.ndarray):
+    """True where ``a`` equals ``b`` up to a global phase; ``b`` may be a stack."""
     dim = a.shape[0]
-    return bool(abs(np.trace(b.conj().T @ a)) / dim > 1.0 - tol)
+    return abs(np.einsum("...ij,ij->...", b.conj(), a)) / dim > 1.0 - 1e-9

@@ -9,7 +9,6 @@ a passing report is a proof by exhaustion at machine precision.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,9 +28,11 @@ from .executor import (
 from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
 from .statevec import DEFAULT_QUBIT_CAP, IMPOSSIBLE_PROB, Statevector
-from .unitaries import frame_bits, frame_codes, is_unitary, pauli_product, unitary_from_label
+from .unitaries import apply_frames, frame_bits, frame_codes, is_unitary, unitary_from_label
 
 FIT_TOL = 1e-7
+# Largest number of branch records a report keeps by default, or lists in its JSON.
+MAX_RECORDS = 4096
 # Largest truth table, in outcome and error bits, that inference will fit.
 MAX_TABLE_BITS = 20
 
@@ -67,9 +68,7 @@ class VerificationReport:
     passed: bool
     records: list[BranchRecord] = field(default_factory=list)
 
-    def to_dict(self, include_branches: bool | None = None) -> dict:
-        if include_branches is None:
-            include_branches = len(self.records) <= 4096
+    def to_dict(self) -> dict:
         out = {
             "target": self.target_label,
             "tolerance": self.tolerance,
@@ -81,12 +80,9 @@ class VerificationReport:
             "probability_totals": self.probability_totals,
             "pass": self.passed,
         }
-        if include_branches:
+        if len(self.records) <= MAX_RECORDS:
             out["branches"] = [r.to_dict() for r in self.records]
         return out
-
-    def to_json(self, include_branches: bool | None = None) -> str:
-        return json.dumps(self.to_dict(include_branches), indent=2, sort_keys=True)
 
 
 def _as_matrix(target: np.ndarray | str) -> tuple[np.ndarray, str]:
@@ -108,30 +104,20 @@ def _error_combos(inputs: tuple[int, ...]):
         yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
 
 
-def _frame_targets(base: np.ndarray, wires: int):
-    """Cached map from a frame code to ``base`` dressed with that frame, flattened."""
+def _branch_fidelities(ens: BranchEnsemble, base: np.ndarray, wires: int):
+    """Per-row fidelity against ``base`` dressed with the row's frame.
 
-    @functools.cache
-    def expected(code: int) -> np.ndarray:
-        return (pauli_product(frame_bits(code, wires).tolist()) @ base).reshape(-1)
-
-    return expected
-
-
-def _branch_fidelities(ens: BranchEnsemble, expected_for):
-    """Per-row fidelity against ``expected_for`` at the code of the row's frame.
-
-    A row is possible when its weight (squared norm) reaches the impossible
+    ``base`` has one row per basis state of the ``wires`` output wires; each
+    dressed copy is flattened to compare with a row of ``ens.states``. A
+    row is possible when its weight (squared norm) reaches the impossible
     threshold; shots carry their branch probability in ``ens.scale``
     instead. Returns ``(probabilities, possible, fidelities)``; an
     impossible row's fidelity is left at 0.
     """
     weights = ens.weights()
     ok = weights >= IMPOSSIBLE_PROB
-    codes = frame_codes(ens.frames)
-    # Impossible rows borrow a possible row's code, so only seen frames are built.
-    seen, which = np.unique(np.where(ok, codes, codes[ok.argmax()]), return_inverse=True)
-    targets = np.array([expected_for(int(c)) for c in seen]).conj()
+    seen, which = np.unique(frame_codes(ens.frames), return_inverse=True)
+    targets = apply_frames(seen, base, wires).reshape(len(seen), -1).conj()
     overlaps = np.abs(np.einsum("ij,ij->i", ens.states, targets[which])) ** 2
     fids = np.divide(overlaps, weights, out=np.zeros(len(weights)), where=ok)
     return ens.scale * weights, ok, fids
@@ -174,10 +160,10 @@ def verify_fragment(
     totals: list[float] = []
     possible = impossible = 0
 
-    expected_for = _frame_targets(U / math.sqrt(1 << n_in), n_out)  # Choi vectors
+    choi = U / math.sqrt(1 << n_in)
     keep = keep_branches
     if keep is None:
-        keep = (1 << measured) * (1 << (2 * n_in)) <= 4096 or not exhaustive
+        keep = (1 << measured) * (1 << (2 * n_in)) <= MAX_RECORDS or not exhaustive
 
     for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         if exhaustive:
@@ -193,7 +179,7 @@ def verify_fragment(
             )
         total = 0.0
         for ens in runs:
-            probs, ok, fids = _branch_fidelities(ens, expected_for)
+            probs, ok, fids = _branch_fidelities(ens, choi, n_out)
             total += float(probs.sum())
             possible += int(ok.sum())
             impossible += int((~ok).sum())
@@ -262,10 +248,9 @@ def verify_fragment_product_inputs(
         for name in labels:
             vec = np.kron(vec, PRODUCT_INPUT_STATES[name])
         state = Statevector(n_in, vec)
-        expected_for = _frame_targets(U @ vec, n_out)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            _, ok, fids = _branch_fidelities(ens, expected_for)
+            _, ok, fids = _branch_fidelities(ens, U @ vec, n_out)
             if ok.any():
                 worst = max(worst, float((1.0 - fids[ok]).max()))
     return worst
@@ -274,7 +259,6 @@ def verify_fragment_product_inputs(
 def infer_corrections(
     f: PatternFragment,
     target: np.ndarray | str,
-    tol: float = 1e-9,
 ) -> dict[int, Correction]:
     """Fit exact ANF correction polynomials from branch-wise Pauli solves.
 
@@ -295,8 +279,9 @@ def infer_corrections(
     if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
-    expected_for = _frame_targets(U / math.sqrt(1 << n_in), n_out)
-    targets = np.array([expected_for(c) for c in range(1 << (2 * n_out))]).conj().T
+    frames = 1 << (2 * n_out)
+    targets = apply_frames(np.arange(frames), U / math.sqrt(1 << n_in), n_out)
+    targets = targets.reshape(frames, -1).conj().T
     codes = np.zeros((1 << (2 * n_in), 1 << len(out_names)), dtype=np.int64)
     for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in)
@@ -323,7 +308,7 @@ def infer_corrections(
         for w, o in enumerate(f.outputs)
     }
     candidate = with_corrections(f, fitted)
-    report = verify_fragment(candidate, U, tol=tol, keep_branches=False)
+    report = verify_fragment(candidate, U, keep_branches=False)
     if not report.passed:
         raise InferenceError(
             f"fitted corrections fail certification (worst infidelity"
@@ -363,20 +348,20 @@ def classify_up_to_frame(
     threshold: float = 1.0 - 1e-9,
 ) -> tuple[str, tuple[tuple[int, int], ...]] | None:
     """Classify allowing an extra per-wire Pauli frame in front."""
-    for bits in frame_bits(np.arange(1 << (2 * wires)), wires).tolist():
-        P = pauli_product(bits)
-        label = classify_unitary(P.conj().T @ U, dictionary, threshold)
+    for code in range(1 << (2 * wires)):
+        # P U equals P^dag U up to sign, which the trace overlap ignores.
+        label = classify_unitary(apply_frames(code, U, wires), dictionary, threshold)
         if label is not None:
-            return label, tuple(map(tuple, bits))
+            return label, tuple(map(tuple, frame_bits(code, wires).tolist()))
     return None
 
 
-def operator_schmidt_rank(U: np.ndarray, rel_tol: float = 1e-9) -> int:
+def operator_schmidt_rank(U: np.ndarray) -> int:
     """Rank of a two-qubit operator across the wire bipartition."""
     M = np.asarray(U, dtype=complex).reshape(2, 2, 2, 2)
     M = M.transpose(0, 2, 1, 3).reshape(4, 4)
     s = np.linalg.svd(M, compute_uv=False)
-    return int((s > rel_tol * s[0]).sum())
+    return int((s > 1e-9 * s[0]).sum())
 
 
 def branch_operator(states: np.ndarray, row: int, wires: int) -> np.ndarray:
@@ -457,7 +442,7 @@ def canonical_brick_settings() -> list[BrickSettings]:
     return rows
 
 
-def scan_brick_settings(seed: int = 0xC0FFEE) -> dict[tuple[str, str, int], str]:
+def scan_brick_settings() -> dict[tuple[str, str, int], str]:
     """Cheap classification sweep over every realizable settings triple.
 
     Runs a single sampled branch per triple and classifies the conditional
@@ -469,7 +454,7 @@ def scan_brick_settings(seed: int = 0xC0FFEE) -> dict[tuple[str, str, int], str]
         for r in RIGHT_LANE_GATES:
             for cz in (0, 1):
                 frag = brick(BrickSettings(l, r, cz))
-                src = OutcomeSource.seeded(seed)
+                src = OutcomeSource.seeded(0xC0FFEE)
                 ens = _execute(frag, src, choi_input(2), None, 2, DEFAULT_QUBIT_CAP)
                 M = branch_operator(ens.states, 0, 2)
                 hit = classify_up_to_frame(M, dictionary, wires=2, threshold=1 - 1e-7)

@@ -27,7 +27,7 @@ from ppmbqc.executor import (
     run_fragment,
     run_pattern,
 )
-from ppmbqc.fragments import BrickSettings, brick, e_fragment, xhalf_fragment
+from ppmbqc.fragments import BrickSettings, brick, cz_fragment, e_fragment, xhalf_fragment
 from ppmbqc.pattern import (
     Correction,
     Measurement,
@@ -392,3 +392,26 @@ def test_input_errors_must_name_input_vertices():
         run_fragment(f, zero_state(1), {1: (1, 0)}, OutcomeSource.fixed([0]))
     with pytest.raises(DimensionError):
         enumerate_fragment(f, zero_state(1), {1: (0, 1)})
+
+
+def test_runs_leave_the_callers_input_state_untouched():
+    from ppmbqc.verifier import choi_input
+
+    # The inputs share an edge, so the first kernel writes to the register
+    # built from the input state before any fresh qubit is allocated.
+    graph = PGraph(2, 2, ((0, 1, 1),))
+    f = PatternFragment(
+        MeasurementPattern(graph, {0: Measurement("a", BoolFn.parse([["z0"]]))}),
+        (0, 1),
+        (1,),
+        {0: ("z0", "x0"), 1: ("z1", "x1")},
+        {1: Correction(BoolFn.parse([["a"]]), BoolFn.parse([["x1"]]))},
+    )
+    for frag in (f, cz_fragment(1)):
+        psi = choi_input(2)
+        before = psi.amplitudes.copy()
+        for errs in ({}, {frag.inputs[0]: (1, 1), frag.inputs[1]: (0, 1)}):
+            run_fragment(frag, psi, errs, OutcomeSource.seeded(5), spectators=2)
+            run_fragment(frag, psi, errs, OutcomeSource.fixed([0, 1]), spectators=2)
+            enumerate_fragment(frag, psi, errs, spectators=2)
+            assert np.array_equal(psi.amplitudes, before)

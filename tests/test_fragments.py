@@ -1,13 +1,19 @@
 """The gadget library: certification, pinned corrections, structure."""
 
+import hashlib
+from itertools import product
+
 import numpy as np
 import pytest
 
 from ppmbqc.errors import StructuralError
 from ppmbqc.fragments import (
+    LEFT_LANE_GATES,
+    RIGHT_LANE_GATES,
     BrickSettings,
     brick,
     builtin_fragment,
+    builtin_names,
     cz_fragment,
     e_fragment,
     e_fragment_nomiddle,
@@ -15,7 +21,7 @@ from ppmbqc.fragments import (
     xhalf_fragment,
 )
 from ppmbqc.executor import OutcomeSource, enumerate_fragment, run_fragment
-from ppmbqc.pattern import compose
+from ppmbqc.pattern import compose, fragment_to_json
 from ppmbqc.statevec import zero_state
 from ppmbqc.verifier import choi_input, operator_schmidt_rank, verify_fragment
 
@@ -204,3 +210,20 @@ def test_xhalf_forced_one_outcome_frame():
     f = xhalf_fragment()
     tr = run_fragment(f, zero_state(1), {0: (0, 0)}, OutcomeSource.fixed([1]))
     assert tr.frame[f.outputs[0]] == (1, 0)
+
+
+# SHA-256 of fragment_to_json over every realizable brick setting, then
+# every builtin, recorded before the frame search moved onto apply_frames.
+PINNED_LIBRARY = "f38ea7da1259020c7dfa4d8ba51800e1f297e1efec80ddeda546ae22e4642a4c"
+
+
+def test_library_fragments_are_pinned():
+    digest = hashlib.sha256()
+    for l, r, cz in product(LEFT_LANE_GATES, RIGHT_LANE_GATES, (0, 1)):
+        digest.update(fragment_to_json(brick(BrickSettings(l, r, cz))).encode())
+    names = [n for n in builtin_names() if n != "hier_m{K}"]
+    names += [f"hier_m{k}" for k in range(1, 9)]
+    assert len(names) == 17
+    for name in names:
+        digest.update(fragment_to_json(builtin_fragment(name)[0]).encode())
+    assert digest.hexdigest() == PINNED_LIBRARY

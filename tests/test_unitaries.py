@@ -8,9 +8,11 @@ import pytest
 
 from ppmbqc.unitaries import (
     LabelError,
+    apply_frames,
     frame_bits,
     frame_codes,
     parse_angle,
+    pauli_product,
     unitary_from_label,
 )
 
@@ -44,3 +46,19 @@ def test_frame_codes_invert_frame_bits_in_nested_product_order(wires):
 def test_frame_bits_put_z_before_x_and_wire_zero_first():
     assert frame_bits(0b1001, 2).tolist() == [[1, 0], [0, 1]]
     assert frame_codes([[0, 1], [1, 1]]) == 0b0111
+
+
+@pytest.mark.parametrize("wires", range(4))
+def test_apply_frames_matches_the_kronecker_reference(wires):
+    rng = np.random.default_rng(wires)
+    dim = 1 << wires
+    mat = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    vec = mat[:, 0].copy()
+    codes = np.arange(4**wires)
+    stacked = apply_frames(codes, mat, wires)
+    assert stacked.shape == (4**wires, dim, 3)
+    for c in codes:
+        ref = pauli_product(frame_bits(c, wires).tolist())
+        assert np.array_equal(stacked[c], ref @ mat)
+        assert np.array_equal(apply_frames(int(c), mat, wires), ref @ mat)
+        assert np.array_equal(apply_frames(int(c), vec, wires), ref @ vec)
