@@ -19,6 +19,10 @@ index), a seeded shot draws one outcome from the branch distribution, and a
 tape forces it. A run with a source keeps one row, so it evaluates choices
 on plain Python bits and splits the measured axis without row masks.
 
+Only the engine decides which branches are possible, by the rule shots use:
+every measurement on the branch had conditional probability at least
+``IMPOSSIBLE_PROB``. Traces and the verifier read its ``possible`` mask.
+
 Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 """
 
@@ -135,30 +139,30 @@ def feed_forward_depth(p: MeasurementPattern | PatternFragment) -> int:
 class BranchEnsemble:
     """Outcome branches of one fragment execution, one row per branch.
 
-    ``states`` holds unnormalized leaf vectors; the squared row norm times
-    ``scale`` is the branch probability. Exhaustive runs keep ``scale`` at 1;
-    single-row runs renormalize after each measurement and carry the
-    product of the measurement probabilities in it. Branch index bits follow
-    ``order`` with the first measurement as the most significant bit.
+    ``states`` holds unnormalized leaf vectors and ``weights`` their squared
+    norms; a weight times ``scale`` is the branch probability. Exhaustive
+    runs keep ``scale`` at 1; single-row runs renormalize after each
+    measurement and carry the product of the measurement probabilities in
+    it. ``possible`` is the engine's verdict on each row: every measurement
+    on it had conditional probability at least ``IMPOSSIBLE_PROB``. Branch
+    index bits follow ``order`` with the first measurement as the most
+    significant bit.
     """
 
     order: list[int]
     names: list[str]  # outcome variable of each step
     states: np.ndarray  # (rows, 2**(outputs+spectators))
+    weights: np.ndarray  # (rows,)
+    possible: np.ndarray  # (rows,) bool
     outcomes: np.ndarray  # (steps, rows)
     choices: np.ndarray  # (steps, rows)
     error_bits: dict[str, int]
     frames: np.ndarray  # (rows, outputs, 2): each output's (zeta, xi)
     scale: float = 1.0
 
-    def weights(self) -> np.ndarray:
-        """Squared row norms; times ``scale`` they are the branch probabilities."""
-        re, im = self.states.real, self.states.imag
-        return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-
     @property
     def probabilities(self) -> np.ndarray:
-        return self.scale * self.weights()
+        return self.scale * self.weights
 
     def full_env_rows(self) -> dict[str, np.ndarray]:
         """Each variable's bit in every row: the outcomes, then the input errors."""
@@ -173,14 +177,14 @@ class BranchEnsemble:
         var_order = [m.var for m in f.pattern.measurements.values()]
         outcomes, choices = self.outcomes.T.tolist(), self.choices.T.tolist()
         out = []
-        for r, (w, frame) in enumerate(zip(self.weights(), self.frames.tolist())):
+        per_row = zip(self.weights.tolist(), self.possible.tolist(), self.frames.tolist())
+        for r, (w, ok, frame) in enumerate(per_row):
             got = dict(zip(self.names, outcomes[r]))
-            ok = w >= IMPOSSIBLE_PROB
             out.append(
                 ExecutionTrace(
                     {var: got[var] for var in var_order},
                     {v: BASIS_BY_CHOICE[c] for v, c in zip(self.order, choices[r])},
-                    self.scale * float(w) if ok else 0.0,
+                    self.scale * w if ok else 0.0,
                     Statevector(qubits, self.states[r] / math.sqrt(w)) if ok else None,
                     dict(zip(f.outputs, map(tuple, frame))),
                     dict(self.error_bits),
@@ -303,6 +307,22 @@ def _drawer(src: OutcomeSource):
     return draw
 
 
+def _possible(weights: np.ndarray) -> np.ndarray:
+    """Rows on which every measurement had conditional probability >= IMPOSSIBLE_PROB.
+
+    Row r splits into rows 2r and 2r + 1, so summing sibling weights level
+    by level gives the branch weight of every earlier step. A one-row run is
+    the root alone: its drawer already refused any less likely outcome.
+    """
+    levels = [weights]
+    while len(levels[-1]) > 1:
+        levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
+    ok = np.ones(1, dtype=bool)
+    for child, parent in zip(levels[-2::-1], levels[:0:-1]):
+        ok = np.repeat(ok, 2) & (child >= IMPOSSIBLE_PROB * np.repeat(parent, 2))
+    return ok
+
+
 def _execute(
     f: PatternFragment,
     src: OutcomeSource | None,
@@ -392,12 +412,17 @@ def _execute(
     rows, live = amps.shape[0], len(axes)
     want = [axes.index(w) for w in (*f.outputs, *range(n, n + spectators))]
     amps = amps.reshape((rows,) + (2,) * live).transpose([0, *(1 + a for a in want)])
+    amps = amps.reshape(rows, -1)
+    re, im = amps.real, amps.imag
+    weights = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
     frames = [_evaluate(c, hist) for c in plan.corrections]
     hist = np.asarray(hist, dtype=np.uint8).reshape(len(hist), rows)
     return BranchEnsemble(
         list(plan.order),
         list(plan.names),
-        amps.reshape(rows, -1),
+        amps,
+        weights,
+        _possible(weights),
         hist[:k],
         hist[k : 2 * k],
         error_bits,

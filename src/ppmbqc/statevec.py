@@ -237,12 +237,10 @@ def prepare_resource(g: PGraph) -> Statevector:
     return apply_edges(plus_state(g.vertex_count), g)
 
 
-def apply_edges(s: Statevector, g: PGraph, positions: dict[int, int] | None = None) -> Statevector:
-    """Apply every edge of ``g``; vertex v acts on qubit positions[v] (default v)."""
+def apply_edges(s: Statevector, g: PGraph) -> Statevector:
+    """Apply every edge of ``g``; vertex v acts on qubit v."""
     for u, v, k in g.edges:
-        qu = positions[u] if positions else u
-        qv = positions[v] if positions else v
-        s = apply_parity_phase(s, qu, qv, g.angle(k))
+        s = apply_parity_phase(s, u, v, g.angle(k))
     return s
 
 

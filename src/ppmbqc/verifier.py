@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -27,7 +27,7 @@ from .executor import (
 )
 from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
-from .statevec import DEFAULT_QUBIT_CAP, IMPOSSIBLE_PROB, Statevector
+from .statevec import DEFAULT_QUBIT_CAP, Statevector
 from .unitaries import apply_frames, frame_bits, frame_codes, is_unitary, unitary_from_label
 
 FIT_TOL = 1e-7
@@ -44,15 +44,6 @@ class BranchRecord:
     probability: float
     frame: tuple[tuple[int, int], ...]
     infidelity: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "error_bits": list(self.error_bits),
-            "outcomes": list(self.outcomes),
-            "probability": self.probability,
-            "frame": [list(zx) for zx in self.frame],
-            "infidelity": self.infidelity,
-        }
 
 
 @dataclass
@@ -81,7 +72,7 @@ class VerificationReport:
             "pass": self.passed,
         }
         if len(self.records) <= MAX_RECORDS:
-            out["branches"] = [r.to_dict() for r in self.records]
+            out["branches"] = [asdict(r) for r in self.records]
         return out
 
 
@@ -104,23 +95,17 @@ def _error_combos(inputs: tuple[int, ...]):
         yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
 
 
-def _branch_fidelities(ens: BranchEnsemble, base: np.ndarray, wires: int):
+def _branch_fidelities(ens: BranchEnsemble, base: np.ndarray, wires: int) -> np.ndarray:
     """Per-row fidelity against ``base`` dressed with the row's frame.
 
     ``base`` has one row per basis state of the ``wires`` output wires; each
-    dressed copy is flattened to compare with a row of ``ens.states``. A
-    row is possible when its weight (squared norm) reaches the impossible
-    threshold; shots carry their branch probability in ``ens.scale``
-    instead. Returns ``(probabilities, possible, fidelities)``; an
-    impossible row's fidelity is left at 0.
+    dressed copy is flattened to compare with a row of ``ens.states``. Rows
+    the engine marked impossible keep fidelity 0.
     """
-    weights = ens.weights()
-    ok = weights >= IMPOSSIBLE_PROB
     seen, which = np.unique(frame_codes(ens.frames), return_inverse=True)
     targets = apply_frames(seen, base, wires).reshape(len(seen), -1).conj()
     overlaps = np.abs(np.einsum("ij,ij->i", ens.states, targets[which])) ** 2
-    fids = np.divide(overlaps, weights, out=np.zeros(len(weights)), where=ok)
-    return ens.scale * weights, ok, fids
+    return np.divide(overlaps, ens.weights, out=np.zeros(len(overlaps)), where=ens.possible)
 
 
 def verify_fragment(
@@ -179,7 +164,8 @@ def verify_fragment(
             )
         total = 0.0
         for ens in runs:
-            probs, ok, fids = _branch_fidelities(ens, choi, n_out)
+            fids = _branch_fidelities(ens, choi, n_out)
+            probs, ok = ens.probabilities, ens.possible
             total += float(probs.sum())
             possible += int(ok.sum())
             impossible += int((~ok).sum())
@@ -250,9 +236,9 @@ def verify_fragment_product_inputs(
         state = Statevector(n_in, vec)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            _, ok, fids = _branch_fidelities(ens, U @ vec, n_out)
-            if ok.any():
-                worst = max(worst, float((1.0 - fids[ok]).max()))
+            fids = _branch_fidelities(ens, U @ vec, n_out)
+            if ens.possible.any():
+                worst = max(worst, float((1.0 - fids[ens.possible]).max()))
     return worst
 
 
@@ -285,9 +271,8 @@ def infer_corrections(
     codes = np.zeros((1 << (2 * n_in), 1 << len(out_names)), dtype=np.int64)
     for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in)
-        weights = ens.weights()
-        ok = weights >= IMPOSSIBLE_PROB
-        fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, weights, 1.0)[:, None]
+        ok = ens.possible
+        fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
         hits = fids > 1.0 - FIT_TOL
         n_hits = hits.sum(axis=1)
         bad = np.nonzero(ok & (n_hits != 1))[0]
@@ -414,17 +399,6 @@ class BrickTableEntry:
     worst_infidelity: float
     branch_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "cz": self.cz,
-            "label": self.label,
-            "bases": self.bases,
-            "worst_infidelity": self.worst_infidelity,
-            "branch_count": self.branch_count,
-        }
-
 
 ADVERTISED_LANE_GATES = ("H", "S", "HSH", "HSHS", "HTH", "T")
 
@@ -506,7 +480,7 @@ def derive_brick_table(tol: float = 1e-9) -> list[BrickTableEntry]:
 
 def brick_table_to_json(entries: list[BrickTableEntry]) -> str:
     return json.dumps(
-        {"schema_version": 1, "entries": [e.to_dict() for e in entries]},
+        {"schema_version": 1, "entries": [asdict(e) for e in entries]},
         indent=2,
         sort_keys=True,
     )

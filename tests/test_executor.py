@@ -33,11 +33,11 @@ from ppmbqc.pattern import (
     Measurement,
     MeasurementPattern,
     PatternFragment,
+    _bare_fragment,
     compose,
 )
 from ppmbqc.pgraph import PGraph
 from ppmbqc.statevec import (
-    IMPOSSIBLE_PROB,
     Statevector,
     fidelity_up_to_phase,
     from_amplitudes,
@@ -213,6 +213,23 @@ def test_tape_and_exhaustive_agree_per_branch():
         assert tr.outcomes == traces[row].outcomes
 
 
+def test_unlikely_branch_of_possible_measurements_keeps_its_state():
+    # Each hair's outcome 1 has conditional probability about 0.04, so the
+    # all-ones branch is possible although its whole weight is far below
+    # the per-measurement threshold.
+    g = PGraph(11, 3, tuple((0, v, 1) for v in range(1, 11)))
+    p = MeasurementPattern(g, {v: Measurement(f"a{v}", BoolFn.zero()) for v in range(1, 11)})
+    ens = enumerate_pattern(p)
+    tr = ens.traces(_bare_fragment(p))[-1]
+    replay = run_pattern(p, OutcomeSource.fixed([1] * 10))
+    assert tr.outcomes == replay.outcomes
+    assert replay.probability == pytest.approx(6.4e-15, rel=0.01, abs=0)
+    assert tr.probability == pytest.approx(replay.probability, rel=1e-9, abs=0)
+    assert tr.state is not None
+    assert fidelity_up_to_phase(tr.state, replay.state) >= 1 - 1e-9
+    assert ens.possible.all()
+
+
 def test_determinism_after_frame_correction():
     # Inverse-frame-corrected branch outputs agree pairwise on every
     # library fragment (Choi input exercises the full channel).
@@ -374,15 +391,21 @@ def test_seeded_tape_and_exhaustive_runs_agree(case, spectators, seed):
         tape = [shot.outcomes[f.pattern.measurements[v].var] for v in shot.bases]
         replay = run_fragment(f, psi, errs, OutcomeSource.fixed(tape), spectators)
         row = int("".join(map(str, tape)) or "0", 2)
-        # Exhaustive rows below the threshold are impossible branches; a shot
-        # only checks each measurement's own probability against it.
-        same = [replay] + ([rows[row]] if shot.probability >= IMPOSSIBLE_PROB else [])
-        for other in same:
+        for other in (replay, rows[row]):
             assert other.outcomes == shot.outcomes
             assert other.probability == pytest.approx(shot.probability, abs=1e-12)
             assert fidelity_up_to_phase(other.state, shot.state) >= 1 - 1e-9
             assert other.bases == shot.bases
             assert other.frame == shot.frame
+    k = len(ens.order)
+    for row, possible in enumerate(ens.possible.tolist()):
+        tape = [(row >> (k - 1 - j)) & 1 for j in range(k)]
+        try:
+            run_fragment(f, psi, errs, OutcomeSource.fixed(tape), spectators)
+        except ImpossibleBranchError:
+            assert not possible
+        else:
+            assert possible
 
 
 def test_input_errors_must_name_input_vertices():

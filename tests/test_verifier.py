@@ -71,6 +71,19 @@ def test_report_shape_and_records():
     assert all(abs(t - 1.0) < 1e-9 for t in rep.probability_totals)
 
 
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_hierarchy_certificates_check_every_branch(k):
+    # hier_m8 has branches of probability near 3e-13 whose every measurement
+    # is possible; a certificate must compare them, not skip them.
+    from ppmbqc.fragments import builtin_fragment
+
+    f, label = builtin_fragment(f"hier_m{k}")
+    rep = verify_fragment(f, label, keep_branches=False)
+    assert rep.passed
+    assert rep.impossible_count == 0
+    assert rep.branch_count == 4 * 2**rep.measured_count
+
+
 def test_sampled_mode_agrees():
     rep = verify_fragment(e_fragment("T"), "T", branches=("sample", 5), keep_branches=False)
     assert rep.passed
