@@ -144,6 +144,13 @@ class _Lane:
         self.zeta = self.zeta ^ self.xi ^ BoolFn.var(var)
         self.slots.append(zrot(math.pi / 2))
 
+    def hair(self, var: str, half: bool) -> None:
+        """A half hair if ``half``, else a hair cut at the half multiplicity."""
+        if half:
+            self.half_hair(var)
+        else:
+            self.cut_hair(var, self.b.half_mult())
+
     def rotation_cluster(self, base_var: str, corrector_vars: list[str], exp: int) -> None:
         """Adaptive rotation by pi/2^exp with a correction cascade.
 
@@ -311,19 +318,10 @@ def _e_plan(b: _Builder, mode: str, with_middle_hair: bool) -> _Lane:
     lane = _Lane(b, "z", "x")
     lane.teleport("a")
     if with_middle_hair:
-        if mode == "H":
-            lane.half_hair("d")
-        else:
-            lane.cut_hair("d", b.half_mult())
+        lane.hair("d", mode == "H")
     lane.teleport("c")
-    if mode in ("T", "Tdg"):
-        lane.rotation_cluster("b", ["e"], exp=2)
-    elif mode == "S":
-        lane.cut_hair("b", 1)
-        lane.half_hair("e")
-    else:  # H
-        lane.cut_hair("b", 1)
-        lane.cut_hair("e", b.half_mult())
+    kind = {"T": "cluster", "Tdg": "cluster", "S": "half", "H": "cut"}[mode]
+    _quarter_group(lane, kind, "b", "e")
     return lane
 
 
@@ -410,21 +408,15 @@ _RIGHT_PLAN = {
 def _quarter_group(lane: _Lane, kind: str, base_var: str, half_var: str) -> None:
     if kind == "cluster":
         lane.rotation_cluster(base_var, [half_var], exp=2)
-    elif kind == "half":
-        lane.cut_hair(base_var, 1)
-        lane.half_hair(half_var)
     else:
         lane.cut_hair(base_var, 1)
-        lane.cut_hair(half_var, lane.b.half_mult())
+        lane.hair(half_var, kind == "half")
 
 
 def _top_hair(lane: _Lane, var: str, want_half: int, cz: int) -> None:
     # With the entangler off, the detached middle qubit injects a half
     # phase on this vertex, so the hair's role flips.
-    if bool(want_half) != bool(cz == 0):
-        lane.half_hair(var)
-    else:
-        lane.cut_hair(var, lane.b.half_mult())
+    lane.hair(var, bool(want_half) != (cz == 0))
 
 
 def brick(settings: BrickSettings) -> PatternFragment:
@@ -444,18 +436,12 @@ def brick(settings: BrickSettings) -> PatternFragment:
     left = _Lane(b, "z1", "x1")
     _quarter_group(left, lk, "b1", "e1")
     left.teleport("a1")
-    if lmid == "half":
-        left.half_hair("d1")
-    else:
-        left.cut_hair("d1", b.half_mult())
+    left.hair("d1", lmid == "half")
     left.teleport("c1")
     _top_hair(left, "s1", ltop, settings.cz)
 
     right = _Lane(b, "z2", "x2")
-    if rbot:
-        right.half_hair("s2")
-    else:
-        right.cut_hair("s2", b.half_mult())
+    right.hair("s2", bool(rbot))
     right.teleport("a2")
     _quarter_group(right, rk, "b2", "e2")
     right.teleport("c2")

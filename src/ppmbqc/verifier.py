@@ -25,7 +25,7 @@ from .executor import (
     enumerate_fragment,
     measurement_order,
 )
-from .fragments import LEFT_LANE_GATES, RIGHT_LANE_GATES, BrickSettings, brick
+from .fragments import LEFT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
 from .statevec import DEFAULT_QUBIT_CAP, Statevector
 from .unitaries import apply_frames, frame_bits, frame_codes, is_unitary, unitary_from_label
@@ -71,15 +71,35 @@ class VerificationReport:
             "probability_totals": self.probability_totals,
             "pass": self.passed,
         }
-        if len(self.records) <= MAX_RECORDS:
+        # A sampled run lists its records only when all of them fit.
+        rows = self.branch_count + self.impossible_count
+        if len(self.records) <= MAX_RECORDS and (self.mode == "all" or rows <= MAX_RECORDS):
             out["branches"] = [asdict(r) for r in self.records]
         return out
 
 
-def _as_matrix(target: np.ndarray | str) -> tuple[np.ndarray, str]:
-    if isinstance(target, str):
-        return unitary_from_label(target), target
-    return np.asarray(target, dtype=complex), "matrix"
+def _checked_target(f: PatternFragment, target: np.ndarray | str) -> tuple[np.ndarray, str]:
+    """The target as a matrix with its label, checked against the fragment."""
+    named = isinstance(target, str)
+    U = unitary_from_label(target) if named else np.asarray(target, dtype=complex)
+    n = len(f.inputs)
+    if len(f.outputs) != n:
+        raise DimensionError("equal input/output arity required for this check")
+    if U.shape != (1 << n, 1 << n):
+        raise DimensionError(f"target shape {U.shape} does not match arity {n}")
+    if not is_unitary(U):
+        raise DimensionError("target is not unitary")
+    return U, target if named else "matrix"
+
+
+def _sample_count(branches: str | tuple[str, int]) -> int:
+    """Seeded runs per error combination; 0 means exhaustive enumeration."""
+    if branches == "all":
+        return 0
+    kind, k = branches if isinstance(branches, tuple) and len(branches) == 2 else ("", 0)
+    if kind == "sample" and type(k) is int and k >= 1:  # bool is not a count
+        return k
+    raise ValueError(f"branches must be 'all' or ('sample', k >= 1): {branches!r}")
 
 
 def choi_input(wires: int) -> Statevector:
@@ -124,47 +144,40 @@ def verify_fragment(
     enumeration or ``("sample", k)`` for k seeded runs per error combo;
     ``tol`` is the worst accepted infidelity, strictly between 0 and 1.
     """
-    U, label = _as_matrix(target)
-    n_in, n_out = len(f.inputs), len(f.outputs)
-    if n_in != n_out:
-        raise DimensionError("equal input/output arity required for this check")
-    if U.shape != (1 << n_out, 1 << n_in):
-        raise DimensionError(f"target shape {U.shape} does not match arity {n_in}")
-    if not is_unitary(U):
-        raise DimensionError("target is not unitary")
+    U, label = _checked_target(f, target)
+    n = len(f.inputs)
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
 
     measured = len(f.pattern.measurements)
-    exhaustive = branches == "all"
-    sample_count = 0 if exhaustive else int(branches[1])
-    if not exhaustive and (branches[0] != "sample" or sample_count < 1):
-        raise ValueError(f"branches must be 'all' or ('sample', k >= 1): {branches!r}")
+    sample_count = _sample_count(branches)
+    exhaustive = sample_count == 0
     records: list[BranchRecord] = []
     worst = 0.0
     totals: list[float] = []
     possible = impossible = 0
 
-    choi = U / math.sqrt(1 << n_in)
-    keep = keep_branches
-    if keep is None:
-        keep = (1 << measured) * (1 << (2 * n_in)) <= MAX_RECORDS or not exhaustive
+    choi = U / math.sqrt(1 << n)
+    # Both modes know their record count up front: the rows of one error
+    # combination times the 4^n combinations.
+    rows = (1 << measured) if exhaustive else sample_count
+    keep = rows << (2 * n) <= MAX_RECORDS if keep_branches is None else keep_branches
 
     for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
         if exhaustive:
-            runs = [enumerate_fragment(f, choi_input(n_in), errs, n_in)]
+            runs = [enumerate_fragment(f, choi_input(n), errs, n)]
         else:
             base = seed * 0x9E3779B1 + combo * 1009
             runs = (
                 _execute(
                     f, OutcomeSource.seeded((base + k) & 0x7FFFFFFF),
-                    choi_input(n_in), errs, n_in, DEFAULT_QUBIT_CAP,
+                    choi_input(n), errs, n, DEFAULT_QUBIT_CAP,
                 )
                 for k in range(sample_count)
             )
         total = 0.0
         for ens in runs:
-            fids = _branch_fidelities(ens, choi, n_out)
+            fids = _branch_fidelities(ens, choi, n)
             probs, ok = ens.probabilities, ens.possible
             total += float(probs.sum())
             possible += int(ok.sum())
@@ -224,19 +237,18 @@ def verify_fragment_product_inputs(
     a spanning single-qubit set; ``with_errors`` additionally sweeps every
     input Pauli-error combination.
     """
-    U, _ = _as_matrix(target)
-    n_in = len(f.inputs)
-    n_out = len(f.outputs)
+    U, _ = _checked_target(f, target)
+    n = len(f.inputs)
     worst = 0.0
     combos = list(_error_combos(f.inputs)) if with_errors else [({}, ())]
-    for labels in product(PRODUCT_INPUT_STATES, repeat=n_in):
+    for labels in product(PRODUCT_INPUT_STATES, repeat=n):
         vec = np.array([1.0], dtype=complex)
         for name in labels:
             vec = np.kron(vec, PRODUCT_INPUT_STATES[name])
-        state = Statevector(n_in, vec)
+        state = Statevector(n, vec)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            fids = _branch_fidelities(ens, U @ vec, n_out)
+            fids = _branch_fidelities(ens, U @ vec, n)
             if ens.possible.any():
                 worst = max(worst, float((1.0 - fids[ens.possible]).max()))
     return worst
@@ -254,10 +266,8 @@ def infer_corrections(
     truth tables are converted to polynomials with the exact GF(2) Moebius
     transform and certified before being returned.
     """
-    U, label = _as_matrix(target)
-    n_in, n_out = len(f.inputs), len(f.outputs)
-    if U.shape != (1 << n_out, 1 << n_in):
-        raise DimensionError("target shape mismatch")
+    U, label = _checked_target(f, target)
+    n = len(f.inputs)
     out_names = [f.pattern.measurements[v].var for v in measurement_order(f)]
     err_names = [name for v in f.inputs for name in f.input_errors[v]]
     names = err_names + out_names
@@ -265,12 +275,12 @@ def infer_corrections(
     if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
-    frames = 1 << (2 * n_out)
-    targets = apply_frames(np.arange(frames), U / math.sqrt(1 << n_in), n_out)
+    frames = 1 << (2 * n)
+    targets = apply_frames(np.arange(frames), U / math.sqrt(1 << n), n)
     targets = targets.reshape(frames, -1).conj().T
-    codes = np.zeros((1 << (2 * n_in), 1 << len(out_names)), dtype=np.int64)
+    codes = np.zeros((frames, 1 << len(out_names)), dtype=np.int64)
     for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
-        ens = enumerate_fragment(f, choi_input(n_in), errs, spectators=n_in)
+        ens = enumerate_fragment(f, choi_input(n), errs, spectators=n)
         ok = ens.possible
         fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
         hits = fids > 1.0 - FIT_TOL
@@ -287,7 +297,7 @@ def infer_corrections(
     # Combos count up in frame-code order and row r of an enumeration packs
     # the outcomes in order, first one most significant, so the flat codes
     # are the truth table over ``names``.
-    table = frame_bits(codes.reshape(-1), n_out)
+    table = frame_bits(codes.reshape(-1), n)
     fitted = {
         o: Correction(mobius_anf(table[:, w, 0], names), mobius_anf(table[:, w, 1], names))
         for w, o in enumerate(f.outputs)
@@ -306,41 +316,6 @@ def with_corrections(f: PatternFragment, corr: dict[int, Correction]) -> Pattern
     return PatternFragment(f.pattern, f.inputs, f.outputs, f.input_errors, corr)
 
 
-def classify_unitary(
-    U: np.ndarray,
-    dictionary: dict[str, np.ndarray],
-    threshold: float = 1.0 - 1e-9,
-) -> str | None:
-    """Name a unitary by normalized trace overlap, or return None."""
-    U = np.asarray(U, dtype=complex)
-    if not is_unitary(U):
-        raise DimensionError("input deviates from unitarity beyond 1e-9")
-    dim = U.shape[0]
-    best_label, best_score = None, 0.0
-    for name, V in dictionary.items():
-        if V.shape != U.shape:
-            continue
-        score = abs(np.trace(V.conj().T @ U)) / dim
-        if score > best_score:
-            best_label, best_score = name, score
-    return best_label if best_score > threshold else None
-
-
-def classify_up_to_frame(
-    U: np.ndarray,
-    dictionary: dict[str, np.ndarray],
-    wires: int,
-    threshold: float = 1.0 - 1e-9,
-) -> tuple[str, tuple[tuple[int, int], ...]] | None:
-    """Classify allowing an extra per-wire Pauli frame in front."""
-    for code in range(1 << (2 * wires)):
-        # P U equals P^dag U up to sign, which the trace overlap ignores.
-        label = classify_unitary(apply_frames(code, U, wires), dictionary, threshold)
-        if label is not None:
-            return label, tuple(map(tuple, frame_bits(code, wires).tolist()))
-    return None
-
-
 def operator_schmidt_rank(U: np.ndarray) -> int:
     """Rank of a two-qubit operator across the wire bipartition."""
     M = np.asarray(U, dtype=complex).reshape(2, 2, 2, 2)
@@ -349,36 +324,7 @@ def operator_schmidt_rank(U: np.ndarray) -> int:
     return int((s > 1e-9 * s[0]).sum())
 
 
-def branch_operator(states: np.ndarray, row: int, wires: int) -> np.ndarray:
-    """Extract the conditional linear map of one branch from Choi output."""
-    dim = 1 << wires
-    M = states[row].reshape(dim, dim) * math.sqrt(dim)
-    norm = np.linalg.norm(M) / math.sqrt(dim)
-    if norm < 1e-9:
-        raise InferenceError("branch has no support")
-    return M / norm
-
-
 # -- brick table -------------------------------------------------------
-
-
-def standard_dictionary() -> dict[str, np.ndarray]:
-    labels = [
-        "I", "X", "Y", "Z", "H", "S", "Sdg", "T", "Tdg",
-        "HSH", "HSHS", "HTH", "HTdgH", "X(pi/2)",
-        "CZ", "CNOT", "(SxS)*CZ", "SxS",
-    ]
-    return {name: unitary_from_label(name) for name in labels}
-
-
-def _lane_dictionary() -> dict[str, np.ndarray]:
-    labels = (
-        BrickSettings(l, r, cz).label()
-        for l in LEFT_LANE_GATES
-        for r in RIGHT_LANE_GATES
-        for cz in (0, 1)
-    )
-    return {label: unitary_from_label(label) for label in labels}
 
 
 def _basis_assignment(f: PatternFragment) -> dict[str, str]:
@@ -414,30 +360,6 @@ def canonical_brick_settings() -> list[BrickSettings]:
             else:
                 rows.append(BrickSettings("PAD", gate, cz))
     return rows
-
-
-def scan_brick_settings() -> dict[tuple[str, str, int], str]:
-    """Cheap classification sweep over every realizable settings triple.
-
-    Runs a single sampled branch per triple and classifies the conditional
-    map up to a Pauli frame. Full certification is reserved for the table.
-    """
-    dictionary = _lane_dictionary()
-    out = {}
-    for l in LEFT_LANE_GATES:
-        for r in RIGHT_LANE_GATES:
-            for cz in (0, 1):
-                frag = brick(BrickSettings(l, r, cz))
-                src = OutcomeSource.seeded(0xC0FFEE)
-                ens = _execute(frag, src, choi_input(2), None, 2, DEFAULT_QUBIT_CAP)
-                M = branch_operator(ens.states, 0, 2)
-                hit = classify_up_to_frame(M, dictionary, wires=2, threshold=1 - 1e-7)
-                if hit is None:
-                    raise TableDerivationError(
-                        f"settings ({l},{r},cz={cz}) classify as nothing"
-                    )
-                out[(l, r, cz)] = hit[0]
-    return out
 
 
 def derive_brick_table(tol: float = 1e-9) -> list[BrickTableEntry]:

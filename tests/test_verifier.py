@@ -1,38 +1,36 @@
-"""Certification engine: Choi checks, inference, classification, table."""
+"""Certification engine: Choi checks, inference, settings certificates, table."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from ppmbqc.boolfn import BoolFn
 from ppmbqc.errors import DimensionError, InferenceError
-from ppmbqc.fragments import BrickSettings, brick, cz_fragment, e_fragment, xhalf_fragment
+from ppmbqc.fragments import (
+    LEFT_LANE_GATES,
+    RIGHT_LANE_GATES,
+    BrickSettings,
+    brick,
+    cz_fragment,
+    e_fragment,
+    xhalf_fragment,
+)
 from ppmbqc.pattern import Correction
 from ppmbqc.compiler import load_brick_table
 from ppmbqc.executor import OutcomeSource, measurement_order, run_fragment
+from ppmbqc.unitaries import unitary_from_label
 from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
     canonical_brick_settings,
     choi_input,
-    classify_unitary,
-    classify_up_to_frame,
     infer_corrections,
     operator_schmidt_rank,
-    scan_brick_settings,
-    standard_dictionary,
     verify_fragment,
     verify_fragment_product_inputs,
     with_corrections,
 )
-
-RNG = np.random.default_rng(0xD1CE)
-
-
-def haar(dim):
-    a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def test_xhalf_passes_and_crosschecks_with_product_inputs():
@@ -96,10 +94,44 @@ def test_verify_rejects_tolerances_outside_the_open_unit_interval(tol):
         verify_fragment(xhalf_fragment(), "T", tol=tol)
 
 
-@pytest.mark.parametrize("branches", [("sample", 0), ("sample", -3), ("every", 2)])
+@pytest.mark.parametrize(
+    "branches",
+    [("sample", 0), ("sample", -3), ("every", 2), ("sample",), None, ("sample", 2.5),
+     ("sample", "3"), ("sample", True), ("sample", 3, 1)],
+)
 def test_sampled_mode_rejects_counts_below_one(branches):
-    with pytest.raises(ValueError):
+    # Only "all" or exactly ("sample", k) with an int k >= 1 is a mode.
+    with pytest.raises(ValueError, match="branches must be 'all' or"):
         verify_fragment(xhalf_fragment(), "X(pi/2)", branches=branches)
+
+
+@pytest.mark.parametrize("target", [0.5 * np.eye(2), np.eye(4)], ids=["scaled", "too-wide"])
+@pytest.mark.parametrize(
+    "check", [verify_fragment, verify_fragment_product_inputs, infer_corrections]
+)
+def test_every_certification_entry_point_checks_its_target(check, target, monkeypatch):
+    def enumerate_fragment(*args, **kwargs):
+        pytest.fail("enumerated branches before checking the target")
+
+    monkeypatch.setattr("ppmbqc.verifier.enumerate_fragment", enumerate_fragment)
+    with pytest.raises(DimensionError):
+        check(xhalf_fragment(), target)
+
+
+def test_both_modes_keep_records_only_when_they_fit(monkeypatch):
+    # xhalf has 4 error combinations and 1 measurement: k shots give 4k
+    # records, enumeration gives 8; e_t's enumeration gives 4 * 2^5.
+    monkeypatch.setattr("ppmbqc.verifier.MAX_RECORDS", 8)
+    f = xhalf_fragment()
+    for branches in ("all", ("sample", 2)):
+        fits = verify_fragment(f, "X(pi/2)", branches=branches)
+        assert len(fits.records) == 8 == len(fits.to_dict()["branches"])
+    over = verify_fragment(f, "X(pi/2)", branches=("sample", 3))
+    assert over.passed and over.records == [] and "branches" not in over.to_dict()
+    kept = verify_fragment(f, "X(pi/2)", branches=("sample", 3), keep_branches=True)
+    assert len(kept.records) == 12
+    enumerated = verify_fragment(e_fragment("T"), "T")
+    assert enumerated.records == [] and enumerated.to_dict()["branches"] == []
 
 
 def test_sampled_records_follow_the_measurement_order():
@@ -178,36 +210,10 @@ def test_infer_fails_against_wrong_target():
         infer_corrections(f, "T")
 
 
-def test_classify_examples():
-    d = standard_dictionary()
-    assert classify_unitary(np.diag([1, 1j, 1j, 1]).astype(complex), d) == "(SxS)*CZ"
-    assert classify_unitary(np.array([[1, 1], [1, -1]]) / math.sqrt(2), d) == "H"
-    assert classify_unitary(haar(4), d) is None
-
-
-def test_classification_is_phase_blind():
-    d = standard_dictionary()
-    theta = float(RNG.uniform(0, 2 * math.pi))
-    U = np.exp(1j * theta) * d["HTH"]
-    assert classify_unitary(U, d) == "HTH"
-
-
-def test_classify_rejects_non_unitary():
-    with pytest.raises(DimensionError):
-        classify_unitary(np.array([[1, 0], [0, 0.5]], dtype=complex), standard_dictionary())
-
-
-def test_classify_up_to_frame():
-    d = standard_dictionary()
-    dressed = np.kron(np.diag([1, -1]), np.eye(2)) @ d["CZ"]
-    hit = classify_up_to_frame(dressed, d, wires=2)
-    assert hit is not None and hit[0] == "CZ"
-
-
 def test_operator_schmidt_rank_examples():
-    assert operator_schmidt_rank(standard_dictionary()["CZ"]) == 2
+    assert operator_schmidt_rank(unitary_from_label("CZ")) == 2
     assert operator_schmidt_rank(np.kron(np.diag([1, 1j]), np.diag([1, 1j]))) == 1
-    assert operator_schmidt_rank(standard_dictionary()["CNOT"]) == 2
+    assert operator_schmidt_rank(unitary_from_label("CNOT")) == 2
 
 
 def test_choi_input_is_bell_pairs():
@@ -247,10 +253,15 @@ def test_one_shipped_entry_reverifies():
     assert rep.passed and rep.branch_count == e["branch_count"]
 
 
-def test_settings_scan_matches_advertised_labels():
-    scan = scan_brick_settings()
-    for (l, r, cz), label in scan.items():
-        assert label == BrickSettings(l, r, cz).label()
+def test_every_brick_setting_certifies_against_its_label():
+    # One sampled branch per error combination certifies each realizable
+    # (left, right, cz) triple, PAD lanes included, against its own label.
+    triples = list(product(LEFT_LANE_GATES, RIGHT_LANE_GATES, (0, 1)))
+    assert len(triples) == 98
+    for triple in triples:
+        s = BrickSettings(*triple)
+        rep = verify_fragment(brick(s), s.label(), branches=("sample", 1))
+        assert rep.passed and rep.branch_count == 16, (s, rep.worst_infidelity)
 
 
 def test_end_hairs_cancel_against_each_other():
@@ -279,12 +290,6 @@ def test_end_hairs_cancel_against_each_other():
     for bases in ("X", "Z"):
         rep = verify_fragment(pad_lane(bases), "I", keep_branches=False)
         assert rep.passed, (bases, rep.worst_infidelity)
-
-
-def test_pad_settings_classify_as_identity_lanes():
-    scan = scan_brick_settings()
-    assert scan[("PAD", "PAD", 0)] == "IxI"
-    assert scan[("PAD", "PAD", 1)] == "CZ*(IxI)"
 
 
 def test_cz_off_rows_have_no_entangling_power():
@@ -319,16 +324,3 @@ def test_product_input_sweep_covers_the_brick():
     # entangled path, this is the independent input-basis cross-check.
     frag = brick(BrickSettings("T", "HTH", 0))
     assert verify_fragment_product_inputs(frag, "TxHTH", with_errors=False) < 1e-9
-
-
-def test_branch_operator_extracts_conditional_maps():
-    from ppmbqc.executor import enumerate_fragment
-    from ppmbqc.verifier import branch_operator, standard_dictionary
-
-    frag = cz_fragment(1)
-    ens = enumerate_fragment(frag, choi_input(2), spectators=2)
-    probs = ens.probabilities
-    row = int(np.nonzero(probs > 0)[0][0])
-    M = branch_operator(ens.states, row, 2)
-    hit = classify_up_to_frame(M, standard_dictionary(), wires=2)
-    assert hit is not None and hit[0] == "CZ"
