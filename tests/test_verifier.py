@@ -253,7 +253,7 @@ def test_one_shipped_entry_reverifies():
     assert rep.passed and rep.branch_count == e["branch_count"]
 
 
-def test_every_brick_setting_certifies_against_its_label():
+def test_settings_scan_matches_advertised_labels():
     # One sampled branch per error combination certifies each realizable
     # (left, right, cz) triple, PAD lanes included, against its own label.
     triples = list(product(LEFT_LANE_GATES, RIGHT_LANE_GATES, (0, 1)))
@@ -290,6 +290,21 @@ def test_end_hairs_cancel_against_each_other():
     for bases in ("X", "Z"):
         rep = verify_fragment(pad_lane(bases), "I", keep_branches=False)
         assert rep.passed, (bases, rep.worst_infidelity)
+
+
+def test_pad_settings_classify_as_identity_lanes():
+    # PAD lanes realize the identity: with and without the CZ, the brick
+    # certifies against the explicit identity-lane labels, not only
+    # against whatever BrickSettings.label() names it.
+    for cz, label in ((0, "IxI"), (1, "CZ*(IxI)")):
+        s = BrickSettings("PAD", "PAD", cz)
+        assert s.label() == label
+        rep = verify_fragment(brick(s), label, branches=("sample", 1))
+        assert rep.passed and rep.branch_count == 16, (cz, rep.worst_infidelity)
+    wrong = verify_fragment(
+        brick(BrickSettings("PAD", "PAD", 1)), "IxI", branches=("sample", 1)
+    )
+    assert not wrong.passed
 
 
 def test_cz_off_rows_have_no_entangling_power():
