@@ -26,7 +26,6 @@ from .executor import (
 from .fragments import builtin_fragment
 from .pattern import PatternFragment, fragment_from_json
 from .statevec import plus_state
-from .unitaries import LabelError
 from .verifier import brick_table_to_json, derive_brick_table, verify_fragment
 
 
@@ -209,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
             print(parser.format_usage().strip(), file=sys.stderr)
             print(f"error: {err}", file=sys.stderr)
         return 2
-    except (PpmError, LabelError, OSError, ValueError) as err:
+    except (PpmError, OSError, ValueError) as err:
         if as_json:
             print(json.dumps({"error": str(err)}))
         else:

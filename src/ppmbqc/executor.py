@@ -40,14 +40,7 @@ from .errors import (
     PpmError,
     StateSizeError,
 )
-from .pattern import (
-    BASIS_BY_CHOICE,
-    MeasurementPattern,
-    PatternFragment,
-    _bare_fragment,
-    _ready_order,
-    dependency_schedule,
-)
+from .pattern import BASIS_BY_CHOICE, PatternFragment, _ready_order, dependency_schedule
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     IMPOSSIBLE_PROB,
@@ -125,14 +118,12 @@ def measurement_order(f: PatternFragment) -> list[int]:
     produced. A cyclic dependency raises :class:`WellFoundednessError`
     carrying the cycle.
     """
-    return _ready_order(f.pattern, set(f.error_variables()))[0]
+    return _ready_order(f)[0]
 
 
-def feed_forward_depth(p: MeasurementPattern | PatternFragment) -> int:
+def feed_forward_depth(f: PatternFragment) -> int:
     """Number of sequential measurement rounds."""
-    if isinstance(p, PatternFragment):
-        return len(p.schedule())
-    return len(dependency_schedule(p))
+    return len(dependency_schedule(f))
 
 
 @dataclass
@@ -329,13 +320,12 @@ def _execute(
     input_state: Statevector | None,
     input_errors: dict[int, tuple[int, int]] | None,
     spectators: int,
-    cap: int,
 ) -> BranchEnsemble:
     """Run the fragment's plan with outcomes from ``src``, or all of them if None.
 
     A run with a source keeps one row; without one, every row splits into
-    both outcomes at every measurement. ``cap`` bounds log2(rows) plus the
-    live qubits after every allocation, the input register included.
+    both outcomes at every measurement. ``DEFAULT_QUBIT_CAP`` bounds log2(rows)
+    plus the live qubits after every allocation, the input register included.
     """
     n, n_in = f.pattern.graph.vertex_count, len(f.inputs)
     if input_state is None:
@@ -369,8 +359,8 @@ def _execute(
         input_state.amplitudes.reshape(1 << n_in, -1),
         n_in,
     ).reshape(1, -1)
-    if len(axes) > cap:
-        raise StateSizeError(f"{len(axes)} qubits exceed cap {cap}")
+    if len(axes) > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{len(axes)} qubits exceed cap {DEFAULT_QUBIT_CAP}")
     hist = [0] * (2 * k) + frame  # columns as in _Plan
     if draw is None:
         hist = np.array(hist, dtype=np.uint8).reshape(-1, 1)
@@ -381,8 +371,8 @@ def _execute(
         fresh = plan.fresh[step]
         if fresh:
             qubits = amps.shape[0].bit_length() - 1 + len(axes) + len(fresh)
-            if qubits > cap:
-                raise StateSizeError(f"{qubits} qubits would exceed cap {cap}")
+            if qubits > DEFAULT_QUBIT_CAP:
+                raise StateSizeError(f"{qubits} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
             amps = np.repeat(amps, 1 << len(fresh), axis=1) * 2.0 ** (-len(fresh) / 2)
             axes.extend(fresh)
         for u, w, table in plan.edges[step]:
@@ -437,19 +427,13 @@ def run_fragment(
     input_errors: dict[int, tuple[int, int]] | None = None,
     src: OutcomeSource = OutcomeSource(),
     spectators: int = 0,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> ExecutionTrace:
     """Execute a fragment on an input state with declared Pauli errors.
 
     The last ``spectators`` qubits of ``input_state`` are reference qubits
     that ride along untouched and follow the outputs in the result.
     """
-    return _execute(f, src, input_state, input_errors, spectators, cap).traces(f)[0]
-
-
-def run_pattern(p: MeasurementPattern, src: OutcomeSource) -> ExecutionTrace:
-    """Execute a pattern: resource prepared, vertices measured adaptively."""
-    return run_fragment(_bare_fragment(p), plus_state(0), src=src)
+    return _execute(f, src, input_state, input_errors, spectators).traces(f)[0]
 
 
 def enumerate_fragment(
@@ -457,11 +441,6 @@ def enumerate_fragment(
     input_state: Statevector | None = None,
     input_errors: dict[int, tuple[int, int]] | None = None,
     spectators: int = 0,
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> BranchEnsemble:
     """Enumerate every outcome branch with shared-prefix vectorization."""
-    return _execute(f, None, input_state, input_errors, spectators, cap)
-
-
-def enumerate_pattern(p: MeasurementPattern) -> BranchEnsemble:
-    return enumerate_fragment(_bare_fragment(p))
+    return _execute(f, None, input_state, input_errors, spectators)

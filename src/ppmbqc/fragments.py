@@ -237,10 +237,6 @@ def _finalize(
         )
     subst = _resolve_clusters(b, signs)
 
-    measurements = {
-        v: Measurement(m.var, m.choice.substitute(subst))
-        for v, m in b.measurements.items()
-    }
     corrections: dict[int, Correction] = {}
     outputs = []
     for lane, (zbit, xbit) in zip(lanes, frame):
@@ -254,7 +250,7 @@ def _finalize(
 
     graph = PGraph(b.count, b.m, tuple(b.edges))
     return PatternFragment(
-        MeasurementPattern(graph, measurements),
+        MeasurementPattern(graph, b.measurements),
         tuple(b.inputs),
         tuple(outputs),
         dict(b.input_errors),

@@ -62,44 +62,52 @@ class MeasurementPattern:
     def producer_of(self) -> dict[str, int]:
         return {m.var: v for v, m in self.measurements.items()}
 
-    def validate_references(self, ambient: set[str]) -> None:
-        """Check choice functions only read other outcomes or ambient names."""
-        producers = self.producer_of()
-        for v, meas in self.measurements.items():
-            for name in meas.choice.variables:
-                if name in ambient:
-                    continue
-                if name not in producers:
-                    raise StructuralError(
-                        f"vertex {v} choice references unknown variable {name!r}"
-                    )
-                if producers[name] == v:
-                    raise StructuralError(f"vertex {v} choice references its own outcome")
 
+def _dependencies(pattern: MeasurementPattern, ambient: set[str]) -> dict[int, set[int]]:
+    """Each measured vertex's producers of the non-ambient outcomes its choice reads.
 
-def _ready_order(
-    pattern: MeasurementPattern, ambient: set[str]
-) -> tuple[list[int], dict[int, set[int]]]:
-    """Measured vertices lowest ready first, plus each vertex's dependencies.
-
-    A vertex is ready once every non-ambient outcome its (valid) choice
-    function reads has been produced. A cyclic dependency raises
-    :class:`WellFoundednessError` carrying one offending cycle.
+    A choice may read only other outcomes or ambient names; an unknown or
+    self reference raises :class:`StructuralError`.
     """
     producers = pattern.producer_of()
     deps: dict[int, set[int]] = {}
-    readers: dict[int, list[int]] = {v: [] for v in pattern.measurements}
-    for v, m in pattern.measurements.items():
-        deps[v] = {producers[name] for name in m.choice.variables if name not in ambient}
-        for u in deps[v]:
+    for v, meas in pattern.measurements.items():
+        deps[v] = set()
+        for name in meas.choice.variables:
+            if name in ambient:
+                continue
+            if name not in producers:
+                raise StructuralError(
+                    f"vertex {v} choice references unknown variable {name!r}"
+                )
+            if producers[name] == v:
+                raise StructuralError(f"vertex {v} choice references its own outcome")
+            deps[v].add(producers[name])
+    return deps
+
+
+def _ready_order(f: PatternFragment) -> tuple[list[int], dict[int, int]]:
+    """Measured vertices lowest ready first, plus each vertex's feed-forward round.
+
+    A vertex is ready once every outcome its choice function reads has been
+    produced; input-error variables are known from the start. A cyclic
+    dependency raises :class:`WellFoundednessError` carrying one offending
+    cycle.
+    """
+    deps = _dependencies(f.pattern, set(f.error_variables()))
+    readers: dict[int, list[int]] = {v: [] for v in deps}
+    for v, us in deps.items():
+        for u in us:
             readers[u].append(v)
     waiting = {v: len(us) for v, us in deps.items()}
     ready = [v for v, count in waiting.items() if not count]
     heapq.heapify(ready)
     order: list[int] = []
+    depth: dict[int, int] = {}
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
+        depth[v] = 1 + max((depth[u] for u in deps[v]), default=-1)
         for w in readers[v]:
             waiting[w] -= 1
             if not waiting[w]:
@@ -115,25 +123,18 @@ def _ready_order(
         raise WellFoundednessError(
             f"cyclic dependency between vertices {cycle}", cycle=cycle
         )
-    return order, deps
+    return order, depth
 
 
-def dependency_schedule(
-    pattern: MeasurementPattern, ambient: set[str] | None = None
-) -> list[list[int]]:
-    """Group measured vertices into feed-forward rounds.
+def dependency_schedule(f: PatternFragment) -> list[list[int]]:
+    """Group a fragment's measured vertices into feed-forward rounds.
 
     Round 0 holds every vertex whose choice function is constant (or reads
-    only ambient names such as input-error variables); round r+1 holds
-    vertices depending only on earlier rounds. Cyclic dependencies raise
-    :class:`WellFoundednessError` carrying one offending cycle.
+    only input-error variables); round r+1 holds vertices depending only on
+    earlier rounds. Cyclic dependencies raise :class:`WellFoundednessError`
+    carrying one offending cycle.
     """
-    ambient = ambient or set()
-    pattern.validate_references(ambient)
-    order, deps = _ready_order(pattern, ambient)
-    depth: dict[int, int] = {}
-    for v in order:
-        depth[v] = 1 + max((depth[u] for u in deps[v]), default=-1)
+    _, depth = _ready_order(f)
     rounds: list[list[int]] = [[] for _ in range(max(depth.values(), default=-1) + 1)]
     for v, d in depth.items():
         rounds[d].append(v)
@@ -179,7 +180,7 @@ class PatternFragment:
         if len(names) != len(set(names)):
             raise StructuralError("variable names must be globally fresh")
         allowed = set(names)
-        self.pattern.validate_references(set(self.error_variables()))
+        _dependencies(self.pattern, set(self.error_variables()))
         for v, corr in self.corrections.items():
             for fn in (corr.zeta, corr.xi):
                 for name in fn.variables:
@@ -193,9 +194,6 @@ class PatternFragment:
         for v in self.inputs:
             out.extend(self.input_errors[v])
         return tuple(out)
-
-    def schedule(self) -> list[list[int]]:
-        return dependency_schedule(self.pattern, set(self.error_variables()))
 
     def _all_variables(self) -> tuple[str, ...]:
         return tuple(self.pattern.producer_of()) + self.error_variables()
@@ -222,13 +220,6 @@ def compose(
     choices thread through automatically. Unwired inputs and outputs pass
     through to the composite.
     """
-    return compose_with_map(f1, f2, wiring)[0]
-
-
-def compose_with_map(
-    f1: PatternFragment, f2: PatternFragment, wiring: dict[int, int]
-) -> tuple[PatternFragment, dict[int, int]]:
-    """Like :func:`compose`, also returning the f2-to-composite vertex map."""
     g1, g2 = f1.pattern.graph, f2.pattern.graph
     if g1.base_exponent != g2.base_exponent:
         raise StructuralError("base exponents differ")
@@ -264,14 +255,16 @@ def compose_with_map(
     )
     # A wired vertex that was also an f1 input stays an input; if it was
     # measured by f2 it is no longer an output, which the relabel handles.
-    composite = PatternFragment(
+    return PatternFragment(
         MeasurementPattern(PGraph(n, g1.base_exponent, tuple(edges)), measurements),
         inputs,
         outputs,
         input_errors,
         corrections,
     )
-    return composite, relabel
+
+
+compose_with_map = compose  # the name bench/tracer.py wraps
 
 
 def _attach(
@@ -348,14 +341,6 @@ def fragment_to_dict(f: PatternFragment) -> dict:
             for v in sorted(f.corrections)
         },
     }
-
-
-def _bare_fragment(p: MeasurementPattern) -> PatternFragment:
-    outputs = tuple(
-        v for v in range(p.graph.vertex_count) if v not in p.measurements
-    )
-    corrections = {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in outputs}
-    return PatternFragment(p, (), outputs, {}, corrections)
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}

@@ -13,6 +13,7 @@ import re
 import numpy as np
 
 from . import statevec as sv
+from .errors import PpmError
 
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
@@ -47,8 +48,8 @@ def parity_phase_matrix(alpha: float) -> np.ndarray:
     return np.diag(sv.phase_table(alpha).reshape(-1))
 
 
-class LabelError(ValueError):
-    pass
+class LabelError(PpmError, ValueError):
+    """A target label or angle that does not parse."""
 
 
 def parse_angle(text: str) -> float:

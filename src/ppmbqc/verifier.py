@@ -27,11 +27,11 @@ from .executor import (
 )
 from .fragments import LEFT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
-from .statevec import DEFAULT_QUBIT_CAP, Statevector
+from .statevec import Statevector
 from .unitaries import apply_frames, frame_bits, frame_codes, is_unitary, unitary_from_label
 
 FIT_TOL = 1e-7
-# Largest number of branch records a report keeps by default, or lists in its JSON.
+# Largest number of branch records a report keeps by default; its JSON lists what it kept.
 MAX_RECORDS = 4096
 # Largest truth table, in outcome and error bits, that inference will fit.
 MAX_TABLE_BITS = 20
@@ -71,9 +71,7 @@ class VerificationReport:
             "probability_totals": self.probability_totals,
             "pass": self.passed,
         }
-        # A sampled run lists its records only when all of them fit.
-        rows = self.branch_count + self.impossible_count
-        if len(self.records) <= MAX_RECORDS and (self.mode == "all" or rows <= MAX_RECORDS):
+        if self.records:
             out["branches"] = [asdict(r) for r in self.records]
         return out
 
@@ -168,12 +166,9 @@ def verify_fragment(
             runs = [enumerate_fragment(f, choi_input(n), errs, n)]
         else:
             base = seed * 0x9E3779B1 + combo * 1009
+            seeds = ((base + k) & 0x7FFFFFFF for k in range(sample_count))
             runs = (
-                _execute(
-                    f, OutcomeSource.seeded((base + k) & 0x7FFFFFFF),
-                    choi_input(n), errs, n, DEFAULT_QUBIT_CAP,
-                )
-                for k in range(sample_count)
+                _execute(f, OutcomeSource.seeded(s), choi_input(n), errs, n) for s in seeds
             )
         total = 0.0
         for ens in runs:

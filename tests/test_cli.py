@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ppmbqc.cli import main
+from ppmbqc.compiler import load_brick_table
 from ppmbqc.fragments import builtin_fragment, hierarchy_fragment
 from ppmbqc.pattern import fragment_to_json
 
@@ -316,3 +317,19 @@ def test_multiplicity_past_float_range_runs(tmp_path, capsys):
     payload = json.loads(out)
     assert set(payload["outcomes"]) == {"a"}
     assert payload["probability"] == pytest.approx(0.5)
+
+
+def test_table_command_reproduces_the_shipped_table(tmp_path, capsys):
+    # One full derivation (about 7 s): catches a shipped table gone stale.
+    out = tmp_path / "table.json"
+    code, stdout, _ = run_cli(capsys, "--json", "table", "--out", str(out))
+    assert code == 0
+    assert json.loads(stdout)["entries"] == 18
+    derived = json.loads(out.read_text())["entries"]
+    shipped = load_brick_table()["entries"]
+    assert len(derived) == len(shipped)
+    for got, want in zip(derived, shipped):
+        assert got.keys() == want.keys()
+        assert got["worst_infidelity"] == pytest.approx(want["worst_infidelity"], rel=0, abs=1e-12)
+        for key in want.keys() - {"worst_infidelity"}:
+            assert got[key] == want[key], key

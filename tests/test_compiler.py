@@ -1,10 +1,14 @@
 """Circuit parsing, brick compilation, layout, exports."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from ppmbqc import compiler
 from ppmbqc.boolfn import BoolFn
+from ppmbqc.cli import main
 from ppmbqc.compiler import (
     BrickLayer,
     Circuit,
@@ -299,3 +303,21 @@ def test_exported_json_has_schema_version_one():
     frag = compile_circuit(parse_circuit("qubits 2\nS 0"))
     payload = json.loads(export(frag, "json").decode())
     assert payload["schema_version"] == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits 2\nqubits 2\n", "line 2: duplicate qubits header"),
+        ("# only a comment\n\n", "line 1: missing 'qubits N' header"),
+    ],
+    ids=["second-header", "no-header"],
+)
+def test_malformed_circuit_text_raises_and_exits_two(text, message, tmp_path, capsys):
+    with pytest.raises(CircuitParseError, match=re.escape(message)):
+        parse_circuit(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    out = str(tmp_path / "out.json")
+    assert main(["--json", "compile", "--in", str(path), "--out", out]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]

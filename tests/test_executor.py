@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import re
 import weakref
 
 import numpy as np
@@ -15,17 +16,16 @@ from ppmbqc.compiler import compile_circuit, parse_circuit
 from ppmbqc.errors import (
     DimensionError,
     ImpossibleBranchError,
+    PpmError,
     StateSizeError,
     WellFoundednessError,
 )
 from ppmbqc.executor import (
     OutcomeSource,
     enumerate_fragment,
-    enumerate_pattern,
     feed_forward_depth,
     measurement_order,
     run_fragment,
-    run_pattern,
 )
 from ppmbqc.fragments import BrickSettings, brick, cz_fragment, e_fragment, xhalf_fragment
 from ppmbqc.pattern import (
@@ -33,7 +33,6 @@ from ppmbqc.pattern import (
     Measurement,
     MeasurementPattern,
     PatternFragment,
-    _bare_fragment,
     compose,
 )
 from ppmbqc.pgraph import PGraph
@@ -55,14 +54,21 @@ def random_state(n):
     return from_amplitudes(RNG.normal(size=1 << n) + 1j * RNG.normal(size=1 << n))
 
 
+def closed(p):
+    """An input-free fragment: unmeasured vertices become outputs with zero corrections."""
+    outputs = tuple(v for v in range(p.graph.vertex_count) if v not in p.measurements)
+    zero = Correction(BoolFn.zero(), BoolFn.zero())
+    return PatternFragment(p, (), outputs, {}, {v: zero for v in outputs})
+
+
 def test_single_vertex_constant_x_measurement():
     p = MeasurementPattern(PGraph(1), {0: Measurement("a", BoolFn.zero())})
-    trace = run_pattern(p, OutcomeSource.seeded(1))
+    trace = run_fragment(closed(p), plus_state(0), src=OutcomeSource.seeded(1))
     assert trace.outcomes == {"a": 0}
     assert trace.probability == pytest.approx(1.0)
     assert trace.bases == {0: "X"}
     with pytest.raises(ImpossibleBranchError):
-        run_pattern(p, OutcomeSource.fixed([1]))
+        run_fragment(closed(p), plus_state(0), src=OutcomeSource.fixed([1]))
 
 
 def test_single_edge_hair_z_measured_injects_phase():
@@ -70,7 +76,7 @@ def test_single_edge_hair_z_measured_injects_phase():
     g = PGraph(2, base_exponent=2).add_edges(0, 1, 1)
     p = MeasurementPattern(g, {1: Measurement("a", BoolFn.one())})
     for outcome in (0, 1):
-        trace = run_pattern(p, OutcomeSource.fixed([outcome]))
+        trace = run_fragment(closed(p), plus_state(0), src=OutcomeSource.fixed([outcome]))
         sign = -1.0 if outcome else 1.0
         expected = Statevector(1, zrot(sign * math.pi / 4) @ plus_state(1).amplitudes)
         assert trace.probability == pytest.approx(0.5)
@@ -87,7 +93,7 @@ def test_exhaustive_probabilities_sum_to_one():
             2: Measurement("c", BoolFn.var("a")),
         },
     )
-    ens = enumerate_pattern(p)
+    ens = enumerate_fragment(closed(p))
     assert ens.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -219,9 +225,10 @@ def test_unlikely_branch_of_possible_measurements_keeps_its_state():
     # the per-measurement threshold.
     g = PGraph(11, 3, tuple((0, v, 1) for v in range(1, 11)))
     p = MeasurementPattern(g, {v: Measurement(f"a{v}", BoolFn.zero()) for v in range(1, 11)})
-    ens = enumerate_pattern(p)
-    tr = ens.traces(_bare_fragment(p))[-1]
-    replay = run_pattern(p, OutcomeSource.fixed([1] * 10))
+    f = closed(p)
+    ens = enumerate_fragment(f)
+    tr = ens.traces(f)[-1]
+    replay = run_fragment(f, plus_state(0), src=OutcomeSource.fixed([1] * 10))
     assert tr.outcomes == replay.outcomes
     assert replay.probability == pytest.approx(6.4e-15, rel=0.01, abs=0)
     assert tr.probability == pytest.approx(replay.probability, rel=1e-9, abs=0)
@@ -260,7 +267,7 @@ def test_feed_forward_depth_examples():
     constant = MeasurementPattern(
         g, {v: Measurement(f"m{v}", BoolFn.zero()) for v in range(2)}
     )
-    assert feed_forward_depth(constant) == 1
+    assert feed_forward_depth(closed(constant)) == 1
 
     f = e_fragment("T")
     chain = f
@@ -274,7 +281,7 @@ def test_feed_forward_depth_examples():
         {0: Measurement("u", BoolFn.var("w")), 1: Measurement("w", BoolFn.var("u"))},
     )
     with pytest.raises(WellFoundednessError):
-        feed_forward_depth(cyc)
+        feed_forward_depth(closed(cyc))
 
 
 def test_measurement_order_respects_dependencies():
@@ -326,20 +333,24 @@ def test_fixed_tape_rejects_entries_other_than_bits(tape):
         OutcomeSource.fixed(tape)
 
 
-def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode():
+def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode(monkeypatch):
     # Exhaustive runs end with log2(rows) + live = vertices + spectators;
     # a shot keeps one row and only its narrow window of live qubits.
     from ppmbqc.verifier import choi_input
 
     f = e_fragment("T")
     n = f.pattern.graph.vertex_count
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", n)
     with pytest.raises(StateSizeError):
-        enumerate_fragment(f, choi_input(1), spectators=1, cap=n)
-    ens = enumerate_fragment(f, choi_input(1), spectators=1, cap=n + 1)
+        enumerate_fragment(f, choi_input(1), spectators=1)
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", n + 1)
+    ens = enumerate_fragment(f, choi_input(1), spectators=1)
     assert ens.states.shape == (1 << (n - 1), 4)
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 2)
     with pytest.raises(StateSizeError):
-        run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1, cap=2)
-    run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1, cap=n + 1)
+        run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1)
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", n + 1)
+    run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1)
 
 
 @st.composite
@@ -438,3 +449,23 @@ def test_runs_leave_the_callers_input_state_untouched():
             run_fragment(frag, psi, errs, OutcomeSource.fixed([0, 1]), spectators=2)
             enumerate_fragment(frag, psi, errs, spectators=2)
             assert np.array_equal(psi.amplitudes, before)
+
+
+@pytest.mark.parametrize(
+    "call, error, message, cap",
+    [
+        (lambda: run_fragment(xhalf_fragment(), zero_state(2)), DimensionError,
+         "input state must have 1 qubits, got 2", None),
+        (lambda: run_fragment(e_fragment("T"), zero_state(1), src=OutcomeSource.fixed([0])),
+         PpmError, "tape of 1 bits is shorter than 5 measurements", None),
+        (lambda: OutcomeSource("other"), ValueError, "unknown outcome mode 'other'", None),
+        (lambda: enumerate_fragment(xhalf_fragment(), zero_state(2), spectators=1),
+         StateSizeError, "2 qubits exceed cap 1", 1),
+    ],
+    ids=["input-size", "short-tape", "unknown-mode", "input-over-cap"],
+)
+def test_malformed_execution_inputs_raise(call, error, message, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", cap)
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,13 +1,15 @@
 """Patterns, fragments, scheduling, composition and the JSON schema."""
 
 import json
+import re
 
 import pytest
 
 from ppmbqc.boolfn import BoolFn
+from ppmbqc.cli import main
 from ppmbqc.errors import StructuralError, WellFoundednessError
 from ppmbqc.executor import measurement_order
-from ppmbqc.fragments import e_fragment, xhalf_fragment
+from ppmbqc.fragments import cz_fragment, e_fragment, hierarchy_fragment, xhalf_fragment
 from ppmbqc.pattern import (
     Correction,
     Measurement,
@@ -29,7 +31,7 @@ def test_all_constant_pattern_is_single_round():
     p = MeasurementPattern(
         g, {v: Measurement(f"m{v}", BoolFn.zero()) for v in range(3)}
     )
-    assert dependency_schedule(p) == [[0, 1, 2]]
+    assert dependency_schedule(PatternFragment(p)) == [[0, 1, 2]]
 
 
 def test_cyclic_two_vertex_pattern_rejected():
@@ -42,7 +44,7 @@ def test_cyclic_two_vertex_pattern_rejected():
         },
     )
     with pytest.raises(WellFoundednessError) as err:
-        dependency_schedule(p)
+        dependency_schedule(PatternFragment(p))
     assert set(err.value.cycle) == {0, 1}
 
 
@@ -52,7 +54,7 @@ def test_cycle_is_reported_without_the_vertices_waiting_on_it():
         PGraph(4), {v: Measurement(f"w{v}", BoolFn.var(r)) for v, r in reads.items()}
     )
     with pytest.raises(WellFoundednessError) as err:
-        dependency_schedule(p)
+        dependency_schedule(PatternFragment(p))
     assert sorted(err.value.cycle) == [1, 2, 3]
     with pytest.raises(WellFoundednessError) as err:
         measurement_order(PatternFragment(p))
@@ -61,7 +63,7 @@ def test_cycle_is_reported_without_the_vertices_waiting_on_it():
 
 def test_t_gadget_schedule_rounds():
     f = e_fragment("T")
-    rounds = f.schedule()
+    rounds = dependency_schedule(f)
     assert len(rounds) == 2
     names = [sorted(f.pattern.measurements[v].var for v in r) for r in rounds]
     assert names == [["a", "b", "c", "d"], ["e"]]
@@ -79,10 +81,10 @@ def test_choice_may_not_reference_unknown_or_self():
     g = PGraph(1)
     p = MeasurementPattern(g, {0: Measurement("a", BoolFn.var("nope"))})
     with pytest.raises(StructuralError):
-        dependency_schedule(p)
+        dependency_schedule(PatternFragment(p))
     p2 = MeasurementPattern(g, {0: Measurement("a", BoolFn.var("a"))})
     with pytest.raises(StructuralError):
-        dependency_schedule(p2)
+        dependency_schedule(PatternFragment(p2))
 
 
 def test_fragment_validation_rules():
@@ -217,3 +219,55 @@ def test_two_spellings_of_one_vertex_do_not_overwrite_each_other():
     data["measurements"] = {"0": entry, "+0": dict(entry, var="b")}
     with pytest.raises(StructuralError, match="'\\+0' is not an integer"):
         fragment_from_dict(data)
+
+
+def _xhalf_json(**changes):
+    return dict(fragment_to_dict(xhalf_fragment()), **changes)
+
+
+def _cz_wired_twice():
+    cz = cz_fragment(1)
+    return compose(cz, xhalf_fragment(), {cz.outputs[0]: 0, cz.outputs[1]: 0})
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_xhalf_json(measurements={"0": {"var": "a", "anf": []}, "2": {"var": "b", "anf": []}}),
+         "measured vertex 2 out of range"),
+        (_xhalf_json(outputs=[1, 2]), "designated vertex 2 out of range"),
+        (_xhalf_json(inputs=[0, 0]), "duplicate input vertex"),
+        (_xhalf_json(outputs=[1, 1]), "duplicate output vertex"),
+        (_xhalf_json(measurements={}), "non-output vertex 0 lacks a measurement"),
+        (_xhalf_json(input_errors={}), "input_errors must cover exactly the inputs"),
+        (_xhalf_json(corrections={}), "corrections must cover exactly the outputs"),
+        (_xhalf_json(corrections={"1": {"zeta": [["q"]], "xi": []}}),
+         "correction on vertex 1 references unknown 'q'"),
+        (lambda: xhalf_fragment().with_io_order((0,), (0,)),
+         "reorder must preserve the input/output sets"),
+        (lambda: compose(xhalf_fragment(), hierarchy_fragment(3), {1: 0}),
+         "base exponents differ"),
+        (lambda: compose(xhalf_fragment(), xhalf_fragment(), {1: 1}),
+         "1 is not an input of the second fragment"),
+        (_cz_wired_twice, "wiring must be injective"),
+    ],
+    ids=[
+        "measured-vertex-range", "designated-vertex-range", "duplicate-input",
+        "duplicate-output", "unmeasured-non-output", "input-errors-cover",
+        "corrections-cover", "correction-unknown-name", "reorder-sets",
+        "compose-base-exponents", "compose-onto-non-input", "compose-not-injective",
+    ],
+)
+def test_malformed_patterns_raise_structural_error(case, message, tmp_path, capsys):
+    # Fragment JSON comes from outside the program, so the CLI must also
+    # turn it into a usage error; composition and reordering are library-only.
+    if callable(case):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            case()
+        return
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        fragment_from_dict(case)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(case))
+    assert main(["--json", "depth", str(path)]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]

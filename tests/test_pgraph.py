@@ -1,11 +1,15 @@
 """Multigraph edge-multiplicity arithmetic."""
 
+import json
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ppmbqc.cli import main
 from ppmbqc.errors import StructuralError
+from ppmbqc.fragments import xhalf_fragment
+from ppmbqc.pattern import fragment_to_dict
 from ppmbqc.pgraph import PGraph
 
 
@@ -68,3 +72,16 @@ def test_base_exponent_stops_where_the_edge_angle_stops_being_normal():
     for m in (0, 1024, 2000):
         with pytest.raises(StructuralError, match="base_exponent"):
             PGraph(2, base_exponent=m)
+
+
+@pytest.mark.parametrize("count", [-1, -2])
+def test_negative_vertex_count_raises_and_exits_two(count, tmp_path, capsys):
+    message = "vertex_count must be non-negative"
+    with pytest.raises(StructuralError, match=message):
+        PGraph(count)
+    data = fragment_to_dict(xhalf_fragment())
+    data["vertices"] = count
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["--json", "depth", str(path)]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]

@@ -1,11 +1,16 @@
 """Target labels and their angles."""
 
+import json
 import math
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
+from ppmbqc.cli import main
+from ppmbqc.errors import PpmError
+from ppmbqc.fragments import xhalf_fragment
 from ppmbqc.unitaries import (
     LabelError,
     apply_frames,
@@ -15,6 +20,7 @@ from ppmbqc.unitaries import (
     pauli_product,
     unitary_from_label,
 )
+from ppmbqc.verifier import verify_fragment
 
 
 def test_parse_angle_forms():
@@ -62,3 +68,29 @@ def test_apply_frames_matches_the_kronecker_reference(wires):
         assert np.array_equal(stacked[c], ref @ mat)
         assert np.array_equal(apply_frames(int(c), mat, wires), ref @ mat)
         assert np.array_equal(apply_frames(int(c), vec, wires), ref @ vec)
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("H$", "cannot tokenize '$'"),
+        ("Hx", "unexpected end of label"),
+        ("(H(", "unbalanced parenthesis"),
+        ("Y(pi)", "unknown parametrized gate 'Y'"),
+        ("Q", "unknown gate 'Q'"),
+        ("H)", "trailing tokens in 'H)'"),
+    ],
+    ids=["tokenize", "end", "parenthesis", "parametrized", "gate", "trailing"],
+)
+def test_malformed_labels_raise_and_exit_two(label, message, capsys):
+    with pytest.raises(LabelError, match=re.escape(message)):
+        unitary_from_label(label)
+    assert main(["--json", "verify", "builtin:xhalf", "--target", label]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_label_errors_are_package_errors():
+    with pytest.raises(PpmError):
+        unitary_from_label("Q")
+    with pytest.raises(PpmError):
+        verify_fragment(xhalf_fragment(), "Q")

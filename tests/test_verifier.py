@@ -1,12 +1,15 @@
 """Certification engine: Choi checks, inference, settings certificates, table."""
 
+import json
 import math
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
 from ppmbqc.boolfn import BoolFn
+from ppmbqc.cli import main
 from ppmbqc.errors import DimensionError, InferenceError
 from ppmbqc.fragments import (
     LEFT_LANE_GATES,
@@ -17,7 +20,7 @@ from ppmbqc.fragments import (
     e_fragment,
     xhalf_fragment,
 )
-from ppmbqc.pattern import Correction
+from ppmbqc.pattern import Correction, fragment_from_dict
 from ppmbqc.compiler import load_brick_table
 from ppmbqc.executor import OutcomeSource, measurement_order, run_fragment
 from ppmbqc.unitaries import unitary_from_label
@@ -129,9 +132,9 @@ def test_both_modes_keep_records_only_when_they_fit(monkeypatch):
     over = verify_fragment(f, "X(pi/2)", branches=("sample", 3))
     assert over.passed and over.records == [] and "branches" not in over.to_dict()
     kept = verify_fragment(f, "X(pi/2)", branches=("sample", 3), keep_branches=True)
-    assert len(kept.records) == 12
+    assert len(kept.records) == 12 == len(kept.to_dict()["branches"])
     enumerated = verify_fragment(e_fragment("T"), "T")
-    assert enumerated.records == [] and enumerated.to_dict()["branches"] == []
+    assert enumerated.records == [] and "branches" not in enumerated.to_dict()
 
 
 def test_sampled_records_follow_the_measurement_order():
@@ -339,3 +342,26 @@ def test_product_input_sweep_covers_the_brick():
     # entangled path, this is the independent input-basis cross-check.
     frag = brick(BrickSettings("T", "HTH", 0))
     assert verify_fragment_product_inputs(frag, "TxHTH", with_errors=False) < 1e-9
+
+
+@pytest.mark.parametrize("target", ["H", "CZ"])
+def test_unequal_arity_raises_and_exits_two(target, tmp_path, capsys):
+    # One input wire, two output wires: no gate certificate applies.
+    zero = {"zeta": [], "xi": []}
+    data = {
+        "schema_version": 1,
+        "vertices": 2,
+        "base_exponent": 2,
+        "edges": [{"u": 0, "v": 1, "mult": 2}],
+        "inputs": [0],
+        "outputs": [0, 1],
+        "input_errors": {"0": ["z", "x"]},
+        "corrections": {"0": zero, "1": zero},
+    }
+    message = "equal input/output arity required"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        verify_fragment(fragment_from_dict(data), target)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    assert main(["--json", "verify", str(path), "--target", target]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]
