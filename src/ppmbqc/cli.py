@@ -53,8 +53,9 @@ def _build_parser() -> _Parser:
     r = sub.add_parser("run", help="execute a pattern")
     r.add_argument("pattern", help="pattern JSON path")
     r.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
-    r.add_argument("--tape", help="forced outcome bits, e.g. 0110")
-    r.add_argument("--branches", help="all or sample:K")
+    outcomes = r.add_mutually_exclusive_group()
+    outcomes.add_argument("--tape", help="forced outcome bits, one per measurement, e.g. 0110")
+    outcomes.add_argument("--branches", help="all or sample:K")
     r.add_argument("--amplitudes", action="store_true")
 
     c = sub.add_parser("compile", help="compile circuit text to a pattern")
@@ -139,6 +140,9 @@ def _cmd_run(args) -> int:
     if args.tape is not None:
         if set(args.tape) - set("01"):
             raise UsageError(f"--tape takes only the digits 0 and 1, got {args.tape!r}")
+        k = len(frag.pattern.measurements)
+        if len(args.tape) != k:
+            raise UsageError(f"--tape has {len(args.tape)} bits for {k} measurements")
         src = OutcomeSource.fixed([int(ch) for ch in args.tape])
     else:
         src = OutcomeSource.seeded(args.seed)

@@ -64,16 +64,6 @@ class BrickSettings:
 # -- builder ----------------------------------------------------------
 
 
-@dataclass
-class _Cluster:
-    base_var: str
-    base_vertex: int
-    correctors: list[tuple[str, int]]
-    exp: int
-    xi_snapshot: BoolFn
-    placeholder: str
-
-
 class _Builder:
     def __init__(self, base_exponent: int = 2):
         self.m = base_exponent
@@ -82,8 +72,7 @@ class _Builder:
         self.measurements: dict[int, Measurement] = {}
         self.inputs: list[int] = []
         self.input_errors: dict[int, tuple[str, str]] = {}
-        self.clusters: list[_Cluster] = []
-        self._ph = 0
+        self.signs: list[str] = []
 
     def new_vertex(self) -> int:
         self.count += 1
@@ -95,9 +84,10 @@ class _Builder:
     def measure(self, v: int, var: str, choice: BoolFn) -> None:
         self.measurements[v] = Measurement(var, choice)
 
-    def placeholder(self) -> str:
-        self._ph += 1
-        return f"~r{self._ph}"
+    def sign(self) -> str:
+        """A fresh Boolean unknown for a rotation's sign, fixed by ``_finalize``."""
+        self.signs.append(f"~s{len(self.signs) + 1}")
+        return self.signs[-1]
 
     def half_mult(self) -> int:
         return 1 << (self.m - 1)
@@ -107,7 +97,8 @@ class _Lane:
     """A carrier wire with a symbolically tracked Pauli frame.
 
     ``slots`` collects the 2x2 factors the lane composes (first applied
-    first); clusters contribute a sign chosen during finalization.
+    first); a rotation cluster contributes ``(exp, sign)``, its sign fixed
+    during finalization.
     """
 
     def __init__(self, b: _Builder, zvar: str, xvar: str):
@@ -117,7 +108,7 @@ class _Lane:
         b.input_errors[self.carrier] = (zvar, xvar)
         self.zeta = BoolFn.var(zvar)
         self.xi = BoolFn.var(xvar)
-        self.slots: list[object] = []  # np.ndarray or _Cluster
+        self.slots: list[object] = []  # np.ndarray or (exp, sign)
 
     def teleport(self, var: str) -> None:
         nxt = self.b.new_vertex()
@@ -156,54 +147,37 @@ class _Lane:
 
         The base hair always fires; each corrector hair is Z-measured only
         while the accumulated rotation still misses the target, halving the
-        deficit until only a Pauli Z can remain. Rules and corrections are
-        filled in during finalization once the slot sign is known.
+        deficit until only a Pauli Z can remain. The rotation's sign is a
+        Boolean unknown, fixed during finalization together with the frame.
         """
         if exp < 1 or exp > self.b.m:
             raise StructuralError(f"cluster exponent {exp} out of range")
         if len(corrector_vars) != exp - 1:
             raise StructuralError("cascade needs exactly exp-1 corrector hairs")
+        sign = self.b.sign()
+        n0 = self.xi ^ BoolFn.var(sign)
+        fire = BoolFn.var(base_var) ^ n0
         base = self.b.new_vertex()
         self.b.edge(self.carrier, base, 1 << (self.b.m - exp))
-        correctors = []
+        self.b.measure(base, base_var, BoolFn.one())  # Z basis always
         for j, var in enumerate(corrector_vars, start=1):
             h = self.b.new_vertex()
             self.b.edge(self.carrier, h, 1 << (self.b.m - (exp - j)))
-            correctors.append((var, h))
-        ph = self.b.placeholder()
-        cluster = _Cluster(base_var, base, correctors, exp, self.xi, ph)
-        self.b.clusters.append(cluster)
-        self.zeta = self.zeta ^ BoolFn.var(ph)
-        self.slots.append(cluster)
+            self.b.measure(h, var, fire)
+            hv = BoolFn.var(var)
+            self.zeta = self.zeta ^ hv ^ (hv & fire)  # cut when idle
+            fire = fire & (hv ^ n0)
+        self.zeta = self.zeta ^ fire  # residue after the last stage
+        self.slots.append((exp, sign))
 
-    def matrix(self, signs: dict[int, int]) -> np.ndarray:
+    def matrix(self, signs: dict[str, int]) -> np.ndarray:
         acc = np.eye(2, dtype=complex)
         for slot in self.slots:
-            if isinstance(slot, _Cluster):
-                sgn = -1.0 if signs[id(slot)] else 1.0
-                acc = zrot(sgn * math.pi / (1 << slot.exp)) @ acc
-            else:
-                acc = slot @ acc
+            if isinstance(slot, tuple):
+                exp, sign = slot
+                slot = zrot((-1.0 if signs[sign] else 1.0) * math.pi / (1 << exp))
+            acc = slot @ acc
         return acc
-
-
-def _resolve_clusters(b: _Builder, signs: dict[int, int]) -> dict[str, BoolFn]:
-    """Emit cascade rules and return placeholder substitutions."""
-    subst: dict[str, BoolFn] = {}
-    for c in b.clusters:
-        sign = signs[id(c)]
-        n0 = c.xi_snapshot.substitute(subst) ^ BoolFn.const(sign)
-        fire = BoolFn.var(c.base_var) ^ n0
-        b.measure(c.base_vertex, c.base_var, BoolFn.one())  # Z basis always
-        contribution = BoolFn.zero()
-        for var, vertex in c.correctors:
-            b.measure(vertex, var, fire)
-            hv = BoolFn.var(var)
-            contribution = contribution ^ hv ^ (hv & fire)  # cut when idle
-            fire = fire & (hv ^ n0)
-        contribution = contribution ^ fire  # residue after the last stage
-        subst[c.placeholder] = contribution
-    return subst
 
 
 def _finalize(
@@ -212,16 +186,15 @@ def _finalize(
     label: str,
     entangler: np.ndarray | None = None,
 ) -> PatternFragment:
-    """Pick cluster signs, match the assembled map to the label, build."""
+    """Pick rotation signs, match the assembled map to the label, build."""
     target = unitary_from_label(label)
     dim = 1 << len(lanes)
     if target.shape != (dim, dim):
         raise StructuralError(f"label {label!r} has wrong arity for {len(lanes)} lanes")
 
-    cluster_ids = [id(c) for c in b.clusters]
     dressed = apply_frames(np.arange(dim * dim), target, len(lanes))
-    for bits in product((0, 1), repeat=len(cluster_ids)):
-        signs = dict(zip(cluster_ids, bits))
+    for bits in product((0, 1), repeat=len(b.signs)):
+        signs = dict(zip(b.signs, bits))
         built = lanes[0].matrix(signs)
         for lane in lanes[1:]:
             built = np.kron(built, lane.matrix(signs))
@@ -235,24 +208,29 @@ def _finalize(
         raise StructuralError(
             f"assembled map does not realize {label!r} up to a Pauli frame"
         )
-    subst = _resolve_clusters(b, signs)
 
-    corrections: dict[int, Correction] = {}
-    outputs = []
-    for lane, (zbit, xbit) in zip(lanes, frame):
-        zeta = lane.zeta.substitute(subst) ^ BoolFn.const(zbit)
-        xi = lane.xi.substitute(subst) ^ BoolFn.const(xbit)
-        for fn in (zeta, xi):
-            if any(name.startswith("~") for name in fn.variables):
-                raise StructuralError("unresolved cascade placeholder")
-        corrections[lane.carrier] = Correction(zeta, xi)
-        outputs.append(lane.carrier)
+    fixed = {name: BoolFn.const(bit) for name, bit in signs.items()}
+    measurements = {
+        v: m if m.choice.is_constant() else Measurement(m.var, m.choice.substitute(fixed))
+        for v, m in b.measurements.items()
+    }
+    corrections = {
+        lane.carrier: Correction(
+            lane.zeta.substitute(fixed) ^ BoolFn.const(zbit),
+            lane.xi.substitute(fixed) ^ BoolFn.const(xbit),
+        )
+        for lane, (zbit, xbit) in zip(lanes, frame)
+    }
+    fns = [m.choice for m in measurements.values()]
+    fns += [fn for c in corrections.values() for fn in (c.zeta, c.xi)]
+    if any(name.startswith("~") for fn in fns for name in fn.variables):
+        raise StructuralError("unresolved rotation sign")
 
     graph = PGraph(b.count, b.m, tuple(b.edges))
     return PatternFragment(
-        MeasurementPattern(graph, b.measurements),
+        MeasurementPattern(graph, measurements),
         tuple(b.inputs),
-        tuple(outputs),
+        tuple(lane.carrier for lane in lanes),
         dict(b.input_errors),
         corrections,
     )

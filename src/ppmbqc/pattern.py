@@ -383,7 +383,7 @@ def _anf(monomials: list) -> BoolFn:
 def fragment_from_dict(data: dict) -> PatternFragment:
     """Build a fragment from its JSON form; malformed input raises StructuralError."""
     version = _json(data, dict, "fragment JSON").get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 are no version
         raise StructuralError(f"unsupported schema_version {version!r}")
     edges = tuple(
         tuple(_key(e, key, int) for key in ("u", "v", "mult"))

@@ -108,6 +108,12 @@ def test_run_pattern_with_tape_and_branches(tmp_path, capsys):
     assert payload["outcomes"] == {"a": 1}
     assert payload["probability"] == pytest.approx(0.5)
 
+    # One bit per measurement, and a tape never goes with --branches.
+    for extra in (("--tape", "0111"), ("--branches", "all", "--tape", "1")):
+        code, out, _ = run_cli(capsys, "--json", "run", str(path), *extra)
+        assert code == 2
+        assert "error" in json.loads(out)
+
     code, out, _ = run_cli(capsys, "--json", "run", str(path), "--branches", "all")
     assert code == 0
     payload = json.loads(out)
@@ -259,12 +265,14 @@ MALFORMED_FRAGMENTS = {
         "edges": [],
     },
     "not an object": [1, 2],
+    "boolean version": {"schema_version": True, "vertices": 2, "base_exponent": 2, "edges": []},
 }
 
 EXPECTED_MESSAGE = {
     "missing key": "fragment JSON lacks key",
     "wrong type": "key 'vertices' must be an integer",
     "not an object": "fragment JSON must be an object",
+    "boolean version": "unsupported schema_version True",
 }
 
 

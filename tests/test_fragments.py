@@ -11,6 +11,9 @@ from ppmbqc.fragments import (
     LEFT_LANE_GATES,
     RIGHT_LANE_GATES,
     BrickSettings,
+    _Builder,
+    _finalize,
+    _Lane,
     brick,
     builtin_fragment,
     builtin_names,
@@ -227,3 +230,52 @@ def test_library_fragments_are_pinned():
     for name in names:
         digest.update(fragment_to_json(builtin_fragment(name)[0]).encode())
     assert digest.hexdigest() == PINNED_LIBRARY
+
+
+# Cascades no library fragment has: exp below m, and a second cascade on a
+# lane whose xi already holds the first one's sign. Each case is (base
+# exponent m, one lane's steps: a teleport per name, a cluster per
+# (base name, exp), target label). PINNED_CASCADES holds the SHA-256 of each
+# case's fragment_to_json, recorded before rotation signs became Boolean
+# unknowns.
+CASCADES = {
+    **{
+        f"m{m}-exp{e}": (m, ["a", "c", ("b", e)], f"Z(pi/{1 << e})")
+        for m in (3, 4, 5)
+        for e in range(1, m + 1)
+    },
+    "m3-two": (3, ["a", ("b", 2), "c", "d", ("f", 3)], "Z(pi/8)*X(pi/2)"),
+}
+PINNED_CASCADES = {
+    "m3-exp1": "0e5078cd6c2af51395fe6403bd48973d165956387c262e30811deb54362882a6",
+    "m3-exp2": "a355d3dcd6efd44bcf4368fdfce179b0a999c50e01be8118daee2ce6c40b9a51",
+    "m3-exp3": "5be258f1b228ddd0b7f8b958422aff79255892a3188bd92dc9b29db117d24fec",
+    "m4-exp1": "a5875e5b23a5d1c63f90df9fc2463db4b4e53172183b86ef8eae0eec4a8af772",
+    "m4-exp2": "f69cd0681c47ffc58abea3bad3490665e0453724222001b8d0cd2886661d1754",
+    "m4-exp3": "6ac096b8ff7e4dc355be20f116418a2c18a2107228652df098d72b87a7330477",
+    "m4-exp4": "1388b57887949bf09fb9afef651dd0a4da5460379198c7879ee8e83791989b90",
+    "m5-exp1": "baea3d323419154c5a78176b754e8deba79b3af870eeeba8b67d9de84d5b7436",
+    "m5-exp2": "5363d2bdbc7b441501395d5490b8c42d29fda84df775b4d451a040365ca1339f",
+    "m5-exp3": "d4bf254bf09717221763d2c359e879130e1f255cd30591b87961cb480e842cff",
+    "m5-exp4": "bbc854e786c9fb1996b7329977434f3cb842f42154043337d8cd02fbb4dd7341",
+    "m5-exp5": "6e25c903be743601dc52d9b163b453e8a69b4a7e54add748788333fb75f847e5",
+    "m3-two": "f26c159a42e914a6ae880b69b3761747a6d5ecaf19a1b341ee86ef3f10009e44",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASCADES))
+def test_cascades_certify_and_are_pinned(case):
+    m, steps, label = CASCADES[case]
+    b = _Builder(base_exponent=m)
+    lane = _Lane(b, "z", "x")
+    for step in steps:
+        if isinstance(step, str):
+            lane.teleport(step)
+        else:
+            base, exp = step
+            lane.rotation_cluster(base, [f"{base}{j}" for j in range(1, exp)], exp)
+    f = _finalize(b, [lane], label)
+    rep = verify_fragment(f, label, keep_branches=False)
+    assert rep.passed, rep.worst_infidelity
+    assert rep.branch_count == 4 << len(f.pattern.measurements)
+    assert hashlib.sha256(fragment_to_json(f).encode()).hexdigest() == PINNED_CASCADES[case]

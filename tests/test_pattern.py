@@ -167,9 +167,10 @@ def test_json_roundtrip_bit_exact():
 def test_schema_version_present_and_checked():
     d = fragment_to_dict(xhalf_fragment())
     assert d["schema_version"] == 1
-    bad = dict(d, schema_version=99)
-    with pytest.raises(StructuralError):
-        fragment_from_json(json.dumps(bad))
+    for version in (99, True, 1.0):
+        bad = dict(d, schema_version=version)
+        with pytest.raises(StructuralError, match="unsupported schema_version"):
+            fragment_from_json(json.dumps(bad))
 
 
 def _mutations():
