@@ -2,22 +2,30 @@
 
 One engine runs every outcome source. Once per fragment it builds a plan
 in the standard form of the measurement calculus (Danos, Kashefi and
-Panangaden, arXiv:0704.1263) and keeps it on the fragment: the
-measurement order (lowest ready vertex first); before each measurement, the
-qubits it prepares and the edges whose first-measured endpoint it is, with
-their parity-phase tables; edges joining two unmeasured vertices come last;
-and every choice and output correction compiled to row-history columns.
-Every call walks the plan over a ``(rows, 2**live)`` amplitude array. A
-qubit is allocated in |+> when its first edge or measurement needs it and
-dropped once measured; spectator qubits ride along as ordinary register
-axes.
+Panangaden, arXiv:0704.1263) and keeps it on the fragment. The plan
+measures the lowest ready vertex first, and puts each edge at its
+first-measured endpoint, so every edge applied at step j touches the vertex
+v measured there. Fix v's value b, and that star of parity phases is a
+diagonal on the other live qubits. So each step compiles to one kernel:
+where v sits in the register (or that it is fresh), and two diagonals, one
+per outcome, that also carry the |+> normalization of the qubits the step
+prepares. Edges joining two unmeasured vertices, and the outputs not yet
+prepared, make one closing diagonal. Choices and output corrections compile
+to bit masks over branch words (outcomes above input-error bits).
+
+Every call walks the plan over a ``(2**spectators, 2**live, rows)``
+amplitude array. Spectators are a leading batch axis that the engine never
+touches; the register sits in the middle; branch rows are the innermost
+axis, so each kernel's inner loop runs over the rows. A qubit joins the
+register in |+> when its first edge or measurement needs it and leaves it
+once measured.
 
 Only the choice of surviving outcome rows depends on the source: exhaustive
 enumeration splits every row into both outcomes (row r into rows 2r and
-2r+1, so the first measurement is the most significant bit of the branch
-index), a seeded shot draws one outcome from the branch distribution, and a
-tape forces it. A run with a source keeps one row, so it evaluates choices
-on plain Python bits and splits the measured axis without row masks.
+2r+1, written as a trailing outcome axis, so the first measurement is the
+most significant bit of the branch index), a seeded shot draws one outcome
+from the branch distribution, and a tape forces it. A run with a source
+keeps one row, so it evaluates choices on one Python int.
 
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
@@ -44,10 +52,8 @@ from .pattern import BASIS_BY_CHOICE, PatternFragment, _ready_order, dependency_
 from .statevec import (
     DEFAULT_QUBIT_CAP,
     IMPOSSIBLE_PROB,
+    SQRT2_INV,
     Statevector,
-    _children,
-    _halves,
-    _phase,
     phase_table,
     plus_state,
 )
@@ -186,29 +192,66 @@ class BranchEnsemble:
 
 # -- the engine -------------------------------------------------------------
 
-# An ANF compiled against a fragment's row history: one tuple of history
-# columns per monomial.
-CompiledAnf = tuple[tuple[int, ...], ...]
+# An ANF compiled against the branch words of the level where it is read:
+# one bit mask per monomial.
+CompiledAnf = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One measurement of the plan: a diagonal per outcome, then a split.
+
+    ``split`` groups the live register as ``(A, s, B)`` around the measured
+    vertex's axis: ``s`` is 2, or 1 when the vertex is fresh, and then
+    ``(A, B) = (2**live, 1)``. ``diag[..., b]``, of shape ``(A, B, F, 1)``,
+    is the product of the step's edge phases with the vertex reading ``b``
+    over the other live qubits and the ``F`` other fresh ones, times
+    ``2**(-f/2)`` for the ``f`` fresh |+> qubits. When ``scaled``, the
+    choice is the constant X and ``diag`` also carries its ``1/sqrt(2)``.
+    ``diag`` has one entry per basis state of the register after allocation.
+    """
+
+    split: tuple[int, int, int]
+    diag: np.ndarray
+    scaled: bool
 
 
 @dataclass(frozen=True)
 class _Plan:
     """A fragment's standard form, compiled once.
 
-    Row history columns: the outcome of step j is column j, its choice
-    column k + j, then the input-error bits in ``error_variables`` order.
-    Before step j the vertices ``fresh[j]`` are prepared in |+> and the
-    edges ``edges[j]`` applied, each with its parity-phase table; the extra
-    last entries prepare the unmeasured vertices and join them.
-    ``corrections`` lists each output's zeta then xi.
+    ``steps[j]`` measures ``order[j]``, whose choice ``choices[j]`` reads
+    level-j branch words: the j outcomes so far, the first most
+    significant, above the input-error bits in ``error_variables`` order.
+    Then the diagonal ``close``, of shape ``(L, F, 1)``, prepares the ``F``
+    outputs not yet live and joins the unmeasured vertices. ``perm`` moves
+    the rows first, then the outputs in fragment order, then the
+    spectators. ``corrections`` lists each output's zeta then xi, read at
+    level k.
     """
 
     order: tuple[int, ...]
     names: tuple[str, ...]
-    fresh: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[tuple[int, int, np.ndarray], ...], ...]
+    steps: tuple[_Step, ...]
     choices: tuple[CompiledAnf, ...]
+    close: np.ndarray
+    perm: tuple[int, ...]
     corrections: tuple[CompiledAnf, ...]
+
+
+def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
+    """The ``edges``' parity phases over ``register``, times ``scale``: shape ``(2,)*qubits``.
+
+    A step wider than the cap can never run, so its diagonal is never built.
+    """
+    if len(register) > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
+    d = np.full((2,) * len(register), scale, dtype=complex)
+    for u, w, table in edges:
+        shape = [1] * len(register)
+        shape[register.index(u)] = shape[register.index(w)] = 2
+        d *= table.reshape(shape)  # a parity table is symmetric in its two qubits
+    return d
 
 
 def _compile_plan(f: PatternFragment) -> _Plan:
@@ -216,13 +259,17 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     k = len(order)
     names = [f.pattern.measurements[v].var for v in order]
     column = {name: j for j, name in enumerate(names)}
-    column.update((name, 2 * k + i) for i, name in enumerate(f.error_variables()))
+    errors = f.error_variables()
+    e = len(errors)
+    error_bit = {name: 1 << (e - 1 - i) for i, name in enumerate(errors)}
 
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct monomial
+    def compiled(fn, level: int) -> CompiledAnf:
+        def bit(name):
+            if name in column:
+                return 1 << (e + level - 1 - column[name])
+            return error_bit[name]
 
-    def compiled(fn) -> CompiledAnf:
-        monos = (tuple(column[name] for name in mono) for mono in fn.monomials)
-        return tuple(shared.setdefault(m, m) for m in monos)
+        return tuple(sum(map(bit, mono)) for mono in fn.monomials)
 
     graph = f.pattern.graph
     tables = {m: phase_table(graph.angle(m)) for m in {mult for *_, mult in graph.edges}}
@@ -230,19 +277,37 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     edges: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in range(k + 1)]
     for u, w, mult in graph.edges:
         edges[min(rank.get(u, k), rank.get(w, k))].append((u, w, tables[mult]))
-    prepared, fresh = set(f.inputs), []
-    for step, now in enumerate([*([v] for v in order), list(f.outputs)]):
-        touched = [*now, *(w for e in edges[step] for w in e[:2])]
-        fresh.append(tuple(w for w in dict.fromkeys(touched) if w not in prepared))
-        prepared.update(touched)
+
+    live, steps = list(f.inputs), []
+    prepared = set(live)
+    for j, v in enumerate(order):
+        touched = [v, *(w for edge in edges[j] for w in edge[:2])]
+        fresh = [w for w in dict.fromkeys(touched) if w not in prepared]
+        prepared.update(fresh)
+        register = live + fresh
+        scaled = not f.pattern.measurements[v].choice.monomials  # the constant X
+        d = _diagonal(register, edges[j], 2.0 ** (-len(fresh) / 2) * (SQRT2_INV if scaled else 1))
+        pos = register.index(v)
+        if v in live:
+            split = (1 << pos, 2, 1 << (len(live) - 1 - pos))
+        else:
+            split = (1 << len(live), 1, 1)
+        diag = np.moveaxis(d, pos, -1).reshape(split[0], split[2], -1, 1, 2)
+        steps.append(_Step(split, diag, scaled))
+        live = [w for w in register if w != v]
+
+    fresh = [w for w in f.outputs if w not in prepared]
+    register = live + fresh
+    close = _diagonal(register, edges[k], 2.0 ** (-len(fresh) / 2))
     corrections = [f.corrections[o] for o in f.outputs]
     return _Plan(
         tuple(order),
         tuple(names),
-        tuple(fresh),
-        tuple(map(tuple, edges)),
-        tuple(compiled(f.pattern.measurements[v].choice) for v in order),
-        tuple(compiled(fn) for c in corrections for fn in (c.zeta, c.xi)),
+        tuple(steps),
+        tuple(compiled(f.pattern.measurements[v].choice, j) for j, v in enumerate(order)),
+        close.reshape(1 << len(live), -1, 1),
+        (len(register) + 1, *(1 + register.index(o) for o in f.outputs), 0),
+        tuple(compiled(fn, k) for c in corrections for fn in (c.zeta, c.xi)),
     )
 
 
@@ -259,19 +324,53 @@ def _plan(f: PatternFragment) -> _Plan:
     return plan
 
 
-def _evaluate(anf: CompiledAnf, hist: list[int] | np.ndarray):
-    """XOR of the monomials of ``anf`` over the row history ``hist``.
+def _evaluate(anf: CompiledAnf, words):
+    """XOR of the monomials of ``anf`` over branch words.
 
-    ``hist`` is a list of bits for a one-row run, giving an int, or a
-    ``(columns, rows)`` bit array, giving a row of bits.
+    A level-L branch word holds the first L outcomes, the first one most
+    significant, above the input-error bits. ``words`` is one Python int for
+    a one-row run, giving an int, or an array of them, giving one value per
+    row.
     """
-    acc = np.zeros(hist.shape[1], dtype=np.uint8) if isinstance(hist, np.ndarray) else 0
-    for mono in anf:
-        term = 1
-        for c in mono:
-            term = term & hist[c]
-        acc ^= term
+    acc = words & 0  # 0, or a zero per row
+    for mask in anf:
+        acc = acc ^ ((words & mask) == mask)
     return acc
+
+
+def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
+    """Measure one vertex on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
+
+    ``amps`` has shape ``(spectators, live, rows)``. Outcome b's half times
+    ``diag[..., b]`` is written straight into the children, and the X
+    rotation then runs in place on the rows where ``x`` holds: ``x`` is
+    True, False or a bool per row.
+    """
+    S, _, rows = amps.shape
+    A, s, B = step.split
+    t = amps.reshape(S, A, s, B, 1, rows)
+    kids = np.empty((S, A, B, step.diag.shape[2], rows, 2), dtype=complex)
+    if rows == 1:  # one call, with the outcome as the inner axis of both operands
+        np.multiply(t.transpose(0, 1, 3, 4, 5, 2), step.diag, out=kids)
+    else:  # one call per outcome, so the inner loop runs over the rows
+        for b in (0, 1):
+            np.multiply(t[:, :, b * (s - 1)], step.diag[..., b], out=kids[..., b])
+    if not isinstance(x, bool):
+        x = True if x.all() else x if x.any() else False
+    if x is False:
+        return kids.reshape(S, -1, 2 * rows)
+    if x is True:
+        pairs, two, norm = kids.reshape(-1, 2), 2.0, SQRT2_INV
+    else:  # masked ufuncs are slow, so only the subtractions take the mask
+        pairs, two = kids.reshape(-1, rows, 2), np.where(x, 2.0, 1.0)
+        norm = np.where(x, SQRT2_INV, 1.0)[:, None]
+    a0, a1 = pairs[..., 0], pairs[..., 1]
+    np.subtract(a0, a1, out=a1, where=x)  # a1 <- a0 - a1
+    np.multiply(a0, two, out=a0)
+    np.subtract(a0, a1, out=a0, where=x)  # a0 <- a0 + a1
+    if not step.scaled:
+        np.multiply(pairs, norm, out=pairs)
+    return kids.reshape(S, -1, 2 * rows)
 
 
 def _drawer(src: OutcomeSource):
@@ -314,6 +413,13 @@ def _possible(weights: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _check_cap(size: int, spectators: int) -> None:
+    """Raise unless log2(size) + spectators qubits fit under the cap."""
+    qubits = size.bit_length() - 1 + spectators
+    if qubits > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{qubits} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
+
+
 def _execute(
     f: PatternFragment,
     src: OutcomeSource | None,
@@ -325,9 +431,9 @@ def _execute(
 
     A run with a source keeps one row; without one, every row splits into
     both outcomes at every measurement. ``DEFAULT_QUBIT_CAP`` bounds log2(rows)
-    plus the live qubits after every allocation, the input register included.
+    plus the live qubits after every allocation, spectators included.
     """
-    n, n_in = f.pattern.graph.vertex_count, len(f.inputs)
+    n_in = len(f.inputs)
     if input_state is None:
         input_state = plus_state(0)
     if input_state.qubit_count != n_in + spectators:
@@ -335,6 +441,8 @@ def _execute(
             f"input state must have {n_in + spectators} qubits, got"
             f" {input_state.qubit_count}"
         )
+    if n_in + spectators > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{n_in + spectators} qubits exceed cap {DEFAULT_QUBIT_CAP}")
     plan = _plan(f)
     k = len(plan.order)
     if src is not None and src.mode == "tape" and len(src.tape) < k:
@@ -350,73 +458,68 @@ def _execute(
         zvar, xvar = f.input_errors[v]
         error_bits[zvar], error_bits[xvar] = (b & 1 for b in errs.get(v, (0, 0)))
     frame = list(error_bits.values())  # (z, x) per input wire; the names are distinct
+    e = len(frame)
+    error_word = sum(b << (e - 1 - i) for i, b in enumerate(frame))
 
-    # Register axis i holds vertex axes[i]; spectator j is the key n + j.
-    axes = [*f.inputs, *range(n, n + spectators)]
-    # A new array, so the in-place kernels below never touch the caller's state.
-    amps = apply_frames(
+    # Axes (spectators, inputs, rows): a new array, so the in-place kernels
+    # below never touch the caller's state.
+    S = 1 << spectators
+    framed = apply_frames(
         frame_codes(np.reshape(frame, (n_in, 2))),
-        input_state.amplitudes.reshape(1 << n_in, -1),
+        input_state.amplitudes.reshape(1 << n_in, S),
         n_in,
-    ).reshape(1, -1)
-    if len(axes) > DEFAULT_QUBIT_CAP:
-        raise StateSizeError(f"{len(axes)} qubits exceed cap {DEFAULT_QUBIT_CAP}")
-    hist = [0] * (2 * k) + frame  # columns as in _Plan
-    if draw is None:
-        hist = np.array(hist, dtype=np.uint8).reshape(-1, 1)
+    )
+    amps = np.ascontiguousarray(framed.T).reshape(S, -1, 1)
 
-    def entangle(step):
-        """Prepare the step's fresh vertices, then apply its edges."""
-        nonlocal amps
-        fresh = plan.fresh[step]
-        if fresh:
-            qubits = amps.shape[0].bit_length() - 1 + len(axes) + len(fresh)
-            if qubits > DEFAULT_QUBIT_CAP:
-                raise StateSizeError(f"{qubits} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
-            amps = np.repeat(amps, 1 << len(fresh), axis=1) * 2.0 ** (-len(fresh) / 2)
-            axes.extend(fresh)
-        for u, w, table in plan.edges[step]:
-            amps = _phase(amps, axes.index(u), axes.index(w), len(axes), table)
-
-    scale = 1.0
-    for step, v in enumerate(plan.order):
-        entangle(step)
-        pos = axes.index(v)
-        axes.remove(v)
+    scale, outcome, chosen = 1.0, 0, []  # one-row runs: outcomes so far, choices
+    for j, step in enumerate(plan.steps):
+        rows = amps.shape[-1]
+        _check_cap(rows * step.diag.size, spectators)
         if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            rows = amps.shape[0]
-            choices = _evaluate(plan.choices[step], hist)
-            amps = _children(amps, pos, choices).reshape(2 * rows, -1)
-            hist = np.repeat(hist, 2, axis=1)
-            hist[step, 1::2] = 1
-            hist[k + step] = np.repeat(choices, 2)
+            words = (np.arange(rows) << e) | error_word
+            choices = _evaluate(plan.choices[j], words)
+            chosen.append(choices)
+            amps = _split(amps, step, choices == 0)
         else:
-            choice = _evaluate(plan.choices[step], hist)
-            halves = _halves(amps, pos, choice)
-            b, p = draw(step, v, halves)
-            amps = (halves[b] / math.sqrt(p)).reshape(1, -1)
+            choice = _evaluate(plan.choices[j], (outcome << e) | error_word)
+            kids = _split(amps, step, choice == 0).reshape(-1, 2)
+            b, p = draw(j, plan.order[j], (kids[:, 0], kids[:, 1]))
+            amps = (kids[:, b] * (1.0 / math.sqrt(p))).reshape(S, -1, 1)
             scale *= p
-            hist[step], hist[k + step] = b, choice
+            outcome = outcome << 1 | b
+            chosen.append(choice)
 
-    entangle(k)
-    rows, live = amps.shape[0], len(axes)
-    want = [axes.index(w) for w in (*f.outputs, *range(n, n + spectators))]
-    amps = amps.reshape((rows,) + (2,) * live).transpose([0, *(1 + a for a in want)])
-    amps = amps.reshape(rows, -1)
-    re, im = amps.real, amps.imag
-    weights = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-    frames = [_evaluate(c, hist) for c in plan.corrections]
-    hist = np.asarray(hist, dtype=np.uint8).reshape(len(hist), rows)
+    rows = amps.shape[-1]
+    _check_cap(rows * plan.close.size, spectators)
+    L, F = plan.close.shape[:2]
+    t = amps.reshape(S, L, 1, rows)
+    amps = t if F == 1 else np.empty((S, L, F, rows), dtype=complex)
+    np.multiply(t, plan.close, out=amps)
+    re, im = amps.real.reshape(-1, rows), amps.imag.reshape(-1, rows)
+    weights = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    amps = amps.reshape((S,) + (2,) * (len(plan.perm) - 2) + (rows,)).transpose(plan.perm)
+
+    # Outcome j of row r is bit k-1-j of r; a step's choices, kept at their
+    # own level, cover 2**(k-j) rows each.
+    index = np.arange(rows) if draw is None else outcome
+    outcomes = [(index >> (k - 1 - j)) & 1 for j in range(k)]
+    if draw is None:
+        chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
+    bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
+    words = (index << e) | error_word
+    frames = np.empty((len(plan.corrections), rows), dtype=np.uint8)
+    for i, c in enumerate(plan.corrections):
+        frames[i] = _evaluate(c, words)
     return BranchEnsemble(
         list(plan.order),
         list(plan.names),
-        amps,
+        amps.reshape(rows, -1),
         weights,
         _possible(weights),
-        hist[:k],
-        hist[k : 2 * k],
+        bits[:k],
+        bits[k:],
         error_bits,
-        np.array(frames, dtype=np.uint8).reshape(len(f.outputs), 2, rows).transpose(2, 0, 1),
+        frames.reshape(len(f.outputs), 2, rows).transpose(2, 0, 1),
         scale,
     )
 

@@ -90,10 +90,13 @@ def from_amplitudes(amps: Iterable[complex]) -> Statevector:
 
 
 def phase_table(alpha: float) -> np.ndarray:
-    """Factors of the parity phase of angle ``alpha``, laid out for :func:`_phase`.
+    """Factors of the parity phase of angle ``alpha``, shape ``(2, 1, 2, 1)``.
 
-    Entry ``[a, :, b, :]`` multiplies the components whose two qubits read
-    ``a`` and ``b``: ``e^{-ia/2}`` on even parity, ``e^{+ia/2}`` on odd.
+    Entry ``[a, 0, b, 0]`` multiplies the components whose two qubits read
+    ``a`` and ``b``: ``e^{-ia/2}`` on even parity, ``e^{+ia/2}`` on odd. The
+    singleton axes let :func:`_phase` broadcast it over a register grouped
+    around the two qubits. Reshaped, it sits on any two axes of a longer
+    diagonal, or flattens to the gate's own.
     """
     even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
     return np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
@@ -121,27 +124,6 @@ def _halves(amps: np.ndarray, pos: int, choice: int) -> tuple[np.ndarray, np.nda
     if not choice:
         a0, a1 = (a0 + a1) * SQRT2_INV, (a0 - a1) * SQRT2_INV
     return a0.reshape(-1), a1.reshape(-1)
-
-
-def _children(amps: np.ndarray, pos: int, choices: np.ndarray) -> np.ndarray:
-    """Both outcome halves of axis ``pos`` of each row, shape ``(rows, 2, rest)``.
-
-    Rows whose choice is 0 are rotated into the X basis first; ``amps`` is
-    not modified.
-    """
-    rows = amps.shape[0]
-    t = amps.reshape(rows, 1 << pos, 2, -1)
-    kids = np.empty((rows, 2, t.shape[1], t.shape[3]), dtype=complex)
-    x = choices == 0
-    for picked, rotate in ((x, True), (~x, False)):
-        if not picked.any():
-            continue
-        sel = slice(None) if picked.all() else np.nonzero(picked)[0]
-        a0, a1 = t[sel, :, 0], t[sel, :, 1]
-        if rotate:
-            a0, a1 = (a0 + a1) * SQRT2_INV, (a0 - a1) * SQRT2_INV
-        kids[sel, 0], kids[sel, 1] = a0, a1
-    return kids.reshape(rows, 2, -1)
 
 
 def apply_matrix(s: Statevector, q: int, mat: np.ndarray) -> Statevector:

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, JSON contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,3 +345,19 @@ def test_table_command_reproduces_the_shipped_table(tmp_path, capsys):
         assert got["worst_infidelity"] == pytest.approx(want["worst_infidelity"], rel=0, abs=1e-12)
         for key in want.keys() - {"worst_infidelity"}:
             assert got[key] == want[key], key
+
+
+def test_module_entry_point_keeps_the_exit_codes():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ppmbqc", *argv], capture_output=True, text=True, env=env
+        )
+
+    helped = run("--help")
+    assert helped.returncode == 0 and "depth" in helped.stdout
+    missing = run("--json", "depth", "/nonexistent")
+    assert missing.returncode == 2
+    assert "error" in json.loads(missing.stdout)

@@ -29,6 +29,7 @@ from ppmbqc.executor import (
 )
 from ppmbqc.fragments import BrickSettings, brick, cz_fragment, e_fragment, xhalf_fragment
 from ppmbqc.pattern import (
+    BASIS_BY_CHOICE,
     Correction,
     Measurement,
     MeasurementPattern,
@@ -37,9 +38,15 @@ from ppmbqc.pattern import (
 )
 from ppmbqc.pgraph import PGraph
 from ppmbqc.statevec import (
+    X,
+    Z,
     Statevector,
+    apply_edges,
+    apply_matrix,
+    embed_state,
     fidelity_up_to_phase,
     from_amplitudes,
+    measure,
     permute,
     plus_state,
     zero_state,
@@ -417,6 +424,79 @@ def test_seeded_tape_and_exhaustive_runs_agree(case, spectators, seed):
             assert not possible
         else:
             assert possible
+
+
+def dense_branches(f, psi, errs, spectators):
+    """Every branch of ``f``, rebuilt on one dense register from the public kernels.
+
+    Vertex v is qubit v and spectator i is qubit n + i. Returns one
+    ``(state, weight, possible)`` per branch row, first measurement most
+    significant; the state is unnormalized, with squared norm ``weight``,
+    and None below an impossible measurement.
+    """
+    n = f.pattern.graph.vertex_count
+    spect = list(range(n, n + spectators))
+    s = embed_state(psi, n + spectators, [*f.inputs, *spect])
+    env = {}
+    for v in f.inputs:  # the frame X^x Z^z on each input wire
+        (zname, xname), (z, x) = f.input_errors[v], errs.get(v, (0, 0))
+        env[zname], env[xname] = z, x
+        s = apply_matrix(s, v, Z) if z else s
+        s = apply_matrix(s, v, X) if x else s
+    s = apply_edges(s, f.pattern.graph)
+    order = measurement_order(f)
+    rows = []
+
+    def walk(s, alive, env, weight, j):
+        if j == len(order):
+            out = permute(s, [alive.index(w) for w in (*f.outputs, *spect)])
+            rows.append((out.amplitudes * np.sqrt(weight), weight, True))
+            return
+        v = order[j]
+        m = f.pattern.measurements[v]
+        basis = BASIS_BY_CHOICE[m.choice.evaluate(env)]
+        for b in (0, 1):
+            p, post = measure(s, alive.index(v), basis, b)
+            if post is None:
+                rows.extend([(None, 0.0, False)] * (1 << (len(order) - 1 - j)))
+            else:
+                rest = [w for w in alive if w != v]
+                walk(post, rest, {**env, m.var: b}, weight * p, j + 1)
+
+    walk(s, list(range(n + spectators)), env, 1.0, 0)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_enumeration_agrees_with_a_dense_oracle(case, spectators, seed):
+    f, errs = case
+    rng = np.random.default_rng(seed)
+    width = len(f.inputs) + spectators
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    psi = Statevector(width, amps / np.linalg.norm(amps))
+    ens = enumerate_fragment(f, psi, errs, spectators=spectators)
+    rows = dense_branches(f, psi, errs, spectators)
+    assert ens.possible.tolist() == [ok for *_, ok in rows]
+    assert np.allclose(ens.weights, [w for _, w, _ in rows], rtol=0, atol=1e-12)
+    for r, (state, _, ok) in enumerate(rows):
+        if ok:
+            assert np.allclose(ens.states[r], state, rtol=0, atol=1e-10)
+
+
+def test_outcome_bits_are_the_branch_index_and_choices_read_them():
+    f = brick(BrickSettings("T", "HTH", 1))
+    errs = {f.inputs[0]: (1, 0), f.inputs[1]: (1, 1)}
+    ens = enumerate_fragment(f, random_state(2), errs)
+    k, rows = ens.outcomes.shape
+    assert rows == 1 << k and ens.choices.shape == (k, rows)
+    r = np.arange(rows)
+    for j in range(k):
+        assert np.array_equal(ens.outcomes[j], (r >> (k - 1 - j)) & 1)
+    env = ens.full_env_rows()
+    for j, v in enumerate(ens.order):
+        want = f.pattern.measurements[v].choice.evaluate_rows(env)
+        assert np.array_equal(ens.choices[j], want)
 
 
 def test_input_errors_must_name_input_vertices():
