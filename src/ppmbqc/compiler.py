@@ -222,7 +222,7 @@ def layout_brickwork(layers: list[BrickLayer]) -> PatternFragment:
     """
     if not layers:
         raise StructuralError("cannot lay out an empty layer list")
-    edges, measurements, corrections, input_errors = [], {}, {}, {}
+    edges, measurements, corrections, input_errors, frames = [], {}, {}, {}, {}
     templates: dict[BrickSettings, PatternFragment] = {}
     starts: dict[int, int] = {}
     ends: dict[int, int] = {}
@@ -235,7 +235,7 @@ def layout_brickwork(layers: list[BrickLayer]) -> PatternFragment:
         wiring = {ends[w]: i for w, i in zip(lanes, BRICK_INPUTS) if w in ends}
         prefix = f"g{depth + 1}." if depth else ""
         relabel, n = _attach(
-            piece, wiring, prefix, n, edges, measurements, corrections, input_errors
+            piece, wiring, prefix, n, edges, measurements, corrections, input_errors, frames
         )
         for w, i, o in zip(lanes, BRICK_INPUTS, BRICK_OUTPUTS):
             starts.setdefault(w, relabel[i])
@@ -247,6 +247,7 @@ def layout_brickwork(layers: list[BrickLayer]) -> PatternFragment:
         tuple(ends[w] for w in sorted(ends)),
         input_errors,
         corrections,
+        frames,
     )
 
 

@@ -10,8 +10,11 @@ diagonal on the other live qubits. So each step compiles to one kernel:
 where v sits in the register (or that it is fresh), and two diagonals, one
 per outcome, that also carry the |+> normalization of the qubits the step
 prepares. Edges joining two unmeasured vertices, and the outputs not yet
-prepared, make one closing diagonal. Choices and output corrections compile
-to bit masks over branch words (outcomes above input-error bits).
+prepared, make one closing diagonal. Choices, output corrections and
+definitions compile to bit masks over branch words: the outcomes so far,
+above the input-error bits, above one bit per definition. A definition is
+evaluated once, at the level of its first reader, and sets its bit in the
+words of every later level.
 
 Every call walks the plan over a ``(2**spectators, 2**live, rows)``
 amplitude array. Spectators are a leading batch axis that the engine never
@@ -25,7 +28,9 @@ enumeration splits every row into both outcomes (row r into rows 2r and
 2r+1, written as a trailing outcome axis, so the first measurement is the
 most significant bit of the branch index), a seeded shot draws one outcome
 from the branch distribution, and a tape forces it. A run with a source
-keeps one row, so it evaluates choices on one Python int.
+keeps one row, so it evaluates choices on one Python int; an exhaustive run
+keeps a definition's bits per row of its level L, and row r of a later
+level j reads row ``r >> (j - L)`` of it.
 
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
@@ -222,12 +227,15 @@ class _Plan:
 
     ``steps[j]`` measures ``order[j]``, whose choice ``choices[j]`` reads
     level-j branch words: the j outcomes so far, the first most
-    significant, above the input-error bits in ``error_variables`` order.
-    Then the diagonal ``close``, of shape ``(L, F, 1)``, prepares the ``F``
-    outputs not yet live and joins the unmeasured vertices. ``perm`` moves
-    the rows first, then the outputs in fragment order, then the
-    spectators. ``corrections`` lists each output's zeta then xi, read at
-    level k.
+    significant, above the input-error bits in ``error_variables`` order,
+    above one bit per definition in ``frames`` order. Then the diagonal
+    ``close``, of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet
+    live and joins the unmeasured vertices. ``perm`` moves the rows first,
+    then the outputs in fragment order, then the spectators.
+    ``corrections`` lists each output's zeta then xi, read at level k.
+    ``frames`` maps a level to the ``(bit, anf)`` of each definition first
+    read there, in definition order: the definition is evaluated on the
+    words of that level and sets ``bit`` from then on.
     """
 
     order: tuple[int, ...]
@@ -237,6 +245,7 @@ class _Plan:
     close: np.ndarray
     perm: tuple[int, ...]
     corrections: tuple[CompiledAnf, ...]
+    frames: dict[int, tuple[tuple[int, CompiledAnf], ...]] = field(default_factory=dict)
 
 
 def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
@@ -259,15 +268,14 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     k = len(order)
     names = [f.pattern.measurements[v].var for v in order]
     column = {name: j for j, name in enumerate(names)}
-    errors = f.error_variables()
-    e = len(errors)
-    error_bit = {name: 1 << (e - 1 - i) for i, name in enumerate(errors)}
+    low = (*f.error_variables(), *f.frames)  # the bits below the outcomes
+    fixed = {name: 1 << (len(low) - 1 - i) for i, name in enumerate(low)}
 
     def compiled(fn, level: int) -> CompiledAnf:
         def bit(name):
             if name in column:
-                return 1 << (e + level - 1 - column[name])
-            return error_bit[name]
+                return 1 << (len(low) + level - 1 - column[name])
+            return fixed[name]
 
         return tuple(sum(map(bit, mono)) for mono in fn.monomials)
 
@@ -300,6 +308,28 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     register = live + fresh
     close = _diagonal(register, edges[k], 2.0 ** (-len(fresh) / 2))
     corrections = [f.corrections[o] for o in f.outputs]
+    # A definition is evaluated at the least level of its readers. Its
+    # readers follow it, so one backward pass over the definitions settles it.
+    first: dict[str, int] = {}
+
+    def read(fn, level: int) -> None:
+        for name in fn.variables:
+            if name in f.frames and level < first.get(name, k + 1):
+                first[name] = level
+
+    for j, v in enumerate(order):
+        read(f.pattern.measurements[v].choice, j)
+    for c in corrections:
+        read(c.zeta, k)
+        read(c.xi, k)
+    for name, fn in reversed(f.frames.items()):
+        if name in first:
+            read(fn, first[name])
+    frames: dict[int, list[tuple[int, CompiledAnf]]] = {}
+    for name, fn in f.frames.items():
+        if name in first:
+            level = first[name]
+            frames.setdefault(level, []).append((fixed[name], compiled(fn, level)))
     return _Plan(
         tuple(order),
         tuple(names),
@@ -308,6 +338,7 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         close.reshape(1 << len(live), -1, 1),
         (len(register) + 1, *(1 + register.index(o) for o in f.outputs), 0),
         tuple(compiled(fn, k) for c in corrections for fn in (c.zeta, c.xi)),
+        {level: tuple(group) for level, group in frames.items()},
     )
 
 
@@ -460,6 +491,19 @@ def _execute(
     frame = list(error_bits.values())  # (z, x) per input wire; the names are distinct
     e = len(frame)
     error_word = sum(b << (e - 1 - i) for i, b in enumerate(frame))
+    low = e + len(f.frames)  # the error and definition bits below the outcomes
+    below, at = error_word << len(f.frames), 0  # an int, or one per row of level `at`
+    dtype = np.int64 if low + k < 63 else object  # exhaustive words, int64 while they fit
+
+    def words(j: int, index):
+        """Level-j branch words of ``index``, setting the definitions first read there."""
+        nonlocal below, at
+        w = (index << low) | (below if isinstance(below, int) else below.repeat(1 << (j - at)))
+        if j in plan.frames:
+            for bit, anf in plan.frames[j]:
+                w = w | _evaluate(anf, w) * bit
+            below, at = w & ((1 << low) - 1), j
+        return w
 
     # Axes (spectators, inputs, rows): a new array, so the in-place kernels
     # below never touch the caller's state.
@@ -476,12 +520,11 @@ def _execute(
         rows = amps.shape[-1]
         _check_cap(rows * step.diag.size, spectators)
         if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            words = (np.arange(rows) << e) | error_word
-            choices = _evaluate(plan.choices[j], words)
+            choices = _evaluate(plan.choices[j], words(j, np.arange(rows, dtype=dtype)))
             chosen.append(choices)
             amps = _split(amps, step, choices == 0)
         else:
-            choice = _evaluate(plan.choices[j], (outcome << e) | error_word)
+            choice = _evaluate(plan.choices[j], words(j, outcome))
             kids = _split(amps, step, choice == 0).reshape(-1, 2)
             b, p = draw(j, plan.order[j], (kids[:, 0], kids[:, 1]))
             amps = (kids[:, b] * (1.0 / math.sqrt(p))).reshape(S, -1, 1)
@@ -501,15 +544,15 @@ def _execute(
 
     # Outcome j of row r is bit k-1-j of r; a step's choices, kept at their
     # own level, cover 2**(k-j) rows each.
-    index = np.arange(rows) if draw is None else outcome
+    index = np.arange(rows, dtype=dtype) if draw is None else outcome
     outcomes = [(index >> (k - 1 - j)) & 1 for j in range(k)]
     if draw is None:
         chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
     bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
-    words = (index << e) | error_word
+    final = words(k, index)
     frames = np.empty((len(plan.corrections), rows), dtype=np.uint8)
     for i, c in enumerate(plan.corrections):
-        frames[i] = _evaluate(c, words)
+        frames[i] = _evaluate(c, final)
     return BranchEnsemble(
         list(plan.order),
         list(plan.names),

@@ -9,6 +9,13 @@ A pattern fragment adds designated input and output vertex subsets (not
 necessarily disjoint), per-input Pauli error variables ``(z, x)``, and
 per-output correction functions ``(zeta, xi)``. A fragment implements a
 gate G when feeding it ``X^x Z^z |psi>`` yields ``X^xi Z^zeta G |psi>``.
+
+Wiring one fragment into another binds each wired input's ``(z, x)`` to the
+upstream correction as a named definition (the fragment's ``frames``), the
+signal bookkeeping of the measurement calculus's standard form (Danos,
+Kashefi and Panangaden, arXiv:0704.1263). Nothing is substituted, so a
+composite's functions stay the size of its pieces'; :func:`flatten`
+substitutes the definitions when the closed form is wanted.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from .boolfn import BoolFn
 from .errors import StructuralError, WellFoundednessError
 from .pgraph import Edge, PGraph
 
-SCHEMA_VERSION = 1
+# Schema 1 has no definitions and schema 2 adds ``frames``. A fragment is
+# written in the first schema that holds it.
+SCHEMA_VERSIONS = (1, 2)
 
 # Choice-function semantics, used everywhere: value 0 -> X basis, 1 -> Z.
 BASIS_BY_CHOICE = {0: "X", 1: "Z"}
@@ -63,67 +72,82 @@ class MeasurementPattern:
         return {m.var: v for v, m in self.measurements.items()}
 
 
-def _dependencies(pattern: MeasurementPattern, ambient: set[str]) -> dict[int, set[int]]:
-    """Each measured vertex's producers of the non-ambient outcomes its choice reads.
+def _dependencies(f: PatternFragment) -> dict[int, set[int]]:
+    """Each node's producers of the non-error names it reads.
 
-    A choice may read only other outcomes or ambient names; an unknown or
-    self reference raises :class:`StructuralError`.
+    A node is a measured vertex or a definition; definition ``i`` of
+    ``f.frames`` is node ``vertex_count + i``. A choice may read outcomes
+    other than its own, error variables and definitions; an unknown or self
+    reference raises :class:`StructuralError`. What a definition reads was
+    checked when the fragment was built.
     """
-    producers = pattern.producer_of()
-    deps: dict[int, set[int]] = {}
-    for v, meas in pattern.measurements.items():
+    n = f.pattern.graph.vertex_count
+    node = f.pattern.producer_of()
+    node.update((name, n + i) for i, name in enumerate(f.frames))
+    ambient = set(f.error_variables())
+    deps = {
+        n + i: {node[name] for name in fn.variables if name not in ambient}
+        for i, fn in enumerate(f.frames.values())
+    }
+    for v, meas in f.pattern.measurements.items():
         deps[v] = set()
         for name in meas.choice.variables:
             if name in ambient:
                 continue
-            if name not in producers:
+            if name not in node:
                 raise StructuralError(
                     f"vertex {v} choice references unknown variable {name!r}"
                 )
-            if producers[name] == v:
+            if node[name] == v:
                 raise StructuralError(f"vertex {v} choice references its own outcome")
-            deps[v].add(producers[name])
+            deps[v].add(node[name])
     return deps
 
 
 def _ready_order(f: PatternFragment) -> tuple[list[int], dict[int, int]]:
     """Measured vertices lowest ready first, plus each vertex's feed-forward round.
 
-    A vertex is ready once every outcome its choice function reads has been
-    produced; input-error variables are known from the start. A cyclic
-    dependency raises :class:`WellFoundednessError` carrying one offending
-    cycle.
+    A vertex is ready once every outcome its choice function reads, directly
+    or through definitions, has been produced; input-error variables are
+    known from the start. A definition costs no round: it is resolved as soon
+    as what it reads is. A cyclic dependency raises
+    :class:`WellFoundednessError` carrying the vertices of one offending cycle.
     """
-    deps = _dependencies(f.pattern, set(f.error_variables()))
-    readers: dict[int, list[int]] = {v: [] for v in deps}
+    n = f.pattern.graph.vertex_count
+    deps = _dependencies(f)
+    readers: dict[int, list[int]] = {u: [] for u in deps}
     for v, us in deps.items():
         for u in us:
             readers[u].append(v)
     waiting = {v: len(us) for v, us in deps.items()}
-    ready = [v for v, count in waiting.items() if not count]
+    # Definitions sort before vertices, so each is resolved as soon as what it
+    # reads is, and takes the round of what it reads.
+    ready = [(u < n, u) for u, count in waiting.items() if not count]
     heapq.heapify(ready)
     order: list[int] = []
     depth: dict[int, int] = {}
     while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        depth[v] = 1 + max((depth[u] for u in deps[v]), default=-1)
-        for w in readers[v]:
+        measured, u = heapq.heappop(ready)
+        depth[u] = measured + max((depth[w] for w in deps[u]), default=-1)
+        if measured:
+            order.append(u)
+        for w in readers[u]:
             waiting[w] -= 1
             if not waiting[w]:
-                heapq.heappush(ready, w)
-    if len(order) < len(deps):
-        # Every stuck vertex waits on another stuck one: walk until a repeat.
+                heapq.heappush(ready, (w < n, w))
+    if len(order) < len(f.pattern.measurements):
+        # Every stuck node waits on another stuck one: walk until a repeat.
+        # Definitions read only earlier ones, so the cycle holds a vertex.
         v = min(v for v, count in waiting.items() if count)
         seen: dict[int, int] = {}
         while v not in seen:
             seen[v] = len(seen)
             v = min(u for u in deps[v] if waiting[u])
-        cycle = list(seen)[seen[v] :]
+        cycle = [u for u in list(seen)[seen[v] :] if u < n]
         raise WellFoundednessError(
             f"cyclic dependency between vertices {cycle}", cycle=cycle
         )
-    return order, depth
+    return order, {v: depth[v] for v in order}
 
 
 def dependency_schedule(f: PatternFragment) -> list[list[int]]:
@@ -145,7 +169,10 @@ def dependency_schedule(f: PatternFragment) -> list[list[int]]:
 class PatternFragment:
     """A pattern with inputs, outputs, input errors and output corrections.
 
-    The executor keeps its compiled plan for the fragment on the instance.
+    ``frames`` binds fresh names to functions, in order: a definition reads
+    outcomes, error variables and earlier definitions, and choices and
+    corrections may read any definition. The executor keeps its compiled
+    plan for the fragment on the instance.
     """
 
     pattern: MeasurementPattern
@@ -153,6 +180,7 @@ class PatternFragment:
     outputs: tuple[int, ...] = ()
     input_errors: dict[int, tuple[str, str]] = field(default_factory=dict)
     corrections: dict[int, Correction] = field(default_factory=dict)
+    frames: dict[str, BoolFn] = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.pattern.graph.vertex_count
@@ -180,7 +208,17 @@ class PatternFragment:
         if len(names) != len(set(names)):
             raise StructuralError("variable names must be globally fresh")
         allowed = set(names)
-        _dependencies(self.pattern, set(self.error_variables()))
+        for name, fn in self.frames.items():
+            if name in allowed:
+                raise StructuralError(f"definition {name!r} is not fresh")
+            for var in fn.variables:
+                if var not in allowed:
+                    raise StructuralError(
+                        f"definition {name!r} reads {var!r}, which is no outcome,"
+                        " error variable or earlier definition"
+                    )
+            allowed.add(name)
+        _dependencies(self)
         for v, corr in self.corrections.items():
             for fn in (corr.zeta, corr.xi):
                 for name in fn.variables:
@@ -196,7 +234,7 @@ class PatternFragment:
         return tuple(out)
 
     def _all_variables(self) -> tuple[str, ...]:
-        return tuple(self.pattern.producer_of()) + self.error_variables()
+        return tuple(self.pattern.producer_of()) + self.error_variables() + tuple(self.frames)
 
     def with_io_order(
         self, inputs: tuple[int, ...], outputs: tuple[int, ...]
@@ -205,7 +243,12 @@ class PatternFragment:
         if set(inputs) != set(self.inputs) or set(outputs) != set(self.outputs):
             raise StructuralError("reorder must preserve the input/output sets")
         return PatternFragment(
-            self.pattern, tuple(inputs), tuple(outputs), self.input_errors, self.corrections
+            self.pattern,
+            tuple(inputs),
+            tuple(outputs),
+            self.input_errors,
+            self.corrections,
+            self.frames,
         )
 
 
@@ -215,10 +258,10 @@ def compose(
     """Plug outputs of ``f1`` into inputs of ``f2``.
 
     ``wiring`` maps f1 output vertices to f2 input vertices (injectively).
-    Wired vertices are identified; the wired inputs' error variables are
-    substituted by f1's correction functions, so corrections and adaptive
-    choices thread through automatically. Unwired inputs and outputs pass
-    through to the composite.
+    Wired vertices are identified, and each wired input's error variables
+    become definitions bound to f1's correction functions, which f2's
+    choices and corrections go on reading by name. Unwired inputs and
+    outputs pass through to the composite.
     """
     g1, g2 = f1.pattern.graph, f2.pattern.graph
     if g1.base_exponent != g2.base_exponent:
@@ -244,9 +287,10 @@ def compose(
     measurements = dict(f1.pattern.measurements)
     corrections = dict(f1.corrections)
     input_errors = dict(f1.input_errors)
+    frames = dict(f1.frames)
     relabel, n = _attach(
         f2, wiring, prefix, g1.vertex_count,
-        edges, measurements, corrections, input_errors,
+        edges, measurements, corrections, input_errors, frames,
     )
     wired = set(wiring.values())
     inputs = f1.inputs + tuple(relabel[v] for v in f2.inputs if v not in wired)
@@ -261,6 +305,7 @@ def compose(
         outputs,
         input_errors,
         corrections,
+        frames,
     )
 
 
@@ -276,13 +321,15 @@ def _attach(
     measurements: dict[int, Measurement],
     corrections: dict[int, Correction],
     input_errors: dict[int, tuple[str, str]],
+    frames: dict[str, BoolFn],
 ) -> tuple[dict[int, int], int]:
     """Add ``piece`` in place to an ``n``-vertex pattern held in shared collections.
 
     This is the one wiring step. Every piece variable is renamed to
     ``prefix + name``. ``wiring`` maps pattern outputs to piece inputs: a
-    wired input takes the output's vertex and its renamed ``(z, x)`` are
-    substituted by the output's correction (which leaves ``corrections``); other
+    wired input takes the output's vertex, and its renamed ``(z, x)`` join
+    ``frames`` as definitions bound to the output's correction (which leaves
+    ``corrections``), ahead of the piece's own renamed definitions. Other
     piece vertices are numbered from ``n``, and each unwired input's renamed
     error pair goes into ``input_errors``. Returns the piece-to-pattern
     vertex map and the new vertex count.
@@ -297,23 +344,46 @@ def _attach(
             n += 1
     edges.extend(piece.pattern.graph.relabel(relabel, n).edges)
     names = {name: prefix + name for name in piece._all_variables()}
-    bindings: dict[str, BoolFn] = {}
     for v, (zvar, xvar) in piece.input_errors.items():
         zvar, xvar = prefix + zvar, prefix + xvar
         if v in wired_rev:
             corr = corrections.pop(wired_rev[v])
-            bindings[zvar], bindings[xvar] = corr.zeta, corr.xi
+            frames[zvar], frames[xvar] = corr.zeta, corr.xi
         else:
             input_errors[relabel[v]] = (zvar, xvar)
-
-    def wire(fn: BoolFn) -> BoolFn:
-        return fn.rename(names).substitute(bindings)
-
+    for name, fn in piece.frames.items():
+        frames[prefix + name] = fn.rename(names)
     for v, m in piece.pattern.measurements.items():
-        measurements[relabel[v]] = Measurement(prefix + m.var, wire(m.choice))
+        measurements[relabel[v]] = Measurement(prefix + m.var, m.choice.rename(names))
     for v, c in piece.corrections.items():
-        corrections[relabel[v]] = Correction(wire(c.zeta), wire(c.xi))
+        corrections[relabel[v]] = Correction(c.zeta.rename(names), c.xi.rename(names))
     return relabel, n
+
+
+def flatten(f: PatternFragment) -> PatternFragment:
+    """``f`` with its definitions substituted in order: a fragment without frames.
+
+    The substituted functions can grow quadratically with the depth of the
+    wiring; this is the closed form to compare against, never a step of a run.
+    """
+    flat: dict[str, BoolFn] = {}
+    for name, fn in f.frames.items():
+        flat[name] = fn.substitute(flat)
+    measurements = {
+        v: Measurement(m.var, m.choice.substitute(flat))
+        for v, m in f.pattern.measurements.items()
+    }
+    corrections = {
+        v: Correction(c.zeta.substitute(flat), c.xi.substitute(flat))
+        for v, c in f.corrections.items()
+    }
+    return PatternFragment(
+        MeasurementPattern(f.pattern.graph, measurements),
+        f.inputs,
+        f.outputs,
+        f.input_errors,
+        corrections,
+    )
 
 
 # -- JSON schema ------------------------------------------------------
@@ -321,8 +391,8 @@ def _attach(
 
 def fragment_to_dict(f: PatternFragment) -> dict:
     g = f.pattern.graph
-    return {
-        "schema_version": SCHEMA_VERSION,
+    data = {
+        "schema_version": SCHEMA_VERSIONS[0],
         "vertices": g.vertex_count,
         "base_exponent": g.base_exponent,
         "edges": [{"u": u, "v": v, "mult": k} for u, v, k in g.edges],
@@ -341,6 +411,10 @@ def fragment_to_dict(f: PatternFragment) -> dict:
             for v in sorted(f.corrections)
         },
     }
+    if f.frames:
+        data["schema_version"] = SCHEMA_VERSIONS[1]
+        data["frames"] = [[name, fn.to_anf_lists()] for name, fn in f.frames.items()]
+    return data
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
@@ -383,7 +457,7 @@ def _anf(monomials: list) -> BoolFn:
 def fragment_from_dict(data: dict) -> PatternFragment:
     """Build a fragment from its JSON form; malformed input raises StructuralError."""
     version = _json(data, dict, "fragment JSON").get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 are no version
+    if type(version) is not int or version not in SCHEMA_VERSIONS:  # true and 1.0 are no version
         raise StructuralError(f"unsupported schema_version {version!r}")
     edges = tuple(
         tuple(_key(e, key, int) for key in ("u", "v", "mult"))
@@ -403,17 +477,30 @@ def fragment_from_dict(data: dict) -> PatternFragment:
         if len(_json(names, list, "input_errors entry")) != 2:
             raise StructuralError(f"input_errors of vertex {v} must name (z, x)")
         input_errors[_vertex(v)] = tuple(_json(n, str, "error variable") for n in names)
+    frames: dict[str, BoolFn] = {}
+    for entry in _key(data, "frames", list) if version == 2 else ():
+        if len(_json(entry, list, "frames entry")) != 2:
+            raise StructuralError("a frames entry must be a [name, anf] pair")
+        name = _json(entry[0], str, "definition name")
+        if name in frames:
+            raise StructuralError(f"definition {name!r} is not fresh")
+        frames[name] = _anf(_json(entry[1], list, f"definition {name!r}"))
     return PatternFragment(
         MeasurementPattern(graph, measurements),
         tuple(_json(v, int, "input vertex") for v in _key(data, "inputs", list, [])),
         tuple(_json(v, int, "output vertex") for v in _key(data, "outputs", list, [])),
         input_errors,
         corrections,
+        frames,
     )
 
 
 def fragment_to_json(f: PatternFragment) -> str:
-    return json.dumps(fragment_to_dict(f), indent=2, sort_keys=True)
+    """Schema 1 is indented, as it always was; schema 2 is written compact."""
+    data = fragment_to_dict(f)
+    if "frames" in data:
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def fragment_from_json(text: str) -> PatternFragment:

@@ -313,7 +313,7 @@ def infer_corrections(
 
 
 def with_corrections(f: PatternFragment, corr: dict[int, Correction]) -> PatternFragment:
-    return PatternFragment(f.pattern, f.inputs, f.outputs, f.input_errors, corr)
+    return PatternFragment(f.pattern, f.inputs, f.outputs, f.input_errors, corr, f.frames)
 
 
 def operator_schmidt_rank(U: np.ndarray) -> int:

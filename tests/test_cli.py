@@ -11,8 +11,8 @@ import pytest
 
 from ppmbqc.cli import main
 from ppmbqc.compiler import load_brick_table
-from ppmbqc.fragments import builtin_fragment, hierarchy_fragment
-from ppmbqc.pattern import fragment_to_json
+from ppmbqc.fragments import builtin_fragment, hierarchy_fragment, xhalf_fragment
+from ppmbqc.pattern import compose, fragment_to_dict, fragment_to_json
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +201,60 @@ def test_compile_and_depth(tmp_path, capsys):
     assert out_dot.read_text().startswith("graph pattern {")
 
 
+def test_compiled_definitions_write_schema_two_and_read_back(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    src.write_text("qubits 2\nT 0\nH 0\nT 0\nCNOT 0 1\nT 1\nH 1\nTdg 1\n")
+    out_json = tmp_path / "c.json"
+    code, out, _ = run_cli(capsys, "--json", "compile", "--in", str(src), "--out", str(out_json))
+    assert code == 0
+    depth = json.loads(out)["feed_forward_depth"]
+    data = json.loads(out_json.read_text())
+    assert data["schema_version"] == 2 and data["frames"]
+    code, out, _ = run_cli(capsys, "--json", "depth", str(out_json))
+    assert code == 0 and json.loads(out)["feed_forward_depth"] == depth
+    # A compiled pattern has input wires, which `run` refuses as before.
+    code, out, _ = run_cli(capsys, "--json", "run", str(out_json))
+    assert code == 2 and "input wires" in json.loads(out)["error"]
+
+    # A closed pattern with definitions runs, branch by branch as its flat form.
+    from ppmbqc.boolfn import BoolFn
+    from ppmbqc.pattern import (
+        Correction,
+        Measurement,
+        MeasurementPattern,
+        PatternFragment,
+        flatten,
+    )
+    from ppmbqc.pgraph import PGraph
+
+    g = PGraph(2, base_exponent=2).add_edges(0, 1, 1)
+    source = PatternFragment(
+        MeasurementPattern(g, {1: Measurement("a", BoolFn.one())}),
+        (),
+        (0,),
+        {},
+        {0: Correction(BoolFn.var("a"), BoolFn.zero())},
+    )
+    framed = compose(source, xhalf_fragment(), {0: 0})
+    payloads = []
+    for frag, version in ((framed, 2), (flatten(framed), 1)):
+        path = tmp_path / f"closed{version}.json"
+        path.write_text(fragment_to_json(frag))
+        assert json.loads(path.read_text())["schema_version"] == version
+        code, out, _ = run_cli(capsys, "--json", "run", str(path), "--branches", "all")
+        assert code == 0
+        payloads.append(json.loads(out))
+        code, out, _ = run_cli(capsys, "--json", "run", str(path), "--tape", "10")
+        assert code == 0
+    assert payloads[0] == payloads[1]
+
+    # A builtin's schema 1 JSON still reads.
+    path = tmp_path / "xhalf.json"
+    path.write_text(fragment_to_json(xhalf_fragment()))
+    code, out, _ = run_cli(capsys, "--json", "depth", str(path))
+    assert code == 0 and json.loads(out)["feed_forward_depth"] == 1
+
+
 def test_verify_file_fragment_requires_target(tmp_path, capsys):
     frag, _ = builtin_fragment("xhalf")
     path = tmp_path / "frag.json"
@@ -272,11 +326,56 @@ MALFORMED_FRAGMENTS = {
     "boolean version": {"schema_version": True, "vertices": 2, "base_exponent": 2, "edges": []},
 }
 
+
+def _two_halves(**changes) -> dict:
+    """Schema 2 JSON of two wired half X-turns, with some keys changed.
+
+    Its frames are g2.z := a ^ z and g2.x := 1 ^ a ^ x ^ z, and the output
+    correction of vertex 2 reads them.
+    """
+    data = fragment_to_dict(compose(xhalf_fragment(), xhalf_fragment(), {1: 0}))
+    return dict(data, **changes)
+
+
+_Z2, _X2 = _two_halves()["frames"]
+MALFORMED_FRAGMENTS.update({
+    "v2 without frames": {k: v for k, v in _two_halves().items() if k != "frames"},
+    "v2 frames not a list": _two_halves(frames={"g2.z": [["a"]]}),
+    "v2 frames entry not a pair": _two_halves(frames=[_Z2, ["g2.x"]]),
+    "v2 definition name not a string": _two_halves(frames=[_Z2, [7, _X2[1]]]),
+    "v2 definition anf not a list": _two_halves(frames=[_Z2, ["g2.x", "a"]]),
+    "v2 definition reused": _two_halves(frames=[_Z2, _X2, _Z2]),
+    "v2 definition is an outcome": _two_halves(frames=[_Z2, _X2, ["g2.a", []]]),
+    "v2 definition is an error variable": _two_halves(frames=[_Z2, _X2, ["x", []]]),
+    "v2 definition reads a later one": _two_halves(frames=[["g2.z", [["g2.x"]]], _X2]),
+    "v2 definition reads itself": _two_halves(frames=[_Z2, ["g2.x", [["g2.x"]]]]),
+    "v2 definition reads an unknown name": _two_halves(frames=[_Z2, ["g2.x", [["q"]]]]),
+    "v2 choice reads an unknown name": _two_halves(
+        measurements={"0": {"var": "a", "anf": []}, "1": {"var": "g2.a", "anf": [["q"]]}}
+    ),
+    "v2 correction reads an unknown name": _two_halves(
+        corrections={"2": {"zeta": [["g2.z"]], "xi": [["g3.x"]]}}
+    ),
+})
+
 EXPECTED_MESSAGE = {
     "missing key": "fragment JSON lacks key",
     "wrong type": "key 'vertices' must be an integer",
     "not an object": "fragment JSON must be an object",
     "boolean version": "unsupported schema_version True",
+    "v2 without frames": "fragment JSON lacks key 'frames'",
+    "v2 frames not a list": "key 'frames' must be a list",
+    "v2 frames entry not a pair": "a frames entry must be a [name, anf] pair",
+    "v2 definition name not a string": "definition name must be a string",
+    "v2 definition anf not a list": "definition 'g2.x' must be a list",
+    "v2 definition reused": "definition 'g2.z' is not fresh",
+    "v2 definition is an outcome": "definition 'g2.a' is not fresh",
+    "v2 definition is an error variable": "definition 'x' is not fresh",
+    "v2 definition reads a later one": "definition 'g2.z' reads 'g2.x'",
+    "v2 definition reads itself": "definition 'g2.x' reads 'g2.x'",
+    "v2 definition reads an unknown name": "definition 'g2.x' reads 'q'",
+    "v2 choice reads an unknown name": "vertex 1 choice references unknown variable 'q'",
+    "v2 correction reads an unknown name": "correction on vertex 2 references unknown 'g3.x'",
 }
 
 

@@ -1,5 +1,6 @@
 """Circuit parsing, brick compilation, layout, exports."""
 
+import hashlib
 import json
 import re
 
@@ -21,10 +22,17 @@ from ppmbqc.compiler import (
     parse_circuit,
 )
 from ppmbqc.errors import CircuitParseError, StructuralError
-from ppmbqc.executor import feed_forward_depth
+from ppmbqc.executor import OutcomeSource, feed_forward_depth, measurement_order, run_fragment
 from ppmbqc.fragments import BRICK_INPUTS, BRICK_OUTPUTS, BrickSettings, brick
-from ppmbqc.pattern import Correction, compose, fragment_from_json, fragment_to_json
-from ppmbqc.unitaries import phase_matched
+from ppmbqc.pattern import (
+    Correction,
+    compose,
+    flatten,
+    fragment_from_json,
+    fragment_to_json,
+)
+from ppmbqc.statevec import from_amplitudes
+from ppmbqc.unitaries import pauli_product, phase_matched
 from ppmbqc.verifier import verify_fragment, with_corrections
 
 RNG = np.random.default_rng(0xA11CE)
@@ -177,6 +185,86 @@ def test_layout_matches_brick_by_brick_composition():
         layers = compile_to_bricks(c)
         expected = fragment_to_json(_composed_layout(layers))
         assert fragment_to_json(layout_brickwork(layers)) == expected, c
+
+
+# SHA-256 of fragment_to_json(compile_circuit(c)), recorded while wiring
+# still substituted every upstream correction, for the seeded circuits of
+# test_layout_matches_brick_by_brick_composition and of criterion 08.
+FLAT_LAYOUT_PINS = [
+    "829bcc648cf040792d32a45499395e6914ecabbcfbb59a678b3290967d4271fe",
+    "9d346912992166f8954e40c258e0ca10390b41d1fe770a9690f76e10bdc5b306",
+    "cbaa4df8fd521f7e75bf8a98d51e939eeb284a3c2a03ed22b351cd49ec2677d2",
+    "6cf766c0942393349d42e5e2d9a6b09f9c91478c90f28a4225474b4e006b0428",
+    "549f60ddfddb9facd2a870173244f55b411d8b35f284f14b8a35300a96117f46",
+    "de72ed1c40cae36393a0baefae5441b1e8e882efdf5c7335c6c055e7e5bed917",
+    "48433b447f43d851deecb4b0f49fdf041779b0cdb905e6a1e7841c42d4d9ea04",
+    "31c4a3d5da1eb48d60276a8e837bc38f30441862f6903e290e85a0e6d2acf82d",
+    "5a6216ed90495dea730beafc3e9e120bc4ddee5814e9d6a2c54b59f5af0cba53",
+    "e8e710d72fedac2ce44e4ab04e8cbf18d7e1949458479f169a7340567ee55c5e",
+    "d60af4de34033014a4337aa16eafcda9685a608b911259b6396843bb323457e1",
+    "a5b0666699db94f19b0b136f5d24e5e96e2df89b3b8667c48fec43ddda30b0bc",
+]
+FLAT_CRITERION_08_PINS = [
+    "924ec38f97b65bf65e99c5ac4dd2f5b6aff76dc4919894fbc0ee02e5b743f1dc",
+    "e9a21826b718e148b84f3fb2043c0907ef76b03f933208b3d0993a2509769db5",
+    "3e020a976abd9f809f6de4a3e9d877e07d9bd5ea4fc718236862ecd72f2ff18d",
+    "f4bdf33e2a135c81e358d37d7c70f8398ce7028082aa64d28515b25c07ff4784",
+    "78540a5ab50cf66124a7a8a4370f649de22c8190931bb49405ee27cb48d94b52",
+    "026050eaee73055983ff6dced61027ba79277ed299d399e870e44852f521c230",
+    "834f83b894323ca601853bc2abc72f0e2d7e9cd5e68163eee9f6b932329d1175",
+    "203d29df93f09c305d325751b6f4cb2a739e06d7c19d9247baa7a2c3c2c6e6e2",
+    "56680c43a4aa9ea41b8ab32f2eb06450e5c89a4b73bb4a2bb9f26821edf574b7",
+    "7c0bbf0b668c9e0ee55d1b9bb8c8d80fc13f1af6ad1ed4f87c52589299406937",
+    "4fb95c2ff3dbea1561b59486becc53657aa6df95401d1b9b8b1ab93611a748a4",
+    "f0002b4b7218fe6508c5bdbb1ca703b1341869906976d8441eb46da4af49c697",
+    "8b02f3fecdd5be6425fc8d58c0f3c2238e4c784753543744bbb09b36c7656a2a",
+    "047cda1adc6fcf5395b47a87d396159b9fea80d0117420b25775f3b9d4a362b4",
+    "37d89e80e312356d1816f4dd793c78e47a4fad858e6203c8f9fa2545fb659505",
+    "23cbf18937c0d30fb3c88e0a39e9877587d1615ec878f19d3dcd8fb43229de46",
+    "db0a754c976925a10629542040f6eef9d14c9f9d7b95b54f38079368f64f8664",
+    "b042a69547a7abbe21b3aeca15f8803a2ec93aaab713f700f3392b429eafd785",
+    "75232f0f3d65735b160f4cf8638c203cf8afcdd634f7c8a47a4286ec6194f6fd",
+    "ddb2b673db86b7050be21c4defaefb8816b787cfb16cfb4c9ae256cae228bf28",
+]
+
+
+def _pinned_circuits():
+    from test_acceptance import _random_circuit as criterion_08_circuit
+
+    for seed, digest in enumerate(FLAT_LAYOUT_PINS):
+        rng = np.random.default_rng([0x1A7, seed])
+        yield _random_circuit(rng, 1 + seed % 4, int(rng.integers(1, 9))), digest
+    for seed, digest in enumerate(FLAT_CRITERION_08_PINS):
+        yield parse_circuit(criterion_08_circuit(1000 + seed)), digest
+
+
+def test_flattened_compiles_match_the_substituting_compiler():
+    for c, digest in _pinned_circuits():
+        frag = compile_circuit(c)
+        flat = flatten(frag)
+        assert hashlib.sha256(fragment_to_json(flat).encode()).hexdigest() == digest, c
+        assert measurement_order(frag) == measurement_order(flat), c
+        assert feed_forward_depth(frag) == feed_forward_depth(flat), c
+
+
+def _size(frag) -> int:
+    fns = [m.choice for m in frag.pattern.measurements.values()]
+    fns += [fn for c in frag.corrections.values() for fn in (c.zeta, c.xi)]
+    return sum(len(fn.monomials) for fn in [*fns, *frag.frames.values()])
+
+
+def test_definitions_grow_linearly_and_deep_patterns_run():
+    circuits = [parse_circuit("qubits 1\n" + "T 0\nH 0\n" * n) for n in (100, 200)]
+    short, frag = map(compile_circuit, circuits)
+    assert _size(frag) <= 2.05 * _size(short)
+    U = np.kron(circuit_unitary(circuits[1]), np.eye(2))
+    rng = np.random.default_rng(0xD33B)
+    psi = from_amplitudes(rng.normal(size=4) + 1j * rng.normal(size=4))
+    errs = {frag.inputs[0]: (1, 0), frag.inputs[1]: (1, 1)}
+    trace = run_fragment(frag, psi, errs, OutcomeSource.seeded(7))
+    frame = [trace.frame[o] for o in frag.outputs]
+    want = pauli_product(frame) @ U @ psi.amplitudes
+    assert 1.0 - abs(np.vdot(want, trace.state.amplitudes)) ** 2 < 1e-9
 
 
 def test_layout_builds_each_setting_once(monkeypatch):

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ppmbqc import executor
 from ppmbqc.boolfn import BoolFn
@@ -35,6 +35,7 @@ from ppmbqc.pattern import (
     MeasurementPattern,
     PatternFragment,
     compose,
+    flatten,
 )
 from ppmbqc.pgraph import PGraph
 from ppmbqc.statevec import (
@@ -361,8 +362,12 @@ def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode(monkeypatch):
 
 
 @st.composite
-def adaptive_fragments(draw):
-    """Small random fragments whose choices read earlier outcomes and errors."""
+def adaptive_fragments(draw, definitions=False):
+    """Small random fragments whose choices read earlier outcomes and errors.
+
+    With ``definitions``, up to two definitions, each over the names before
+    it, precede every measurement, and later functions may read them.
+    """
     n = draw(st.integers(2, 8))
     m = draw(st.integers(1, 3))
     pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
@@ -381,13 +386,16 @@ def adaptive_fragments(draw):
         monomial = st.lists(st.sampled_from(pool), max_size=2)
         return BoolFn.parse(draw(st.lists(monomial, max_size=3)))
 
-    meas = {}
+    meas, frames = {}, {}
     for v in measured:  # a choice reads only vertices measured before it
+        for _ in range(draw(st.integers(0, 2)) if definitions else 0):
+            frames[f"d{len(frames)}"] = anf(names)
+            names = names + [f"d{len(frames) - 1}"]
         meas[v] = Measurement(f"m{v}", anf(names))
         names = names + [f"m{v}"]
     corrections = {o: Correction(anf(names), anf(names)) for o in outputs}
     pattern = MeasurementPattern(graph, meas)
-    f = PatternFragment(pattern, inputs, outputs, errors, corrections)
+    f = PatternFragment(pattern, inputs, outputs, errors, corrections, frames)
     return f, {v: (draw(st.integers(0, 1)), draw(st.integers(0, 1))) for v in inputs}
 
 
@@ -424,6 +432,59 @@ def test_seeded_tape_and_exhaustive_runs_agree(case, spectators, seed):
             assert not possible
         else:
             assert possible
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(definitions=True), st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_definitions_run_as_their_substitution(case, spectators, seed):
+    f, errs = case
+    flat = flatten(f)
+    assert not flat.frames
+    # A choice may read a definition whose substitution cancels an outcome;
+    # then the orders may differ and the branch rows are not comparable.
+    assume(measurement_order(f) == measurement_order(flat))
+    rng = np.random.default_rng(seed)
+    width = len(f.inputs) + spectators
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    psi = Statevector(width, amps / np.linalg.norm(amps))
+    got, want = (enumerate_fragment(g, psi, errs, spectators=spectators) for g in (f, flat))
+    for key in ("outcomes", "choices", "frames", "possible"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert np.allclose(got.states, want.states, rtol=0, atol=1e-12)
+    shot, ref = (run_fragment(g, psi, errs, OutcomeSource.seeded(seed), spectators) for g in (f, flat))
+    assert (shot.outcomes, shot.bases, shot.frame) == (ref.outcomes, ref.bases, ref.frame)
+    assert shot.probability == pytest.approx(ref.probability, abs=1e-12)
+    assert np.allclose(shot.state.amplitudes, ref.state.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_definitions_past_the_int64_word_are_enumerated():
+    # 40 bare wires put 80 definitions between two T gadgets, so the branch
+    # words of an exhaustive run outgrow 63 bits.
+    wire = PatternFragment(
+        MeasurementPattern(PGraph(1), {}),
+        (0,),
+        (0,),
+        {0: ("z", "x")},
+        {0: Correction(BoolFn.var("z"), BoolFn.var("x"))},
+    )
+    f = e_fragment("T")
+    for _ in range(40):
+        f = compose(f, wire, {f.outputs[0]: 0})
+    f = compose(f, e_fragment("T"), {f.outputs[0]: 0})
+    assert len(f.frames) + 2 + len(f.pattern.measurements) > 63
+    psi = random_state(1)
+    for errs in ((0, 0), (1, 0), (1, 1)):
+        got, want = (enumerate_fragment(g, psi, {f.inputs[0]: errs}) for g in (f, flatten(f)))
+        for key in ("outcomes", "choices", "frames", "possible"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert np.allclose(got.states, want.states, rtol=0, atol=1e-12)
+
+
+def test_only_fragments_with_definitions_plan_them():
+    assert executor._plan(brick(BrickSettings("T", "HTH", 1))).frames == {}
+    f = compose(xhalf_fragment(), xhalf_fragment(), {1: 0})
+    levels = executor._plan(f).frames  # both are first read by the corrections
+    assert {level: [bit for bit, _ in group] for level, group in levels.items()} == {2: [2, 1]}
 
 
 def dense_branches(f, psi, errs, spectators):

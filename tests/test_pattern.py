@@ -17,6 +17,7 @@ from ppmbqc.pattern import (
     PatternFragment,
     compose,
     dependency_schedule,
+    flatten,
     fragment_from_dict,
     fragment_from_json,
     fragment_to_dict,
@@ -138,10 +139,50 @@ def test_compose_empty_wiring_is_disjoint_union():
 def test_compose_substitutes_error_variables():
     f1, f2 = xhalf_fragment(), xhalf_fragment()
     comp = compose(f1, f2, {f1.outputs[0]: f2.inputs[0]})
-    # The second stage's (z, x) are replaced by the first stage's
-    # corrections; its zeta = z2 + a2 becomes (a ^ z) ^ a2.
-    zeta = comp.corrections[comp.outputs[0]].zeta
+    # The second stage's (z, x) are bound to the first stage's corrections;
+    # substituted, its zeta = z2 + a2 becomes (a ^ z) ^ a2.
+    zeta = flatten(comp).corrections[comp.outputs[0]].zeta
     assert zeta == BoolFn.xor_of("a", "z", "g2.a")
+
+
+def test_compose_binds_wired_errors_as_definitions():
+    f1, f2 = xhalf_fragment(), xhalf_fragment()
+    comp = compose(f1, f2, {f1.outputs[0]: f2.inputs[0]})
+    c1 = f1.corrections[f1.outputs[0]]
+    assert comp.frames == {"g2.z": c1.zeta, "g2.x": c1.xi}
+    assert comp.corrections[comp.outputs[0]].zeta == BoolFn.xor_of("g2.z", "g2.a")
+    # A composite wired on again renames its definitions with the rest.
+    again = compose(xhalf_fragment(), comp, {1: comp.inputs[0]})
+    assert list(again.frames) == ["g2.z", "g2.x", "g2.g2.z", "g2.g2.x"]
+    assert again.frames["g2.g2.z"] == BoolFn.xor_of("g2.a", "g2.z")
+    assert flatten(flatten(again)) == flatten(again) and not flatten(again).frames
+
+
+def test_a_cycle_through_a_definition_is_reported_by_its_vertices():
+    p = MeasurementPattern(
+        PGraph(3),
+        {0: Measurement("u", BoolFn.var("d")), 1: Measurement("w", BoolFn.zero())},
+    )
+    f = PatternFragment(
+        p, (), (2,), {}, {2: Correction(BoolFn.zero(), BoolFn.zero())}, {"d": BoolFn.var("u")}
+    )
+    with pytest.raises(WellFoundednessError) as err:
+        dependency_schedule(f)
+    assert err.value.cycle == [0]
+
+
+def test_definitions_cost_no_feed_forward_round():
+    # u is measured first; d1 and d2 relay it, and w reads d2: two rounds,
+    # as if w read u itself.
+    p = MeasurementPattern(
+        PGraph(3),
+        {0: Measurement("u", BoolFn.zero()), 1: Measurement("w", BoolFn.var("d2"))},
+    )
+    frames = {"d1": BoolFn.xor_of("u", "z"), "d2": BoolFn.var("d1")}
+    f = PatternFragment(
+        p, (2,), (2,), {2: ("z", "x")}, {2: Correction(BoolFn.var("d2"), BoolFn.zero())}, frames
+    )
+    assert dependency_schedule(f) == dependency_schedule(flatten(f)) == [[0], [1]]
 
 
 def test_composition_associativity_against_same_unitary():
@@ -162,6 +203,22 @@ def test_json_roundtrip_bit_exact():
         again = fragment_from_json(text)
         assert again == frag
         assert fragment_to_json(again) == text
+
+
+def test_definitions_round_trip_through_schema_two():
+    comp = compose(xhalf_fragment(), xhalf_fragment(), {1: 0})
+    text = fragment_to_json(comp)
+    data = json.loads(text)
+    assert data["schema_version"] == 2 and "\n" not in text
+    assert data["frames"] == [[name, fn.to_anf_lists()] for name, fn in comp.frames.items()]
+    again = fragment_from_json(text)
+    assert again == comp and list(again.frames) == list(comp.frames)
+    assert fragment_to_json(again) == text
+    # Without definitions the schema is 1, indented, and flatten changes nothing.
+    flat = flatten(comp)
+    assert json.loads(fragment_to_json(flat))["schema_version"] == 1
+    assert flatten(xhalf_fragment()) == xhalf_fragment()
+    assert fragment_to_json(xhalf_fragment()).startswith("{\n")
 
 
 def test_schema_version_present_and_checked():
