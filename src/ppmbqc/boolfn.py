@@ -36,7 +36,8 @@ def _canonical(monomials: Iterable[Iterable[str]]) -> frozenset[Monomial]:
 class BoolFn:
     """An ANF polynomial: XOR over monomials of AND over variables.
 
-    Construction canonicalises ``monomials``, any iterable of name iterables.
+    Construction canonicalises ``monomials``, any iterable of name
+    iterables: ``BoolFn([["a"], ["b", "z"], []])`` is ``a ^ b*z ^ 1``.
     """
 
     monomials: frozenset[Monomial] = field(default_factory=frozenset)
@@ -61,11 +62,6 @@ class BoolFn:
     @staticmethod
     def const(bit: int) -> BoolFn:
         return BoolFn.one() if bit & 1 else BoolFn.zero()
-
-    @staticmethod
-    def parse(monomials: Iterable[Iterable[str]]) -> BoolFn:
-        """Build from a list of monomials, e.g. ``[["a"], ["b", "z"], []]``."""
-        return BoolFn(monomials)
 
     @staticmethod
     def xor_of(*fns: BoolFn | str) -> BoolFn:
@@ -151,10 +147,6 @@ class BoolFn:
         """Deterministic nested-list form used by the JSON schema."""
         return sorted((sorted(m) for m in self.monomials), key=lambda m: (len(m), m))
 
-    @staticmethod
-    def from_anf_lists(data: Iterable[Iterable[str]]) -> BoolFn:
-        return BoolFn.parse(data)
-
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
@@ -180,4 +172,4 @@ def mobius_anf(table: np.ndarray, names: list[str]) -> BoolFn:
     for idx in np.nonzero(coeff)[0]:
         mono = [names[j] for j in range(k) if (idx >> (k - 1 - j)) & 1]
         monomials.append(mono)
-    return BoolFn.parse(monomials)
+    return BoolFn(monomials)

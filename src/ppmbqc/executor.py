@@ -10,11 +10,13 @@ diagonal on the other live qubits. So each step compiles to one kernel:
 where v sits in the register (or that it is fresh), and two diagonals, one
 per outcome, that also carry the |+> normalization of the qubits the step
 prepares. Edges joining two unmeasured vertices, and the outputs not yet
-prepared, make one closing diagonal. Choices, output corrections and
-definitions compile to bit masks over branch words: the outcomes so far,
-above the input-error bits, above one bit per definition. A definition is
-evaluated once, at the level of its first reader, and sets its bit in the
-words of every later level.
+prepared, make one closing diagonal.
+
+The classical side compiles to one straight-line program: each definition
+right after the last outcome it reads, each step's choice and outcome, then
+the output corrections. Each input error, outcome and definition holds one
+bit of the branch word from its write until its last reader, which may take
+the bit over, so a word is as wide as the most values live at once.
 
 Every call walks the plan over a ``(2**spectators, 2**live, rows)``
 amplitude array. Spectators are a leading batch axis that the engine never
@@ -28,9 +30,8 @@ enumeration splits every row into both outcomes (row r into rows 2r and
 2r+1, written as a trailing outcome axis, so the first measurement is the
 most significant bit of the branch index), a seeded shot draws one outcome
 from the branch distribution, and a tape forces it. A run with a source
-keeps one row, so it evaluates choices on one Python int; an exhaustive run
-keeps a definition's bits per row of its level L, and row r of a later
-level j reads row ``r >> (j - L)`` of it.
+keeps one row, so its branch word is one Python int; an exhaustive run
+keeps one word per row, and a split hands each row's word to both children.
 
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
@@ -41,6 +42,8 @@ Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -197,8 +200,8 @@ class BranchEnsemble:
 
 # -- the engine -------------------------------------------------------------
 
-# An ANF compiled against the branch words of the level where it is read:
-# one bit mask per monomial.
+# An ANF compiled against the bits its variables hold when it is read: one
+# bit mask per monomial.
 CompiledAnf = tuple[int, ...]
 
 
@@ -225,27 +228,29 @@ class _Step:
 class _Plan:
     """A fragment's standard form, compiled once.
 
-    ``steps[j]`` measures ``order[j]``, whose choice ``choices[j]`` reads
-    level-j branch words: the j outcomes so far, the first most
-    significant, above the input-error bits in ``error_variables`` order,
-    above one bit per definition in ``frames`` order. Then the diagonal
-    ``close``, of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet
-    live and joins the unmeasured vertices. ``perm`` moves the rows first,
-    then the outputs in fragment order, then the spectators.
-    ``corrections`` lists each output's zeta then xi, read at level k.
-    ``frames`` maps a level to the ``(bit, anf)`` of each definition first
-    read there, in definition order: the definition is evaluated on the
-    words of that level and sets ``bit`` from then on.
+    ``program`` is the classical side in run order, as ``(anf, bit, step)``
+    entries: step -1 sets ``bit`` of the branch word to a definition's
+    value; step j evaluates the choice of ``order[j]``, measures it with
+    ``steps[j]`` and sets ``bit`` to the outcome. ``errors`` holds the bit
+    of each input-error variable, in ``error_variables`` order. A value
+    keeps its bit from its write until its last reader, which may take the
+    bit over; a value nothing reads has bit 0, so writing it changes
+    nothing. ``width`` counts the bits in use. Then the diagonal ``close``,
+    of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet live and
+    joins the unmeasured vertices. ``perm`` moves the rows first, then the
+    outputs in fragment order, then the spectators. ``corrections`` lists
+    each output's zeta then xi, read after the last entry.
     """
 
     order: tuple[int, ...]
     names: tuple[str, ...]
     steps: tuple[_Step, ...]
-    choices: tuple[CompiledAnf, ...]
+    program: tuple[tuple[CompiledAnf, int, int], ...]
     close: np.ndarray
     perm: tuple[int, ...]
     corrections: tuple[CompiledAnf, ...]
-    frames: dict[int, tuple[tuple[int, CompiledAnf], ...]] = field(default_factory=dict)
+    errors: tuple[int, ...]
+    width: int
 
 
 def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
@@ -267,18 +272,6 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     order = measurement_order(f)
     k = len(order)
     names = [f.pattern.measurements[v].var for v in order]
-    column = {name: j for j, name in enumerate(names)}
-    low = (*f.error_variables(), *f.frames)  # the bits below the outcomes
-    fixed = {name: 1 << (len(low) - 1 - i) for i, name in enumerate(low)}
-
-    def compiled(fn, level: int) -> CompiledAnf:
-        def bit(name):
-            if name in column:
-                return 1 << (len(low) + level - 1 - column[name])
-            return fixed[name]
-
-        return tuple(sum(map(bit, mono)) for mono in fn.monomials)
-
     graph = f.pattern.graph
     tables = {m: phase_table(graph.angle(m)) for m in {mult for *_, mult in graph.edges}}
     rank = {v: step for step, v in enumerate(order)}
@@ -307,38 +300,50 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     fresh = [w for w in f.outputs if w not in prepared]
     register = live + fresh
     close = _diagonal(register, edges[k], 2.0 ** (-len(fresh) / 2))
-    corrections = [f.corrections[o] for o in f.outputs]
-    # A definition is evaluated at the least level of its readers. Its
-    # readers follow it, so one backward pass over the definitions settles it.
-    first: dict[str, int] = {}
+    corrections = [fn for o in f.outputs for fn in (f.corrections[o].zeta, f.corrections[o].xi)]
 
-    def read(fn, level: int) -> None:
-        for name in fn.variables:
-            if name in f.frames and level < first.get(name, k + 1):
-                first[name] = level
-
-    for j, v in enumerate(order):
-        read(f.pattern.measurements[v].choice, j)
-    for c in corrections:
-        read(c.zeta, k)
-        read(c.xi, k)
-    for name, fn in reversed(f.frames.items()):
-        if name in first:
-            read(fn, first[name])
-    frames: dict[int, list[tuple[int, CompiledAnf]]] = {}
+    # A definition runs right after the last step whose outcome it reads,
+    # directly or through the definitions it reads: -1 for none.
+    after = {name: j for j, name in enumerate(names)}
+    defined: list[list] = [[] for _ in range(k + 1)]
     for name, fn in f.frames.items():
-        if name in first:
-            level = first[name]
-            frames.setdefault(level, []).append((fixed[name], compiled(fn, level)))
+        after[name] = max((after.get(v, -1) for v in fn.variables), default=-1)
+        defined[after[name] + 1].append((fn, name, -1))
+    program = defined[0]
+    for j, v in enumerate(order):
+        program += [(f.pattern.measurements[v].choice, names[j], j), *defined[j + 1]]
+
+    # Each value holds the lowest free bit from its write until its last
+    # read, where the bit is freed for the value that reader writes.
+    last = {}
+    for i, (fn, _, _) in enumerate(program):
+        last.update(dict.fromkeys(fn.variables, i))
+    for fn in corrections:
+        last.update(dict.fromkeys(fn.variables, len(program)))
+    errors = f.error_variables()
+    bit, free, freed, slots = {}, [], {}, itertools.count()
+    for i, name in enumerate([*errors, *(name for _, name, _ in program)], -len(errors)):
+        for slot in freed.pop(i, ()):
+            heapq.heappush(free, slot)
+        bit[name] = 0
+        if name in last:
+            slot = heapq.heappop(free) if free else next(slots)
+            bit[name] = 1 << slot
+            freed.setdefault(last[name], []).append(slot)
+
+    def compiled(fn) -> CompiledAnf:
+        return tuple(sum(bit[name] for name in mono) for mono in fn.monomials)
+
     return _Plan(
         tuple(order),
         tuple(names),
         tuple(steps),
-        tuple(compiled(f.pattern.measurements[v].choice, j) for j, v in enumerate(order)),
+        tuple((compiled(fn), bit[name], j) for fn, name, j in program),
         close.reshape(1 << len(live), -1, 1),
         (len(register) + 1, *(1 + register.index(o) for o in f.outputs), 0),
-        tuple(compiled(fn, k) for c in corrections for fn in (c.zeta, c.xi)),
-        {level: tuple(group) for level, group in frames.items()},
+        tuple(map(compiled, corrections)),
+        tuple(bit[name] for name in errors),
+        next(slots),  # the bits ever taken
     )
 
 
@@ -358,10 +363,10 @@ def _plan(f: PatternFragment) -> _Plan:
 def _evaluate(anf: CompiledAnf, words):
     """XOR of the monomials of ``anf`` over branch words.
 
-    A level-L branch word holds the first L outcomes, the first one most
-    significant, above the input-error bits. ``words`` is one Python int for
-    a one-row run, giving an int, or an array of them, giving one value per
-    row.
+    A branch word holds a bit for each value live at that point of the
+    program, from its write to its last reader. ``words`` is one Python int
+    for a one-row run, giving an int, or an array of them, giving one value
+    per row.
     """
     acc = words & 0  # 0, or a zero per row
     for mask in anf:
@@ -489,21 +494,9 @@ def _execute(
         zvar, xvar = f.input_errors[v]
         error_bits[zvar], error_bits[xvar] = (b & 1 for b in errs.get(v, (0, 0)))
     frame = list(error_bits.values())  # (z, x) per input wire; the names are distinct
-    e = len(frame)
-    error_word = sum(b << (e - 1 - i) for i, b in enumerate(frame))
-    low = e + len(f.frames)  # the error and definition bits below the outcomes
-    below, at = error_word << len(f.frames), 0  # an int, or one per row of level `at`
-    dtype = np.int64 if low + k < 63 else object  # exhaustive words, int64 while they fit
-
-    def words(j: int, index):
-        """Level-j branch words of ``index``, setting the definitions first read there."""
-        nonlocal below, at
-        w = (index << low) | (below if isinstance(below, int) else below.repeat(1 << (j - at)))
-        if j in plan.frames:
-            for bit, anf in plan.frames[j]:
-                w = w | _evaluate(anf, w) * bit
-            below, at = w & ((1 << low) - 1), j
-        return w
+    word = sum(bit for bit, b in zip(plan.errors, frame) if b)  # an int, or one per row
+    if draw is None:  # exhaustive words, int64 while they fit
+        word = np.full(1, word, dtype=np.int64 if plan.width < 63 else object)
 
     # Axes (spectators, inputs, rows): a new array, so the in-place kernels
     # below never touch the caller's state.
@@ -516,21 +509,27 @@ def _execute(
     amps = np.ascontiguousarray(framed.T).reshape(S, -1, 1)
 
     scale, outcome, chosen = 1.0, 0, []  # one-row runs: outcomes so far, choices
-    for j, step in enumerate(plan.steps):
-        rows = amps.shape[-1]
-        _check_cap(rows * step.diag.size, spectators)
+    for anf, bit, j in plan.program:
+        value = _evaluate(anf, word)
+        if j < 0:  # a definition
+            word = word & ~bit | value * bit
+            continue
+        step = plan.steps[j]
+        _check_cap(amps.shape[-1] * step.diag.size, spectators)
+        chosen.append(value)
         if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            choices = _evaluate(plan.choices[j], words(j, np.arange(rows, dtype=dtype)))
-            chosen.append(choices)
-            amps = _split(amps, step, choices == 0)
+            amps = _split(amps, step, value == 0)
+            kids = np.empty((word.size, 2), dtype=word.dtype)  # faster than a broadcast OR
+            np.bitwise_and(word, ~bit, out=kids[:, 0])
+            np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
+            word = kids.reshape(-1)
         else:
-            choice = _evaluate(plan.choices[j], words(j, outcome))
-            kids = _split(amps, step, choice == 0).reshape(-1, 2)
+            kids = _split(amps, step, value == 0).reshape(-1, 2)
             b, p = draw(j, plan.order[j], (kids[:, 0], kids[:, 1]))
             amps = (kids[:, b] * (1.0 / math.sqrt(p))).reshape(S, -1, 1)
             scale *= p
             outcome = outcome << 1 | b
-            chosen.append(choice)
+            word = word & ~bit | bit * b
 
     rows = amps.shape[-1]
     _check_cap(rows * plan.close.size, spectators)
@@ -544,15 +543,14 @@ def _execute(
 
     # Outcome j of row r is bit k-1-j of r; a step's choices, kept at their
     # own level, cover 2**(k-j) rows each.
-    index = np.arange(rows, dtype=dtype) if draw is None else outcome
+    index = np.arange(rows) if draw is None else outcome
     outcomes = [(index >> (k - 1 - j)) & 1 for j in range(k)]
     if draw is None:
         chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
     bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
-    final = words(k, index)
     frames = np.empty((len(plan.corrections), rows), dtype=np.uint8)
     for i, c in enumerate(plan.corrections):
-        frames[i] = _evaluate(c, final)
+        frames[i] = _evaluate(c, word)
     return BranchEnsemble(
         list(plan.order),
         list(plan.names),

@@ -35,9 +35,32 @@ from .unitaries import CZ, apply_frames, frame_bits, phase_matched, unitary_from
 E_MODES = ("T", "Tdg", "H", "S")
 MAX_HIERARCHY_EXPONENT = 8
 
-# Lane gates realizable per brick side; PAD is identity up to Pauli frame.
-LEFT_LANE_GATES = ("PAD", "T", "Tdg", "S", "H", "HSH", "HSHS")
-RIGHT_LANE_GATES = ("PAD", "H", "S", "HSH", "HSHS", "HTH", "HTdgH")
+# theta plans per lane label: (cluster kind at the rotation site,
+# middle-hair kind, extra half phase wanted at top). Kinds: "cluster",
+# "half", "cut".
+_LEFT_PLAN = {
+    "PAD": ("cut", "cut", 0),
+    "T": ("cluster", "cut", 0),
+    "Tdg": ("cluster", "cut", 0),
+    "S": ("half", "cut", 0),
+    "H": ("cut", "half", 0),
+    "HSH": ("half", "half", 1),
+    "HSHS": ("cut", "half", 1),
+}
+_RIGHT_PLAN = {
+    "PAD": (0, "cut", 0),
+    "H": (0, "half", 0),
+    "S": (0, "cut", 1),
+    "HSH": (1, "half", 1),
+    "HSHS": (0, "half", 1),
+    "HTH": (1, "cluster", 1),
+    "HTdgH": (1, "cluster", 1),
+}
+
+# Lane gates realizable per brick side, in table order; PAD is identity up
+# to Pauli frame.
+LEFT_LANE_GATES = tuple(_LEFT_PLAN)
+RIGHT_LANE_GATES = tuple(_RIGHT_PLAN)
 
 
 @dataclass(frozen=True)
@@ -355,28 +378,6 @@ def hierarchy_fragment(m: int) -> PatternFragment:
 
 
 # -- the brick ---------------------------------------------------------
-
-# theta plans per lane label: (cluster kind at the rotation site,
-# middle-hair kind, extra half phase wanted at top). Kinds: "cluster",
-# "half", "cut".
-_LEFT_PLAN = {
-    "PAD": ("cut", "cut", 0),
-    "T": ("cluster", "cut", 0),
-    "Tdg": ("cluster", "cut", 0),
-    "S": ("half", "cut", 0),
-    "H": ("cut", "half", 0),
-    "HSH": ("half", "half", 1),
-    "HSHS": ("cut", "half", 1),
-}
-_RIGHT_PLAN = {
-    "PAD": (0, "cut", 0),
-    "H": (0, "half", 0),
-    "S": (0, "cut", 1),
-    "HSH": (1, "half", 1),
-    "HSHS": (0, "half", 1),
-    "HTH": (1, "cluster", 1),
-    "HTdgH": (1, "cluster", 1),
-}
 
 
 def _quarter_group(lane: _Lane, kind: str, base_var: str, half_var: str) -> None:

@@ -448,7 +448,7 @@ def _vertex(key: str) -> int:
 
 
 def _anf(monomials: list) -> BoolFn:
-    return BoolFn.from_anf_lists(
+    return BoolFn(
         [_json(name, str, "ANF variable") for name in _json(m, list, "ANF monomial")]
         for m in monomials
     )

@@ -94,36 +94,12 @@ def phase_table(alpha: float) -> np.ndarray:
 
     Entry ``[a, 0, b, 0]`` multiplies the components whose two qubits read
     ``a`` and ``b``: ``e^{-ia/2}`` on even parity, ``e^{+ia/2}`` on odd. The
-    singleton axes let :func:`_phase` broadcast it over a register grouped
-    around the two qubits. Reshaped, it sits on any two axes of a longer
-    diagonal, or flattens to the gate's own.
+    singleton axes broadcast it over a register grouped around the two
+    qubits. Reshaped, it sits on any two axes of a longer diagonal, or
+    flattens to the gate's own.
     """
     even, odd = np.exp(-0.5j * alpha), np.exp(0.5j * alpha)
     return np.array([[even, odd], [odd, even]]).reshape(2, 1, 2, 1)
-
-
-def _phase(amps: np.ndarray, p: int, q: int, live: int, table: np.ndarray) -> np.ndarray:
-    """Apply the parity-phase ``table`` between axes ``p`` and ``q``, in place.
-
-    ``amps`` has shape ``(rows, 2**live)``; every row gets the same phase.
-    """
-    p, q = min(p, q), max(p, q)
-    rows = amps.shape[0]
-    t = amps.reshape(rows, 1 << p, 2, 1 << (q - p - 1), 2, 1 << (live - q - 1))
-    t *= table
-    return t.reshape(rows, -1)
-
-
-def _halves(amps: np.ndarray, pos: int, choice: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both outcome halves of axis ``pos`` of one register, flattened.
-
-    Choice 0 rotates the axis into the X basis first; ``amps`` is not modified.
-    """
-    t = amps.reshape(1 << pos, 2, -1)
-    a0, a1 = t[:, 0], t[:, 1]
-    if not choice:
-        a0, a1 = (a0 + a1) * SQRT2_INV, (a0 - a1) * SQRT2_INV
-    return a0.reshape(-1), a1.reshape(-1)
 
 
 def apply_matrix(s: Statevector, q: int, mat: np.ndarray) -> Statevector:
@@ -146,8 +122,10 @@ def apply_parity_phase(s: Statevector, q1: int, q2: int, alpha: float) -> Statev
     for q in (q1, q2):
         if not 0 <= q < n:
             raise DimensionError(f"qubit {q} out of range [0, {n})")
-    amps = _phase(s.amplitudes.reshape(1, -1).copy(), q1, q2, n, phase_table(alpha))
-    return Statevector(n, amps.reshape(-1))
+    p, q = min(q1, q2), max(q1, q2)
+    t = s.amplitudes.reshape(1 << p, 2, 1 << (q - p - 1), 2, 1 << (n - q - 1)).copy()
+    t *= phase_table(alpha)
+    return Statevector(n, t.reshape(-1))
 
 
 def measure(
@@ -169,7 +147,11 @@ def measure(
         raise DimensionError(f"qubit {q} out of range [0, {n})")
     if basis not in ("X", "Z"):
         raise ValueError(f"basis must be 'X' or 'Z', got {basis!r}")
-    branch = _halves(s.amplitudes, q, basis == "Z")[outcome & 1]
+    t = s.amplitudes.reshape(1 << q, 2, -1)
+    a0, a1 = t[:, 0], t[:, 1]
+    if basis == "X":
+        a0, a1 = (a0 + a1) * SQRT2_INV, (a0 - a1) * SQRT2_INV
+    branch = (a0, a1)[outcome & 1].reshape(-1)
     prob = float(np.real(np.vdot(branch, branch)))
     if prob < IMPOSSIBLE_PROB:
         return prob, None

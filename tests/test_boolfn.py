@@ -11,7 +11,7 @@ VARS = ["a", "b", "c", "d", "e", "x", "z"]
 
 
 def anf(*monomials):
-    return BoolFn.parse(monomials)
+    return BoolFn(monomials)
 
 
 def test_nested_product_expression_evaluates_stepwise():
@@ -76,8 +76,8 @@ def boolfns(draw):
 
 @given(boolfns(), boolfns())
 def test_canonicalization_preserves_truth_table(m1, m2):
-    f1 = BoolFn.parse(m1)
-    f2 = BoolFn.parse(m2)
+    f1 = BoolFn(m1)
+    f2 = BoolFn(m2)
     both = f1 ^ f2
     names = sorted(set(f1.variables) | set(f2.variables) | set(both.variables))
     for i in range(1 << len(names)):
@@ -110,7 +110,7 @@ def test_rename_and_json_lists_roundtrip():
     f = anf(["a", "b"], ["z"], [])
     g = f.rename({"a": "g2.a"})
     assert g == anf(["g2.a", "b"], ["z"], [])
-    assert BoolFn.from_anf_lists(f.to_anf_lists()) == f
+    assert BoolFn(f.to_anf_lists()) == f
 
 
 FREE = ["u", "v", "w"]
@@ -121,13 +121,13 @@ def bindings(draw):
     """Bind some of VARS to renames, constants or polynomials over VARS + FREE."""
     names = draw(st.lists(st.sampled_from(VARS), unique=True, max_size=4))
     pool = st.sampled_from(VARS + FREE)
-    poly = st.lists(st.lists(pool, max_size=3), max_size=4).map(BoolFn.parse)
+    poly = st.lists(st.lists(pool, max_size=3), max_size=4).map(BoolFn)
     return {n: draw(st.one_of(pool.map(BoolFn.var), poly)) for n in names}
 
 
 @given(boolfns(), bindings(), st.integers(min_value=0, max_value=2**10 - 1))
 def test_substitute_agrees_with_evaluating_each_binding(monos, binds, bits):
-    f = BoolFn.parse(monos)
+    f = BoolFn(monos)
     env = {n: (bits >> i) & 1 for i, n in enumerate(VARS + FREE)}
     bound_env = env | {n: g.evaluate(env) for n, g in binds.items()}
     assert f.substitute(binds).evaluate(env) == f.evaluate(bound_env)

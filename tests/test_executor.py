@@ -384,7 +384,7 @@ def adaptive_fragments(draw, definitions=False):
         if not pool:
             return BoolFn.const(draw(st.integers(0, 1)))
         monomial = st.lists(st.sampled_from(pool), max_size=2)
-        return BoolFn.parse(draw(st.lists(monomial, max_size=3)))
+        return BoolFn(draw(st.lists(monomial, max_size=3)))
 
     meas, frames = {}, {}
     for v in measured:  # a choice reads only vertices measured before it
@@ -458,8 +458,8 @@ def test_definitions_run_as_their_substitution(case, spectators, seed):
 
 
 def test_definitions_past_the_int64_word_are_enumerated():
-    # 40 bare wires put 80 definitions between two T gadgets, so the branch
-    # words of an exhaustive run outgrow 63 bits.
+    # 40 bare wires put 80 chained definitions between two T gadgets; each
+    # frees its bit for the next, so their branch words stay narrow.
     wire = PatternFragment(
         MeasurementPattern(PGraph(1), {}),
         (0,),
@@ -467,24 +467,48 @@ def test_definitions_past_the_int64_word_are_enumerated():
         {0: ("z", "x")},
         {0: Correction(BoolFn.var("z"), BoolFn.var("x"))},
     )
-    f = e_fragment("T")
+    chained = e_fragment("T")
     for _ in range(40):
-        f = compose(f, wire, {f.outputs[0]: 0})
-    f = compose(f, e_fragment("T"), {f.outputs[0]: 0})
-    assert len(f.frames) + 2 + len(f.pattern.measurements) > 63
+        chained = compose(chained, wire, {chained.outputs[0]: 0})
+    chained = compose(chained, e_fragment("T"), {chained.outputs[0]: 0})
+    # 70 definitions that the output's zeta reads stay live to the end, so
+    # the branch words of an exhaustive run outgrow 63 bits.
+    t = e_fragment("T")
+    ((z, x),) = t.input_errors.values()
+    frames = {f"d{i}": BoolFn([[z, x][: 1 + i % 2]]) for i in range(70)}  # z or z*x
+    out, c = t.outputs[0], t.corrections[t.outputs[0]]
+    zeta = BoolFn.xor_of(c.zeta, *frames)
+    wide = PatternFragment(
+        t.pattern, t.inputs, t.outputs, t.input_errors, {out: Correction(zeta, c.xi)}, frames
+    )
+    assert executor._plan(chained).width <= 62 < executor._plan(wide).width
     psi = random_state(1)
-    for errs in ((0, 0), (1, 0), (1, 1)):
-        got, want = (enumerate_fragment(g, psi, {f.inputs[0]: errs}) for g in (f, flatten(f)))
-        for key in ("outcomes", "choices", "frames", "possible"):
-            assert np.array_equal(getattr(got, key), getattr(want, key)), key
-        assert np.allclose(got.states, want.states, rtol=0, atol=1e-12)
+    for f in (chained, wide):
+        for errs in ((0, 0), (1, 0), (1, 1)):
+            got, want = (enumerate_fragment(g, psi, {f.inputs[0]: errs}) for g in (f, flatten(f)))
+            for key in ("outcomes", "choices", "frames", "possible"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), key
+            assert np.allclose(got.states, want.states, rtol=0, atol=1e-12)
 
 
 def test_only_fragments_with_definitions_plan_them():
-    assert executor._plan(brick(BrickSettings("T", "HTH", 1))).frames == {}
+    program = executor._plan(brick(BrickSettings("T", "HTH", 1))).program
+    assert [step for *_, step in program] == list(range(len(program)))
     f = compose(xhalf_fragment(), xhalf_fragment(), {1: 0})
-    levels = executor._plan(f).frames  # both are first read by the corrections
-    assert {level: [bit for bit, _ in group] for level, group in levels.items()} == {2: [2, 1]}
+    program = executor._plan(f).program  # both definitions read step 0's outcome
+    assert [step for *_, step in program] == [0, -1, -1, 1]
+    sizes = [len(fn.monomials) for fn in f.frames.values()]
+    assert [len(anf) for anf, _, step in program if step < 0] == sizes == [2, 4]
+
+
+def test_branch_words_stay_narrow_at_any_depth():
+    # Each value frees its bit at its last reader, so the word does not grow
+    # with the number of bricks.
+    widths = [
+        executor._plan(compile_circuit(parse_circuit("qubits 1\n" + "T 0\nH 0\n" * n))).width
+        for n in (100, 200)
+    ]
+    assert widths[0] == widths[1] <= 32
 
 
 def dense_branches(f, psi, errs, spectators):
@@ -576,11 +600,11 @@ def test_runs_leave_the_callers_input_state_untouched():
     # built from the input state before any fresh qubit is allocated.
     graph = PGraph(2, 2, ((0, 1, 1),))
     f = PatternFragment(
-        MeasurementPattern(graph, {0: Measurement("a", BoolFn.parse([["z0"]]))}),
+        MeasurementPattern(graph, {0: Measurement("a", BoolFn([["z0"]]))}),
         (0, 1),
         (1,),
         {0: ("z0", "x0"), 1: ("z1", "x1")},
-        {1: Correction(BoolFn.parse([["a"]]), BoolFn.parse([["x1"]]))},
+        {1: Correction(BoolFn([["a"]]), BoolFn([["x1"]]))},
     )
     for frag in (f, cz_fragment(1)):
         psi = choi_input(2)
