@@ -32,6 +32,9 @@ most significant bit of the branch index), a seeded shot draws one outcome
 from the branch distribution, and a tape forces it. A run with a source
 keeps one row, so its branch word is one Python int; an exhaustive run
 keeps one word per row, and a split hands each row's word to both children.
+An exhaustive run may carry several input-error assignments whose choices
+agree, with one word per assignment and row: they share the amplitudes,
+which are framed by the first, and each gets its own corrections.
 
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
@@ -460,14 +463,21 @@ def _execute(
     f: PatternFragment,
     src: OutcomeSource | None,
     input_state: Statevector | None,
-    input_errors: dict[int, tuple[int, int]] | None,
+    members: list[dict[int, tuple[int, int]] | None],
     spectators: int,
-) -> BranchEnsemble:
+) -> tuple[BranchEnsemble, np.ndarray]:
     """Run the fragment's plan with outcomes from ``src``, or all of them if None.
 
     A run with a source keeps one row; without one, every row splits into
     both outcomes at every measurement. ``DEFAULT_QUBIT_CAP`` bounds log2(rows)
     plus the live qubits after every allocation, spectators included.
+
+    ``members`` are input-error assignments that share the run: the input is
+    framed by the first, and the ensemble is the first's. An exhaustive run
+    carries one branch word per member and row, and raises ``PpmError`` at a
+    step where the members' choices differ on any row; a run with a source
+    takes one member. Returned next to the ensemble are every member's
+    frames, of shape ``(members, rows, outputs, 2)``.
     """
     n_in = len(f.inputs)
     if input_state is None:
@@ -485,18 +495,20 @@ def _execute(
         raise PpmError(f"tape of {len(src.tape)} bits is shorter than {k} measurements")
     draw = None if src is None else _drawer(src)
 
-    errs = input_errors or {}
-    stray = set(errs) - set(f.inputs)
-    if stray:
-        raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
-    error_bits: dict[str, int] = {}
-    for v in f.inputs:
-        zvar, xvar = f.input_errors[v]
-        error_bits[zvar], error_bits[xvar] = (b & 1 for b in errs.get(v, (0, 0)))
-    frame = list(error_bits.values())  # (z, x) per input wire; the names are distinct
-    word = sum(bit for bit, b in zip(plan.errors, frame) if b)  # an int, or one per row
-    if draw is None:  # exhaustive words, int64 while they fit
-        word = np.full(1, word, dtype=np.int64 if plan.width < 63 else object)
+    inputs = []  # each member's (z, x) per input wire, in error-variable order
+    for errs in members:
+        errs = errs or {}
+        stray = set(errs) - set(f.inputs)
+        if stray:
+            raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
+        inputs.append([b & 1 for v in f.inputs for b in errs.get(v, (0, 0))])
+    frame = inputs[0]
+    error_bits = dict(zip(f.error_variables(), frame))
+    words = [sum(bit for bit, b in zip(plan.errors, bits) if b) for bits in inputs]
+    if draw is None:  # one word per member and row, int64 while they fit
+        word = np.array(words, dtype=np.int64 if plan.width < 63 else object)[:, None]
+    else:
+        (word,) = words  # one member, one Python int
 
     # Axes (spectators, inputs, rows): a new array, so the in-place kernels
     # below never touch the caller's state.
@@ -516,13 +528,18 @@ def _execute(
             continue
         step = plan.steps[j]
         _check_cap(amps.shape[-1] * step.diag.size, spectators)
-        chosen.append(value)
         if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
+            if (value != value[0]).any():
+                raise PpmError(
+                    f"input-error assignments that share a run choose differently"
+                    f" at vertex {plan.order[j]}"
+                )
+            value = value[0]
             amps = _split(amps, step, value == 0)
-            kids = np.empty((word.size, 2), dtype=word.dtype)  # faster than a broadcast OR
-            np.bitwise_and(word, ~bit, out=kids[:, 0])
-            np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
-            word = kids.reshape(-1)
+            kids = np.empty(word.shape + (2,), dtype=word.dtype)  # faster than a broadcast OR
+            np.bitwise_and(word, ~bit, out=kids[..., 0])
+            np.bitwise_or(kids[..., 0], bit, out=kids[..., 1])
+            word = kids.reshape(len(members), -1)
         else:
             kids = _split(amps, step, value == 0).reshape(-1, 2)
             b, p = draw(j, plan.order[j], (kids[:, 0], kids[:, 1]))
@@ -530,6 +547,7 @@ def _execute(
             scale *= p
             outcome = outcome << 1 | b
             word = word & ~bit | bit * b
+        chosen.append(value)
 
     rows = amps.shape[-1]
     _check_cap(rows * plan.close.size, spectators)
@@ -548,10 +566,11 @@ def _execute(
     if draw is None:
         chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
     bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
-    frames = np.empty((len(plan.corrections), rows), dtype=np.uint8)
+    frames = np.empty((len(plan.corrections), len(members), rows), dtype=np.uint8)
     for i, c in enumerate(plan.corrections):
         frames[i] = _evaluate(c, word)
-    return BranchEnsemble(
+    frames = frames.reshape(len(f.outputs), 2, len(members), rows).transpose(2, 3, 0, 1)
+    ens = BranchEnsemble(
         list(plan.order),
         list(plan.names),
         amps.reshape(rows, -1),
@@ -560,9 +579,10 @@ def _execute(
         bits[:k],
         bits[k:],
         error_bits,
-        frames.reshape(len(f.outputs), 2, rows).transpose(2, 0, 1),
+        frames[0],
         scale,
     )
+    return ens, frames
 
 
 def run_fragment(
@@ -577,7 +597,7 @@ def run_fragment(
     The last ``spectators`` qubits of ``input_state`` are reference qubits
     that ride along untouched and follow the outputs in the result.
     """
-    return _execute(f, src, input_state, input_errors, spectators).traces(f)[0]
+    return _execute(f, src, input_state, [input_errors], spectators)[0].traces(f)[0]
 
 
 def enumerate_fragment(
@@ -587,4 +607,4 @@ def enumerate_fragment(
     spectators: int = 0,
 ) -> BranchEnsemble:
     """Enumerate every outcome branch with shared-prefix vectorization."""
-    return _execute(f, None, input_state, input_errors, spectators)
+    return _execute(f, None, input_state, [input_errors], spectators)[0]

@@ -1,10 +1,20 @@
 """Brute-force certification of pattern fragments.
 
-The primary check entangles every input wire with a reference qubit, runs
-the fragment once per outcome branch and input-error combination, and
-compares each branch against the advertised gate dressed with the declared
-Pauli frame. One maximally entangled input certifies the whole channel, so
-a passing report is a proof by exhaustion at machine precision.
+The primary check entangles every input wire with a reference qubit and
+compares every outcome branch under every input-error combination against
+the advertised gate dressed with the declared Pauli frame. One maximally
+entangled input certifies the whole channel, so a passing report is a proof
+by exhaustion at machine precision.
+
+On that input an input error is a Pauli on the reference side,
+``(P ⊗ I)|Φ⟩ = (I ⊗ Pᵀ)|Φ⟩``, and the engine never touches the reference
+qubits. So combinations on which every choice agrees (a choice class) share
+one outcome tree and its weights, and their states differ by a reference
+Pauli. The exhaustive mode runs one enumeration per class, framed by its
+first combination ``r``, and scores combination ``c`` against the target
+``U P_c† P_r``. The engine gives each combination its own correction frames
+and refuses a shared run on which two of them choose differently. Sampled
+runs stay one seeded run per combination and sample.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -57,6 +67,7 @@ class VerificationReport:
     worst_infidelity: float
     probability_totals: list[float]
     passed: bool
+    amplitude_runs: int
     records: list[BranchRecord] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -70,6 +81,7 @@ class VerificationReport:
             "worst_infidelity": self.worst_infidelity,
             "probability_totals": self.probability_totals,
             "pass": self.passed,
+            "amplitude_runs": self.amplitude_runs,
         }
         if self.records:
             out["branches"] = [asdict(r) for r in self.records]
@@ -113,6 +125,39 @@ def _error_combos(inputs: tuple[int, ...]):
         yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
 
 
+def _choice_classes(f: PatternFragment) -> list[list[int]]:
+    """The error combinations, by frame code, grouped so that no choice tells a group apart.
+
+    A group holds the combinations that agree on every input-error variable
+    a choice reads, directly or through definitions; groups come in the
+    order of their first combination.
+    """
+    reads: dict[str, set[str]] = {}  # what each definition reads, through definitions
+    for name, fn in f.frames.items():
+        reads[name] = set().union(*(reads.get(v, {v}) for v in fn.variables))
+    choices = [m.choice for m in f.pattern.measurements.values()]
+    chosen = set().union(*(reads.get(v, {v}) for c in choices for v in c.variables))
+    read = [name in chosen for name in f.error_variables()]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for combo, (_, bits) in enumerate(_error_combos(f.inputs)):
+        classes.setdefault(tuple(compress(bits, read)), []).append(combo)
+    return list(classes.values())
+
+
+def _member_target(U: np.ndarray, shift: int, wires: int) -> np.ndarray:
+    """The target that scores combination ``c`` on a run framed by ``r``; ``shift = c ^ r``.
+
+    On the Choi input an input error is a Pauli on the reference side,
+    ``(P ⊗ I)|Φ⟩ = (I ⊗ Pᵀ)|Φ⟩``, which the engine never touches. So where the
+    choices of ``c`` and ``r`` agree, ``c``'s branch state, as an (outputs,
+    references) matrix, is the run's ``S`` times ``P_r† P_c`` on the right,
+    and its overlap with a target ``T`` is the run's overlap with
+    ``T P_c† P_r``. That product is ``P_shift`` up to a sign, which no
+    fidelity sees.
+    """
+    return U @ apply_frames(shift, np.eye(1 << wires), wires) / math.sqrt(1 << wires)
+
+
 def _frame_table(base: np.ndarray, wires: int) -> np.ndarray:
     """``base`` dressed with every frame, flattened and conjugated; row c is code c.
 
@@ -122,12 +167,13 @@ def _frame_table(base: np.ndarray, wires: int) -> np.ndarray:
     return apply_frames(np.arange(frames), base, wires).reshape(frames, -1).conj()
 
 
-def _branch_fidelities(ens: BranchEnsemble, table: np.ndarray) -> np.ndarray:
+def _branch_fidelities(ens: BranchEnsemble, frames: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per-row fidelity against the ``_frame_table`` row of the row's frame.
 
-    Rows the engine marked impossible keep fidelity 0.
+    ``frames`` gives each row's frame, ``(rows, outputs, 2)``. Rows the
+    engine marked impossible keep fidelity 0.
     """
-    targets = table[frame_codes(ens.frames)]
+    targets = table[frame_codes(frames)]
     overlaps = np.abs(np.einsum("ij,ij->i", ens.states, targets)) ** 2
     return np.divide(overlaps, ens.weights, out=np.zeros(len(overlaps)), where=ens.possible)
 
@@ -145,8 +191,9 @@ def verify_fragment(
     Checks, for every outcome branch and every input Pauli-error
     combination, that the output equals the frame-dressed target on a
     maximally entangled input. ``branches`` is ``"all"`` for exhaustive
-    enumeration or ``("sample", k)`` for k seeded runs per error combo;
-    ``tol`` is the worst accepted infidelity, strictly between 0 and 1.
+    enumeration, one run per choice class (see :func:`_member_target`), or
+    ``("sample", k)`` for k seeded runs per error combo; ``tol`` is the
+    worst accepted infidelity, strictly between 0 and 1.
     """
     U, label = _checked_target(f, target)
     n = len(f.inputs)
@@ -156,64 +203,72 @@ def verify_fragment(
     measured = len(f.pattern.measurements)
     sample_count = _sample_count(branches)
     exhaustive = sample_count == 0
-    records: list[BranchRecord] = []
-    worst = 0.0
-    totals: list[float] = []
-    possible = impossible = 0
+    combos = list(_error_combos(f.inputs))
+    # Per combination: the probability total, the worst infidelity, the
+    # possible and impossible rows, and the records kept.
+    totals, worsts = np.zeros(len(combos)), np.zeros(len(combos))
+    counts = np.zeros((len(combos), 2), dtype=np.int64)
+    kept: list[list[BranchRecord]] = [[] for _ in combos]
 
-    table = _frame_table(U / math.sqrt(1 << n), n)
     # Both modes know their record count up front: the rows of one error
     # combination times the 4^n combinations.
     rows = (1 << measured) if exhaustive else sample_count
     keep = rows << (2 * n) <= MAX_RECORDS if keep_branches is None else keep_branches
 
-    for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
-        if exhaustive:
-            runs = [enumerate_fragment(f, choi_input(n), errs, n)]
-        else:
-            base = seed * 0x9E3779B1 + combo * 1009
-            seeds = ((base + k) & 0x7FFFFFFF for k in range(sample_count))
-            runs = (
-                _execute(f, OutcomeSource.seeded(s), choi_input(n), errs, n) for s in seeds
-            )
-        total = 0.0
-        for ens in runs:
-            fids = _branch_fidelities(ens, table)
-            probs, ok = ens.probabilities, ens.possible
-            total += float(probs.sum())
-            possible += int(ok.sum())
-            impossible += int((~ok).sum())
-            if ok.any():
-                worst = max(worst, float((1.0 - fids[ok]).max()))
-            if not keep:
-                continue
-            for r, frame in enumerate(ens.frames.tolist()):
-                records.append(
+    def score(members, ens, frames):
+        """Score one run for each of ``members``, whose first framed its input."""
+        probs, ok = ens.probabilities, ens.possible
+        total, count = float(probs.sum()), int(ok.sum())
+        for c, member_frames in zip(members, frames):
+            fids = _branch_fidelities(ens, member_frames, shifted[c ^ members[0]])
+            totals[c] += total
+            counts[c] += count, len(ok) - count
+            if count:
+                worsts[c] = max(worsts[c], float((1.0 - fids[ok]).max()))
+            if keep:
+                kept[c].extend(
                     BranchRecord(
-                        err_bits,
+                        combos[c][1],
                         tuple(int(bits[r]) for bits in ens.outcomes),
                         float(probs[r]) if ok[r] else 0.0,
                         tuple(map(tuple, frame)),
                         float(1.0 - fids[r]) if ok[r] else None,
                     )
+                    for r, frame in enumerate(member_frames.tolist())
                 )
-        totals.append(total)
+
+    # One run per choice class, or k seeded runs per combination; each run is
+    # scored and dropped before the next starts, so one run's rows are live.
+    # Members of a class differ from its first only where no choice reads,
+    # so every shift lies in the class of combination 0.
+    classes = _choice_classes(f) if exhaustive else [[c] for c in range(len(combos))]
+    shifted = {s: _frame_table(_member_target(U, s, n), n) for s in classes[0]}
+    amplitude_runs = 0
+    for members in classes:
+        errs = [combos[c][0] for c in members]
+        base = seed * 0x9E3779B1 + members[0] * 1009
+        seeds = ((base + k) & 0x7FFFFFFF for k in range(sample_count))
+        for src in [None] if exhaustive else map(OutcomeSource.seeded, seeds):
+            score(members, *_execute(f, src, choi_input(n), errs, n))
+            amplitude_runs += 1
 
     prob_ok = (
         all(abs(t - 1.0) < 1e-9 for t in totals) if exhaustive else True
     )
+    worst = float(worsts.max())
     passed = worst < tol and prob_ok
     return VerificationReport(
         target_label=label,
         tolerance=tol,
         mode="all" if exhaustive else f"sample:{sample_count}",
         measured_count=measured,
-        branch_count=possible,
-        impossible_count=impossible,
+        branch_count=int(counts[:, 0].sum()),
+        impossible_count=int(counts[:, 1].sum()),
         worst_infidelity=worst,
-        probability_totals=totals,
+        probability_totals=totals.tolist(),
         passed=passed,
-        records=records,
+        amplitude_runs=amplitude_runs,
+        records=[record for records in kept for record in records],
     )
 
 
@@ -250,7 +305,7 @@ def verify_fragment_product_inputs(
         table = _frame_table(U @ vec, n)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            fids = _branch_fidelities(ens, table)
+            fids = _branch_fidelities(ens, ens.frames, table)
             if ens.possible.any():
                 worst = max(worst, float((1.0 - fids[ens.possible]).max()))
     return worst
@@ -264,9 +319,10 @@ def infer_corrections(
 
     Any corrections already on the fragment are ignored. For every branch
     and error combination the unique per-wire Pauli making the branch equal
-    the target is found through the entangled-input overlap; the resulting
-    truth tables are converted to polynomials with the exact GF(2) Moebius
-    transform and certified before being returned.
+    the target is found through the entangled-input overlap, on one
+    enumeration per choice class as in :func:`verify_fragment`; the
+    resulting truth tables are converted to polynomials with the exact GF(2)
+    Moebius transform and certified before being returned.
     """
     U, label = _checked_target(f, target)
     n = len(f.inputs)
@@ -277,22 +333,26 @@ def infer_corrections(
     if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
-    targets = _frame_table(U / math.sqrt(1 << n), n).T
-    codes = np.zeros((1 << (2 * n), 1 << len(out_names)), dtype=np.int64)
-    for combo, (errs, err_bits) in enumerate(_error_combos(f.inputs)):
-        ens = enumerate_fragment(f, choi_input(n), errs, spectators=n)
+    combos = list(_error_combos(f.inputs))
+    codes = np.zeros((len(combos), 1 << len(out_names)), dtype=np.int64)
+    classes = _choice_classes(f)  # one run per class, as in verify_fragment
+    shifted = {s: _frame_table(_member_target(U, s, n), n).T for s in classes[0]}
+    for members in classes:
+        ens = enumerate_fragment(f, choi_input(n), combos[members[0]][0], spectators=n)
         ok = ens.possible
-        fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
-        hits = fids > 1.0 - FIT_TOL
-        n_hits = hits.sum(axis=1)
-        bad = np.nonzero(ok & (n_hits != 1))[0]
-        if len(bad):
-            raise InferenceError(
-                f"branch {int(bad[0])} of error combo {err_bits} admits "
-                f"{int(n_hits[bad[0]])} Pauli solutions against {label}"
-            )
-        # Impossible branches are don't-cares and stay at 0.
-        codes[combo] = np.where(ok, hits.argmax(axis=1), 0)
+        for combo in members:
+            targets = shifted[combo ^ members[0]]
+            fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
+            hits = fids > 1.0 - FIT_TOL
+            n_hits = hits.sum(axis=1)
+            bad = np.nonzero(ok & (n_hits != 1))[0]
+            if len(bad):
+                raise InferenceError(
+                    f"branch {int(bad[0])} of error combo {combos[combo][1]} admits "
+                    f"{int(n_hits[bad[0]])} Pauli solutions against {label}"
+                )
+            # Impossible branches are don't-cares and stay at 0.
+            codes[combo] = np.where(ok, hits.argmax(axis=1), 0)
 
     # Combos count up in frame-code order and row r of an enumeration packs
     # the outcomes in order, first one most significant, so the flat codes

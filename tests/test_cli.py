@@ -32,6 +32,7 @@ def test_verify_default_target_from_builtin(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True and payload["target"] == "S"
+    assert payload["amplitude_runs"] == 1  # no choice of e_s reads an input error
 
 
 def test_verify_mismatch_exits_one(capsys):
@@ -274,6 +275,7 @@ def test_verify_sampled_branches_flag(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mode"] == "sample:3"
+    assert payload["amplitude_runs"] == 4 * 3  # seeded runs: samples x error combinations
 
 
 @pytest.mark.parametrize("count", ["0", "-3", "x"])
@@ -431,7 +433,7 @@ def test_multiplicity_past_float_range_runs(tmp_path, capsys):
 
 
 def test_table_command_reproduces_the_shipped_table(tmp_path, capsys):
-    # One full derivation (about 7 s): catches a shipped table gone stale.
+    # One full derivation (about 1.5 s): catches a shipped table gone stale.
     out = tmp_path / "table.json"
     code, stdout, _ = run_cli(capsys, "--json", "table", "--out", str(out))
     assert code == 0

@@ -584,6 +584,21 @@ def test_outcome_bits_are_the_branch_index_and_choices_read_them():
         assert np.array_equal(ens.choices[j], want)
 
 
+def test_a_shared_run_refuses_members_whose_choices_differ():
+    from ppmbqc.verifier import choi_input
+
+    # e_t's last choice reads the input's x and no choice reads its z.
+    f, psi = e_fragment("T"), choi_input(1)
+    (v,) = f.inputs
+    members = [{v: (0, 0)}, {v: (1, 0)}]
+    ens, frames = executor._execute(f, None, psi, members, 1)
+    assert frames.shape == (2,) + ens.frames.shape
+    for errs, got in zip(members, frames):
+        assert np.array_equal(got, enumerate_fragment(f, psi, errs, 1).frames)
+    with pytest.raises(PpmError, match="choose differently at vertex 5"):
+        executor._execute(f, None, psi, [{v: (0, 0)}, {v: (0, 1)}], 1)
+
+
 def test_input_errors_must_name_input_vertices():
     f = xhalf_fragment()
     assert f.inputs == (0,)

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ppmbqc.boolfn import BoolFn
+from ppmbqc.boolfn import BoolFn, mobius_anf
 from ppmbqc.cli import main
 from ppmbqc.errors import DimensionError, InferenceError
 from ppmbqc.fragments import (
@@ -20,12 +20,21 @@ from ppmbqc.fragments import (
     e_fragment,
     xhalf_fragment,
 )
-from ppmbqc.pattern import Correction, fragment_from_dict
+from ppmbqc.pattern import (
+    Correction,
+    Measurement,
+    MeasurementPattern,
+    PatternFragment,
+    fragment_from_dict,
+)
 from ppmbqc.compiler import load_brick_table
-from ppmbqc.executor import OutcomeSource, measurement_order, run_fragment
-from ppmbqc.unitaries import unitary_from_label
+from ppmbqc.executor import OutcomeSource, enumerate_fragment, measurement_order, run_fragment
+from ppmbqc.unitaries import frame_bits, frame_codes, unitary_from_label
 from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
+    FIT_TOL,
+    MAX_RECORDS,
+    _frame_table,
     canonical_brick_settings,
     choi_input,
     infer_corrections,
@@ -69,6 +78,7 @@ def test_report_shape_and_records():
     assert len(rep.records) == 8
     d = rep.to_dict()
     assert d["pass"] is True and len(d["branches"]) == 8
+    assert d["amplitude_runs"] == rep.amplitude_runs == 1  # no choice reads an error
     assert all(abs(t - 1.0) < 1e-9 for t in rep.probability_totals)
 
 
@@ -89,6 +99,7 @@ def test_sampled_mode_agrees():
     rep = verify_fragment(e_fragment("T"), "T", branches=("sample", 5), keep_branches=False)
     assert rep.passed
     assert rep.mode == "sample:5"
+    assert rep.amplitude_runs == 4 * 5  # one seeded run per sample and combination
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, math.inf, math.nan])
@@ -117,6 +128,7 @@ def test_every_certification_entry_point_checks_its_target(check, target, monkey
         pytest.fail("enumerated branches before checking the target")
 
     monkeypatch.setattr("ppmbqc.verifier.enumerate_fragment", enumerate_fragment)
+    monkeypatch.setattr("ppmbqc.verifier._execute", enumerate_fragment)
     with pytest.raises(DimensionError):
         check(xhalf_fragment(), target)
 
@@ -365,3 +377,162 @@ def test_unequal_arity_raises_and_exits_two(target, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["--json", "verify", str(path), "--target", target]) == 2
     assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+# -- the per-combination oracle ----------------------------------------------
+
+
+def error_combos(f):
+    """Every input-error assignment with its bits, in frame-code order."""
+    n = len(f.inputs)
+    for bits in product((0, 1), repeat=2 * n):
+        yield {v: bits[2 * w : 2 * w + 2] for w, v in enumerate(f.inputs)}, bits
+
+
+def per_combination_report(f, label):
+    """The exhaustive certificate from one enumeration per error combination.
+
+    Every combination runs on its own Choi input and is scored against the
+    target dressed with every frame; nothing is shared between combinations.
+    """
+    U, n = unitary_from_label(label), len(f.inputs)
+    table = _frame_table(U / math.sqrt(1 << n), n)
+    keep = (1 << len(f.pattern.measurements)) << (2 * n) <= MAX_RECORDS
+    worst, totals, records, possible, impossible = 0.0, [], [], 0, 0
+    for errs, bits in error_combos(f):
+        ens = enumerate_fragment(f, choi_input(n), errs, n)
+        ok = ens.possible
+        overlaps = np.abs(np.einsum("ij,ij->i", ens.states, table[frame_codes(ens.frames)])) ** 2
+        fids = np.divide(overlaps, ens.weights, out=np.zeros(len(ok)), where=ok)
+        worst = max(worst, float((1.0 - fids[ok]).max(initial=0.0)))
+        totals.append(float(ens.probabilities.sum()))
+        possible, impossible = possible + int(ok.sum()), impossible + int((~ok).sum())
+        for r, frame in enumerate(ens.frames.tolist() if keep else ()):
+            outcomes = tuple(int(b[r]) for b in ens.outcomes)
+            infidelity = float(1.0 - fids[r]) if ok[r] else None
+            prob = float(ens.probabilities[r]) if ok[r] else 0.0
+            records.append((bits, outcomes, prob, tuple(map(tuple, frame)), infidelity))
+    passed = worst < 1e-9 and all(abs(t - 1.0) < 1e-9 for t in totals)
+    return passed, possible, impossible, totals, worst, records
+
+
+def assert_matches_the_oracle(f, label):
+    rep = verify_fragment(f, label)
+    passed, possible, impossible, totals, worst, records = per_combination_report(f, label)
+    assert (rep.passed, rep.branch_count, rep.impossible_count) == (passed, possible, impossible)
+    assert rep.probability_totals == pytest.approx(totals, rel=0, abs=1e-12)
+    assert rep.worst_infidelity == pytest.approx(worst, rel=0, abs=1e-9)
+    assert len(rep.records) == len(records)
+    for got, (bits, outcomes, prob, frame, infidelity) in zip(rep.records, records):
+        assert (got.error_bits, got.outcomes, got.frame) == (bits, outcomes, frame)
+        assert got.probability == pytest.approx(prob, rel=0, abs=1e-12)
+        if infidelity is None:
+            assert got.infidelity is None
+        else:
+            assert got.infidelity == pytest.approx(infidelity, rel=0, abs=1e-9)
+    return rep
+
+
+def with_choice(f, v, choice):
+    meas = dict(f.pattern.measurements)
+    meas[v] = Measurement(meas[v].var, choice)
+    pattern = MeasurementPattern(f.pattern.graph, meas)
+    return PatternFragment(pattern, f.inputs, f.outputs, f.input_errors, f.corrections, f.frames)
+
+
+def mutants(f):
+    """Single mutants of ``f``, each with the name of its kind.
+
+    Flip a correction constant; make a correction read an input error; flip
+    the first adaptive choice; and make the first constant choice read an
+    input error that no choice reads yet, which splits the choice classes.
+    """
+    out, errs = f.outputs[0], f.error_variables()
+    c, meas = f.corrections[out], f.pattern.measurements
+    read = {v for m in meas.values() for v in m.choice.variables}
+    unread = next(name for name in errs if name not in read)
+    yield "correction-constant", with_corrections(
+        f, {**f.corrections, out: Correction(c.zeta ^ BoolFn.one(), c.xi)}
+    )
+    yield "correction-error", with_corrections(
+        f, {**f.corrections, out: Correction(c.zeta, c.xi ^ BoolFn.var(errs[-1]))}
+    )
+    adaptive = [v for v in sorted(meas) if not meas[v].choice.is_constant()]
+    if adaptive:
+        yield "choice-flip", with_choice(f, adaptive[0], meas[adaptive[0]].choice ^ BoolFn.one())
+    constant = next(v for v in sorted(meas) if meas[v].choice.is_constant())
+    yield "choice-error", with_choice(f, constant, meas[constant].choice ^ BoolFn.var(unread))
+
+
+BUILTINS = ["xhalf", "e_t", "e_tdg", "e_h", "e_s", "e_t_nomiddle", "cz_on", "cz_off", "brick"]
+
+
+@pytest.mark.parametrize("name", BUILTINS + [f"hier_m{k}" for k in range(1, 9)])
+def test_shared_runs_match_one_enumeration_per_combination(name):
+    from ppmbqc.fragments import builtin_fragment
+
+    f, label = builtin_fragment(name)
+    assert assert_matches_the_oracle(f, label).passed
+
+
+@pytest.mark.parametrize(
+    "frag, label, kinds",
+    [(e_fragment("T"), "T", 4), (brick(BrickSettings("T", "HTH", 1)), "CZ*(TxHTH)", 4),
+     (brick(BrickSettings("H", "S", 0)), "HxS", 3)],  # H x S has no adaptive choice
+    ids=["e_t", "brick-T-HTH-1", "brick-H-S-0"],
+)
+def test_shared_runs_match_the_oracle_on_mutants(frag, label, kinds):
+    runs = {}
+    for kind, mutant in mutants(frag):
+        rep = assert_matches_the_oracle(mutant, label)
+        assert not rep.passed, kind
+        runs[kind] = rep.amplitude_runs
+    assert len(runs) == kinds
+    assert runs["choice-error"] == 2 * runs["correction-error"]
+
+
+def test_a_choice_reading_an_error_through_a_definition_splits_its_class():
+    # e_t's last choice reads the input's x; here it reads x only through w.
+    f = e_fragment("T")
+    ((v, m),) = [(v, m) for v, m in f.pattern.measurements.items() if "x" in m.choice.variables]
+    choice = m.choice ^ BoolFn.var("x") ^ BoolFn.var("w")
+    meas = {**f.pattern.measurements, v: Measurement(m.var, choice)}
+    g = PatternFragment(
+        MeasurementPattern(f.pattern.graph, meas), f.inputs, f.outputs, f.input_errors,
+        f.corrections, {"w": BoolFn.var("x")},
+    )
+    assert all("x" not in m.choice.variables for m in g.pattern.measurements.values())
+    rep = assert_matches_the_oracle(g, "T")
+    assert rep.passed and rep.amplitude_runs == 2  # x splits the class, z does not
+
+
+def per_combination_fit(f, label):
+    """Corrections fitted from one enumeration per error combination."""
+    U, n = unitary_from_label(label), len(f.inputs)
+    targets = _frame_table(U / math.sqrt(1 << n), n).T
+    codes = []
+    for errs, _ in error_combos(f):
+        ens = enumerate_fragment(f, choi_input(n), errs, n)
+        ok = ens.possible
+        fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
+        assert ((fids > 1.0 - FIT_TOL).sum(axis=1)[ok] == 1).all()
+        codes.append(np.where(ok, fids.argmax(axis=1), 0))
+    names = [*f.error_variables(), *(f.pattern.measurements[v].var for v in measurement_order(f))]
+    table = frame_bits(np.concatenate(codes), n)
+    return {
+        o: Correction(mobius_anf(table[:, w, 0], names), mobius_anf(table[:, w, 1], names))
+        for w, o in enumerate(f.outputs)
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["e_t", "e_tdg", "e_h", "e_s", "e_t_nomiddle", "hier_m1", "hier_m2", "hier_m3"]
+)
+def test_inference_matches_one_fit_per_combination(name):
+    from ppmbqc.fragments import builtin_fragment
+
+    f, label = builtin_fragment(name)
+    stripped = with_corrections(
+        f, {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in f.outputs}
+    )
+    assert infer_corrections(stripped, label) == per_combination_fit(stripped, label)
