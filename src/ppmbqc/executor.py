@@ -10,7 +10,10 @@ diagonal on the other live qubits. So each step compiles to one kernel:
 where v sits in the register (or that it is fresh), and two diagonals, one
 per outcome, that also carry the |+> normalization of the qubits the step
 prepares. Edges joining two unmeasured vertices, and the outputs not yet
-prepared, make one closing diagonal.
+prepared, make one closing diagonal. Steps with the same register layout,
+star and scale share one diagonal. The plan keeps its distinct diagonals
+while they fit in the bytes of one register at the cap and builds any
+others when their step runs; a step wider than the cap is refused.
 
 The classical side compiles to one straight-line program: each definition
 right after the last outcome it reads, each step's choice and outcome, then
@@ -32,9 +35,14 @@ most significant bit of the branch index), a seeded shot draws one outcome
 from the branch distribution, and a tape forces it. A run with a source
 keeps one row, so its branch word is one Python int; an exhaustive run
 keeps one word per row, and a split hands each row's word to both children.
-An exhaustive run may carry several input-error assignments whose choices
-agree, with one word per assignment and row: they share the amplitudes,
-which are framed by the first, and each gets its own corrections.
+An exhaustive run may carry several input-error assignments (members) that
+agree on every input error a choice reads, directly or through definitions.
+They share the amplitudes, which are framed by the first, and its branch
+words; each gets its own corrections. The other input errors are the same
+on every row, so the plan factors every definition and correction that
+reads them into row parts, one per monomial of those errors: each row part
+is a value like any other, and a member's correction is the XOR of the row
+parts whose error monomial it sets.
 
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
@@ -49,10 +57,12 @@ import heapq
 import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boolfn import BoolFn
 from .errors import (
     DimensionError,
     ImpossibleBranchError,
@@ -219,12 +229,29 @@ class _Step:
     over the other live qubits and the ``F`` other fresh ones, times
     ``2**(-f/2)`` for the ``f`` fresh |+> qubits. When ``scaled``, the
     choice is the constant X and ``diag`` also carries its ``1/sqrt(2)``.
-    ``diag`` has one entry per basis state of the register after allocation.
+    ``diag`` has one entry per basis state of the register after allocation;
+    it is :class:`_Deferred` when the plan does not keep it.
     """
 
     split: tuple[int, int, int]
-    diag: np.ndarray
+    diag: np.ndarray | _Deferred
     scaled: bool
+
+
+@dataclass(frozen=True)
+class _Deferred:
+    """A diagonal that the plan does not keep: ``build()`` makes it for one use."""
+
+    shape: tuple[int, ...]
+    build: Callable[[], np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+
+def _built(diag: np.ndarray | _Deferred) -> np.ndarray:
+    return diag if isinstance(diag, np.ndarray) else diag.build()
 
 
 @dataclass(frozen=True)
@@ -238,37 +265,71 @@ class _Plan:
     of each input-error variable, in ``error_variables`` order. A value
     keeps its bit from its write until its last reader, which may take the
     bit over; a value nothing reads has bit 0, so writing it changes
-    nothing. ``width`` counts the bits in use. Then the diagonal ``close``,
-    of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet live and
+    nothing. ``width`` counts the bits in use. Then the diagonal ``close``
+    (kept or deferred, as a step's), of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet live and
     joins the unmeasured vertices. ``perm`` moves the rows first, then the
-    outputs in fragment order, then the spectators. ``corrections`` lists
-    each output's zeta then xi, read after the last entry.
+    outputs in fragment order, then the spectators.
+
+    ``guards`` pairs each guarded input error, by its index in
+    ``error_variables``, with the first vertex whose choice reads it,
+    directly or through definitions, in that vertex's order: a run's members
+    must agree on them. ``corrections`` lists each output's zeta then xi,
+    read after the last entry, as ``(anf, terms)``: ``anf`` gives it at the
+    first member, and each ``(errs, row)`` term adds the compiled ANF
+    ``row`` where a member and the first differ on the product of the free
+    (unguarded) errors in the mask ``errs``, over their bits in
+    ``error_variables`` order.
     """
 
     order: tuple[int, ...]
     names: tuple[str, ...]
     steps: tuple[_Step, ...]
     program: tuple[tuple[CompiledAnf, int, int], ...]
-    close: np.ndarray
+    close: np.ndarray | _Deferred
     perm: tuple[int, ...]
-    corrections: tuple[CompiledAnf, ...]
+    corrections: tuple[tuple[CompiledAnf, tuple[tuple[int, CompiledAnf], ...]], ...]
     errors: tuple[int, ...]
+    guards: tuple[tuple[int, int], ...]
     width: int
 
 
 def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
-    """The ``edges``' parity phases over ``register``, times ``scale``: shape ``(2,)*qubits``.
-
-    A step wider than the cap can never run, so its diagonal is never built.
-    """
-    if len(register) > DEFAULT_QUBIT_CAP:
-        raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
+    """The ``edges``' parity phases over ``register``, times ``scale``: shape ``(2,)*qubits``."""
     d = np.full((2,) * len(register), scale, dtype=complex)
     for u, w, table in edges:
         shape = [1] * len(register)
         shape[register.index(u)] = shape[register.index(w)] = 2
         d *= table.reshape(shape)  # a parity table is symmetric in its two qubits
     return d
+
+
+def _factor(fn: BoolFn, free: set[str], parts: dict) -> list[tuple[frozenset[str], set]]:
+    """``fn`` as the XOR, over monomials S of the ``free`` input errors, of S times a row part.
+
+    ``parts`` gives each factored definition's own terms. A row part is a
+    set of monomials that read neither the free errors nor a factored
+    definition. Terms with a zero row part are dropped, and the rest come in
+    a fixed order.
+    """
+    out: dict[frozenset[str], set] = {}
+
+    def add(terms: dict, S: frozenset[str], monomials) -> None:
+        acc = terms.setdefault(S, set())
+        for m in monomials:
+            acc.remove(m) if m in acc else acc.add(m)  # x ^ x = 0
+
+    for mono in fn.monomials:
+        factored = [v for v in mono if v in parts]
+        terms = {mono & free: {mono.difference(free, factored)}}
+        for v in factored:
+            product: dict[frozenset[str], set] = {}
+            for S, rows in terms.items():
+                for T, more in parts[v].items():
+                    add(product, S | T, [a | b for a in rows for b in more])
+            terms = product
+        for S, rows in terms.items():
+            add(out, S, rows)
+    return sorted(((S, rows) for S, rows in out.items() if rows), key=lambda t: sorted(t[0]))
 
 
 def _compile_plan(f: PatternFragment) -> _Plan:
@@ -278,9 +339,37 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     graph = f.pattern.graph
     tables = {m: phase_table(graph.angle(m)) for m in {mult for *_, mult in graph.edges}}
     rank = {v: step for step, v in enumerate(order)}
-    edges: list[list[tuple[int, int, np.ndarray]]] = [[] for _ in range(k + 1)]
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
     for u, w, mult in graph.edges:
-        edges[min(rank.get(u, k), rank.get(w, k))].append((u, w, tables[mult]))
+        edges[min(rank.get(u, k), rank.get(w, k))].append((u, w, mult))
+
+    # Steps with the same register layout, star and scale share one diagonal
+    # (repeated gates give many). The plan keeps distinct diagonals while
+    # they fit in the bytes of one register at the cap, and defers the rest
+    # to their steps, so neither depth nor width makes it outgrow that.
+    shared: dict[tuple, np.ndarray | _Deferred] = {}
+    kept = 0
+
+    def diagonal(register: list[int], star, scale: float, shape: tuple, pos=None):
+        """The star's diagonal over ``register``, axis ``pos`` (if any) moved last, in ``shape``."""
+        nonlocal kept
+        if len(register) > DEFAULT_QUBIT_CAP:  # no run of this step fits
+            raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
+        where = tuple(sorted((register.index(u), register.index(w), m) for u, w, m in star))
+        key = (len(register), shape, pos, scale, where)
+        if key not in shared:
+
+            def build() -> np.ndarray:
+                d = _diagonal(register, [(u, w, tables[m]) for u, w, m in star], scale)
+                return (d if pos is None else np.moveaxis(d, pos, -1)).reshape(shape)
+
+            if kept + (16 << len(register)) <= 16 << DEFAULT_QUBIT_CAP:
+                kept += 16 << len(register)
+                shared[key] = build()
+            else:  # -1 in ``shape`` takes the rest of the register's entries
+                rest = (1 << len(register)) // -math.prod(shape)
+                shared[key] = _Deferred(tuple(rest if n < 0 else n for n in shape), build)
+        return shared[key]
 
     live, steps = list(f.inputs), []
     prepared = set(live)
@@ -290,26 +379,65 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         prepared.update(fresh)
         register = live + fresh
         scaled = not f.pattern.measurements[v].choice.monomials  # the constant X
-        d = _diagonal(register, edges[j], 2.0 ** (-len(fresh) / 2) * (SQRT2_INV if scaled else 1))
+        scale = 2.0 ** (-len(fresh) / 2) * (SQRT2_INV if scaled else 1)
         pos = register.index(v)
         if v in live:
             split = (1 << pos, 2, 1 << (len(live) - 1 - pos))
         else:
             split = (1 << len(live), 1, 1)
-        diag = np.moveaxis(d, pos, -1).reshape(split[0], split[2], -1, 1, 2)
+        diag = diagonal(register, edges[j], scale, (split[0], split[2], -1, 1, 2), pos)
         steps.append(_Step(split, diag, scaled))
         live = [w for w in register if w != v]
 
     fresh = [w for w in f.outputs if w not in prepared]
     register = live + fresh
-    close = _diagonal(register, edges[k], 2.0 ** (-len(fresh) / 2))
+    scale = 2.0 ** (-len(fresh) / 2)
+    close = diagonal(register, edges[k], scale, (1 << len(live), -1, 1))
+
+    # An input error that a choice reads, directly or through definitions,
+    # is guarded: the members of a run agree on it. They differ from the
+    # first only in the other (free) errors, which are the same on every row.
+    # So a correction g is g at the first member, XOR, for each monomial S of
+    # the free errors, g's row part g_S wherever S tells the two apart. A
+    # definition that reads a free error keeps its value at the first member
+    # and has row parts too: 1, a variable, or a new definition, which runs
+    # only if a correction's row part reads it.
+    errors = f.error_variables()
+    reads = {name: {name} for name in errors}  # the errors each value reads
+    for name, fn in f.frames.items():
+        reads[name] = set().union(*(reads.get(v, ()) for v in fn.variables))
+    guards: dict[str, int] = {}  # each guarded error: the first vertex that reads it
+    for v in order:
+        for var in f.pattern.measurements[v].choice.variables:
+            for name in sorted(reads.get(var, ())):
+                guards.setdefault(name, v)
+    free = set(errors) - set(guards)
+    definitions = dict(f.frames)
+    parts: dict[str, dict[frozenset[str], set]] = {}  # each factored definition's row parts
+    for name, fn in f.frames.items():
+        if reads[name] & free:
+            parts[name] = {}
+            for S, rows in _factor(fn, free, parts):
+                if len(rows) > 1 or len(next(iter(rows))) > 1:  # not 1 or one variable
+                    part = f"{name}[{' '.join(sorted(S))}]"
+                    while part in definitions or part in reads or part in names:
+                        part += "'"  # loaded fragments may use any name
+                    definitions[part], rows = BoolFn(rows), {frozenset({part})}
+                parts[name][S] = rows
     corrections = [fn for o in f.outputs for fn in (f.corrections[o].zeta, f.corrections[o].xi)]
+    terms = [[(S, BoolFn(rows)) for S, rows in _factor(fn, free, parts) if S] for fn in corrections]
+    needed = {name for row_parts in terms for _, c in row_parts for name in c.variables}
+    for name in reversed([*definitions][len(f.frames):]):  # the new definitions
+        if name in needed:
+            needed.update(definitions[name].variables)
+        else:
+            del definitions[name]
 
     # A definition runs right after the last step whose outcome it reads,
     # directly or through the definitions it reads: -1 for none.
     after = {name: j for j, name in enumerate(names)}
     defined: list[list] = [[] for _ in range(k + 1)]
-    for name, fn in f.frames.items():
+    for name, fn in definitions.items():
         after[name] = max((after.get(v, -1) for v in fn.variables), default=-1)
         defined[after[name] + 1].append((fn, name, -1))
     program = defined[0]
@@ -321,16 +449,15 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     last = {}
     for i, (fn, _, _) in enumerate(program):
         last.update(dict.fromkeys(fn.variables, i))
-    for fn in corrections:
+    for fn in [*corrections, *(c for row_parts in terms for _, c in row_parts)]:
         last.update(dict.fromkeys(fn.variables, len(program)))
-    errors = f.error_variables()
-    bit, free, freed, slots = {}, [], {}, itertools.count()
+    bit, free_bits, freed, slots = {}, [], {}, itertools.count()
     for i, name in enumerate([*errors, *(name for _, name, _ in program)], -len(errors)):
         for slot in freed.pop(i, ()):
-            heapq.heappush(free, slot)
+            heapq.heappush(free_bits, slot)
         bit[name] = 0
         if name in last:
-            slot = heapq.heappop(free) if free else next(slots)
+            slot = heapq.heappop(free_bits) if free_bits else next(slots)
             bit[name] = 1 << slot
             freed.setdefault(last[name], []).append(slot)
 
@@ -342,10 +469,14 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         tuple(names),
         tuple(steps),
         tuple((compiled(fn), bit[name], j) for fn, name, j in program),
-        close.reshape(1 << len(live), -1, 1),
+        close,
         (len(register) + 1, *(1 + register.index(o) for o in f.outputs), 0),
-        tuple(map(compiled, corrections)),
+        tuple(
+            (compiled(fn), tuple((sum(1 << errors.index(e) for e in S), compiled(c)) for S, c in t))
+            for fn, t in zip(corrections, terms)
+        ),
         tuple(bit[name] for name in errors),
+        tuple((errors.index(name), v) for name, v in guards.items()),
         next(slots),  # the bits ever taken
     )
 
@@ -377,38 +508,73 @@ def _evaluate(anf: CompiledAnf, words):
     return acc
 
 
+def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
+    """Every member's corrections over the rows: ``(members, corrections) + word.shape``.
+
+    ``word`` is the final branch word (per row) and ``members`` holds each
+    member's input-error bits in ``error_variables`` order. A member's
+    correction is the first member's, XOR the row parts of the terms whose
+    free errors the two set differently: each row part is evaluated once
+    over the rows, and each sum once per distinct set of terms.
+    """
+    out = np.empty((len(members), len(plan.corrections)) + np.shape(word), dtype=np.uint8)
+    first = members[0]
+    for i, (anf, terms) in enumerate(plan.corrections):
+        sums: dict[tuple[int, ...], object] = {(): _evaluate(anf, word)}
+        rows: dict[int, object] = {}
+        for m, e in enumerate(members):
+            key = tuple(
+                t for t, (errs, _) in enumerate(terms) if (e & errs == errs) != (first & errs == errs)
+            )
+            if key not in sums:
+                acc = sums[()]
+                for t in key:
+                    if t not in rows:
+                        rows[t] = _evaluate(terms[t][1], word)
+                    acc = acc ^ rows[t]
+                sums[key] = acc
+            out[m, i] = sums[key]
+    return out
+
+
 def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
     """Measure one vertex on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
 
     ``amps`` has shape ``(spectators, live, rows)``. Outcome b's half times
     ``diag[..., b]`` is written straight into the children, and the X
     rotation then runs in place on the rows where ``x`` holds: ``x`` is
-    True, False or a bool per row.
+    True, False or a bool per row. Rows are the inner axis, so a per-row
+    ``x`` blends the two bases with per-row coefficients, without masks.
     """
     S, _, rows = amps.shape
     A, s, B = step.split
     t = amps.reshape(S, A, s, B, 1, rows)
-    kids = np.empty((S, A, B, step.diag.shape[2], rows, 2), dtype=complex)
+    diag = _built(step.diag)
+    kids = np.empty((S, A, B, diag.shape[2], rows, 2), dtype=complex)
     if rows == 1:  # one call, with the outcome as the inner axis of both operands
-        np.multiply(t.transpose(0, 1, 3, 4, 5, 2), step.diag, out=kids)
+        np.multiply(t.transpose(0, 1, 3, 4, 5, 2), diag, out=kids)
     else:  # one call per outcome, so the inner loop runs over the rows
         for b in (0, 1):
-            np.multiply(t[:, :, b * (s - 1)], step.diag[..., b], out=kids[..., b])
+            np.multiply(t[:, :, b * (s - 1)], diag[..., b], out=kids[..., b])
     if not isinstance(x, bool):
         x = True if x.all() else x if x.any() else False
     if x is False:
         return kids.reshape(S, -1, 2 * rows)
-    if x is True:
-        pairs, two, norm = kids.reshape(-1, 2), 2.0, SQRT2_INV
-    else:  # masked ufuncs are slow, so only the subtractions take the mask
-        pairs, two = kids.reshape(-1, rows, 2), np.where(x, 2.0, 1.0)
-        norm = np.where(x, SQRT2_INV, 1.0)[:, None]
+    pairs = kids.reshape((-1, 2) if x is True else (-1, rows, 2))
     a0, a1 = pairs[..., 0], pairs[..., 1]
-    np.subtract(a0, a1, out=a1, where=x)  # a1 <- a0 - a1
-    np.multiply(a0, two, out=a0)
-    np.subtract(a0, a1, out=a0, where=x)  # a0 <- a0 + a1
-    if not step.scaled:
-        np.multiply(pairs, norm, out=pairs)
+    if x is True:
+        np.subtract(a0, a1, out=a1)  # a1 <- a0 - a1
+        np.multiply(a0, 2.0, out=a0)
+        np.subtract(a0, a1, out=a0)  # a0 <- a0 + a1
+        if not step.scaled:
+            np.multiply(pairs, SQRT2_INV, out=pairs)
+    else:  # X rows: (a0 + a1, a0 - a1) / sqrt(2); Z rows keep (a0, a1)
+        h = np.where(x, SQRT2_INV, 0.0)
+        t = a0 * h
+        np.multiply(a0, np.where(x, SQRT2_INV, 1.0), out=a0)
+        a0 += a1 * h
+        np.multiply(a1, np.where(x, -SQRT2_INV, 1.0), out=a1)
+        a1 += t
     return kids.reshape(S, -1, 2 * rows)
 
 
@@ -473,11 +639,13 @@ def _execute(
     plus the live qubits after every allocation, spectators included.
 
     ``members`` are input-error assignments that share the run: the input is
-    framed by the first, and the ensemble is the first's. An exhaustive run
-    carries one branch word per member and row, and raises ``PpmError`` at a
-    step where the members' choices differ on any row; a run with a source
-    takes one member. Returned next to the ensemble are every member's
-    frames, of shape ``(members, rows, outputs, 2)``.
+    framed by the first, and the ensemble and the branch words are the
+    first's, one word per row. Before the run starts, ``PpmError`` refuses
+    members that differ on a guarded input error, one that a choice reads
+    directly or through definitions, naming the first such vertex; a run
+    with a source takes one member. Returned next to the ensemble are every
+    member's frames, of shape ``(members, rows, outputs, 2)``: see
+    :func:`_corrections`.
     """
     n_in = len(f.inputs)
     if input_state is None:
@@ -502,13 +670,16 @@ def _execute(
         if stray:
             raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
         inputs.append([b & 1 for v in f.inputs for b in errs.get(v, (0, 0))])
+    for i, v in plan.guards:
+        if len({bits[i] for bits in inputs}) > 1:
+            raise PpmError(
+                f"input-error assignments that share a run choose differently at vertex {v}"
+            )
     frame = inputs[0]
     error_bits = dict(zip(f.error_variables(), frame))
-    words = [sum(bit for bit, b in zip(plan.errors, bits) if b) for bits in inputs]
-    if draw is None:  # one word per member and row, int64 while they fit
-        word = np.array(words, dtype=np.int64 if plan.width < 63 else object)[:, None]
-    else:
-        (word,) = words  # one member, one Python int
+    word = sum(bit for bit, b in zip(plan.errors, frame) if b)  # one row: one Python int
+    if draw is None:  # one word per row, int64 while they fit
+        word = np.array([word], dtype=np.int64 if plan.width < 63 else object)
 
     # Axes (spectators, inputs, rows): a new array, so the in-place kernels
     # below never touch the caller's state.
@@ -529,17 +700,11 @@ def _execute(
         step = plan.steps[j]
         _check_cap(amps.shape[-1] * step.diag.size, spectators)
         if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            if (value != value[0]).any():
-                raise PpmError(
-                    f"input-error assignments that share a run choose differently"
-                    f" at vertex {plan.order[j]}"
-                )
-            value = value[0]
             amps = _split(amps, step, value == 0)
-            kids = np.empty(word.shape + (2,), dtype=word.dtype)  # faster than a broadcast OR
-            np.bitwise_and(word, ~bit, out=kids[..., 0])
-            np.bitwise_or(kids[..., 0], bit, out=kids[..., 1])
-            word = kids.reshape(len(members), -1)
+            kids = np.empty((len(word), 2), dtype=word.dtype)  # faster than a broadcast OR
+            np.bitwise_and(word, ~bit, out=kids[:, 0])
+            np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
+            word = kids.reshape(-1)
         else:
             kids = _split(amps, step, value == 0).reshape(-1, 2)
             b, p = draw(j, plan.order[j], (kids[:, 0], kids[:, 1]))
@@ -554,7 +719,7 @@ def _execute(
     L, F = plan.close.shape[:2]
     t = amps.reshape(S, L, 1, rows)
     amps = t if F == 1 else np.empty((S, L, F, rows), dtype=complex)
-    np.multiply(t, plan.close, out=amps)
+    np.multiply(t, _built(plan.close), out=amps)
     re, im = amps.real.reshape(-1, rows), amps.imag.reshape(-1, rows)
     weights = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
     amps = amps.reshape((S,) + (2,) * (len(plan.perm) - 2) + (rows,)).transpose(plan.perm)
@@ -566,10 +731,9 @@ def _execute(
     if draw is None:
         chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
     bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
-    frames = np.empty((len(plan.corrections), len(members), rows), dtype=np.uint8)
-    for i, c in enumerate(plan.corrections):
-        frames[i] = _evaluate(c, word)
-    frames = frames.reshape(len(f.outputs), 2, len(members), rows).transpose(2, 3, 0, 1)
+    codes = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
+    frames = _corrections(plan, word, codes).reshape(len(members), len(f.outputs), 2, rows)
+    frames = frames.transpose(0, 3, 1, 2)
     ens = BranchEnsemble(
         list(plan.order),
         list(plan.names),

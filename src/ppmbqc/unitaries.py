@@ -162,10 +162,6 @@ def is_unitary(mat: np.ndarray) -> bool:
     return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) <= 1e-9)
 
 
-def _frame_shifts(wires: int) -> np.ndarray:
-    return np.arange(2 * wires - 1, -1, -1).reshape(wires, 2)
-
-
 def frame_bits(codes, wires: int) -> np.ndarray:
     """Unpack Pauli-frame codes into ``(..., wires, 2)`` bits ``(z, x)``.
 
@@ -173,13 +169,23 @@ def frame_bits(codes, wires: int) -> np.ndarray:
     significant, so codes count up in nested ``product`` order.
     """
     codes = np.asarray(codes, dtype=np.int64)[..., None, None]
-    return ((codes >> _frame_shifts(wires)) & 1).astype(np.uint8)
+    shifts = np.arange(2 * wires - 1, -1, -1).reshape(wires, 2)
+    return ((codes >> shifts) & 1).astype(np.uint8)
 
 
 def frame_codes(bits) -> np.ndarray:
-    """Pack ``(..., wires, 2)`` frame bits into codes; inverse of :func:`frame_bits`."""
-    bits = np.asarray(bits, dtype=np.int64)
-    return (bits << _frame_shifts(bits.shape[-2])).sum(axis=(-2, -1))
+    """Pack ``(..., wires, 2)`` frame bits into int64 codes; inverse of :func:`frame_bits`.
+
+    The bits are shifted in one by one, most significant first, in the
+    narrowest unsigned type that holds a code, and widened once at the end.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    wires = bits.shape[-2]
+    codes = np.zeros(bits.shape[:-2], dtype=np.min_scalar_type((1 << (2 * wires)) - 1))
+    for w in range(wires):
+        for b in (0, 1):
+            codes = (codes << 1) | bits[..., w, b]
+    return codes.astype(np.int64)
 
 
 def apply_frames(codes, mat: np.ndarray, wires: int) -> np.ndarray:

@@ -8,13 +8,15 @@ by exhaustion at machine precision.
 
 On that input an input error is a Pauli on the reference side,
 ``(P ⊗ I)|Φ⟩ = (I ⊗ Pᵀ)|Φ⟩``, and the engine never touches the reference
-qubits. So combinations on which every choice agrees (a choice class) share
-one outcome tree and its weights, and their states differ by a reference
+qubits. So combinations that agree on every input error a choice reads,
+directly or through definitions (a choice class), share one outcome tree,
+its weights and its branch words, and their states differ by a reference
 Pauli. The exhaustive mode runs one enumeration per class, framed by its
 first combination ``r``, and scores combination ``c`` against the target
-``U P_c† P_r``. The engine gives each combination its own correction frames
-and refuses a shared run on which two of them choose differently. Sampled
-runs stay one seeded run per combination and sample.
+``U P_c† P_r``. The engine gives each combination the corrections of ``r``
+plus row parts where their other input errors differ, and refuses a shared
+run whose combinations a choice could tell apart.
+Sampled runs stay one seeded run per combination and sample.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import compress, product
+from itertools import product
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .executor import (
     BranchEnsemble,
     OutcomeSource,
     _execute,
+    _plan,
     enumerate_fragment,
     measurement_order,
 )
@@ -126,21 +129,17 @@ def _error_combos(inputs: tuple[int, ...]):
 
 
 def _choice_classes(f: PatternFragment) -> list[list[int]]:
-    """The error combinations, by frame code, grouped so that no choice tells a group apart.
+    """The error combinations, by frame code, grouped so that one run serves a group.
 
     A group holds the combinations that agree on every input-error variable
-    a choice reads, directly or through definitions; groups come in the
-    order of their first combination.
+    a choice reads, directly or through definitions: the plan's guards,
+    which the engine checks. Groups come in the order of their first
+    combination.
     """
-    reads: dict[str, set[str]] = {}  # what each definition reads, through definitions
-    for name, fn in f.frames.items():
-        reads[name] = set().union(*(reads.get(v, {v}) for v in fn.variables))
-    choices = [m.choice for m in f.pattern.measurements.values()]
-    chosen = set().union(*(reads.get(v, {v}) for c in choices for v in c.variables))
-    read = [name in chosen for name in f.error_variables()]
+    guarded = [i for i, _ in _plan(f).guards]
     classes: dict[tuple[int, ...], list[int]] = {}
     for combo, (_, bits) in enumerate(_error_combos(f.inputs)):
-        classes.setdefault(tuple(compress(bits, read)), []).append(combo)
+        classes.setdefault(tuple(bits[i] for i in guarded), []).append(combo)
     return list(classes.values())
 
 
@@ -239,8 +238,9 @@ def verify_fragment(
 
     # One run per choice class, or k seeded runs per combination; each run is
     # scored and dropped before the next starts, so one run's rows are live.
-    # Members of a class differ from its first only where no choice reads,
-    # so every shift lies in the class of combination 0.
+    # Members of a class differ from its first only on errors that no choice
+    # reads, directly or through definitions (the plan's guards), so every
+    # shift lies in the class of combination 0.
     classes = _choice_classes(f) if exhaustive else [[c] for c in range(len(combos))]
     shifted = {s: _frame_table(_member_target(U, s, n), n) for s in classes[0]}
     amplitude_runs = 0

@@ -361,6 +361,55 @@ def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode(monkeypatch):
     run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1)
 
 
+def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_step(monkeypatch):
+    # Steps with the same layout, star and scale share one diagonal, so a
+    # plan's diagonal bytes stop growing with depth. It keeps distinct ones
+    # while they fit in one register at the cap and builds the others when
+    # their step runs; only a step wider than the cap is refused.
+    def kept(plan):
+        diags = [plan.close, *(step.diag for step in plan.steps)]
+        arrays = {id(d): d.nbytes for d in diags if isinstance(d, np.ndarray)}
+        return len(arrays), sum(arrays.values())
+
+    shallow, deep = ("qubits 1\n" + "T 0\nH 0\n" * n for n in (20, 100))
+    plan = executor._plan(compile_circuit(parse_circuit(shallow)))
+    assert len(plan.steps) == 560
+    assert max(step.diag.size for step in plan.steps) == 1 << 8
+    assert sum(step.diag.nbytes for step in plan.steps) + plan.close.nbytes == 980544
+    f = compile_circuit(parse_circuit(deep))
+    assert kept(plan) == kept(executor._plan(f)) == (33, 37824)
+    want = run_fragment(f, plus_state(len(f.inputs)), src=OutcomeSource.seeded(1))
+
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 10)  # 16 KiB of amplitudes
+    f = compile_circuit(parse_circuit(deep))  # a fresh fragment, with no plan yet
+    plan = executor._plan(f)
+    assert kept(plan)[1] <= 16 << 10
+    assert any(isinstance(step.diag, executor._Deferred) for step in plan.steps)
+    got = run_fragment(f, plus_state(len(f.inputs)), src=OutcomeSource.seeded(1))
+    assert got.outcomes == want.outcomes
+    assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 7)  # the widest steps take 8 qubits
+    f = compile_circuit(parse_circuit(shallow))
+    with pytest.raises(StateSizeError, match="8 qubits would exceed cap 7"):
+        run_fragment(f, plus_state(len(f.inputs)))
+    assert "_plan" not in vars(f)  # refused by the plan, before any step ran
+
+
+def test_deferred_diagonals_enumerate_like_kept_ones(monkeypatch):
+    from ppmbqc.verifier import choi_input
+
+    f, g = e_fragment("T"), e_fragment("T")
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)  # keeps 128 B of e_t's 416
+    plan = executor._plan(g)
+    monkeypatch.undo()
+    kinds = {type(d) for d in [plan.close, *(step.diag for step in plan.steps)]}
+    assert kinds == {np.ndarray, executor._Deferred}
+    want, got = (enumerate_fragment(h, choi_input(1), {}, 1) for h in (f, g))
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.frames, want.frames)
+
+
 @st.composite
 def adaptive_fragments(draw, definitions=False):
     """Small random fragments whose choices read earlier outcomes and errors.
@@ -597,6 +646,35 @@ def test_a_shared_run_refuses_members_whose_choices_differ():
         assert np.array_equal(got, enumerate_fragment(f, psi, errs, 1).frames)
     with pytest.raises(PpmError, match="choose differently at vertex 5"):
         executor._execute(f, None, psi, [{v: (0, 0)}, {v: (0, 1)}], 1)
+
+
+def test_a_definition_that_only_corrections_read_shares_the_run():
+    from ppmbqc.verifier import choi_input
+
+    # No choice reads e_t's z, and only a correction reads the definition w,
+    # outcomes times z: members that differ on z share the run, and each
+    # gets the frames that a run of its own gives. The row part of w gets a
+    # name of its own, even where a definition already takes "w[z]".
+    f = e_fragment("T")
+    (v,), out = f.inputs, f.outputs[0]
+    c, psi = f.corrections[out], choi_input(1)
+    first, *_, last = (f.pattern.measurements[u].var for u in executor._plan(f).order)
+
+    def reading(name):
+        frames = {name: BoolFn.var(first), "w": BoolFn([[first, "z"], [last, "z"]])}
+        zeta = c.zeta ^ BoolFn.xor_of("w", name)
+        return PatternFragment(
+            f.pattern, f.inputs, f.outputs, f.input_errors, {out: Correction(zeta, c.xi)}, frames
+        )
+
+    g, h = reading("w[z]"), reading("u")
+    assert executor._plan(g).guards == executor._plan(f).guards == ((1, 5),)
+    members = [{v: (0, 0)}, {v: (1, 0)}, {v: (0, 1)}, {v: (1, 1)}]
+    _, frames = executor._execute(g, None, psi, members[:2], 1)
+    for errs, got in zip(members, frames):
+        assert np.array_equal(got, enumerate_fragment(h, psi, errs, 1).frames)
+    with pytest.raises(PpmError, match="choose differently at vertex 5"):
+        executor._execute(g, None, psi, members, 1)
 
 
 def test_input_errors_must_name_input_vertices():

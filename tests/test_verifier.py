@@ -25,6 +25,7 @@ from ppmbqc.pattern import (
     Measurement,
     MeasurementPattern,
     PatternFragment,
+    compose,
     fragment_from_dict,
 )
 from ppmbqc.compiler import load_brick_table
@@ -489,6 +490,86 @@ def test_shared_runs_match_the_oracle_on_mutants(frag, label, kinds):
         runs[kind] = rep.amplitude_runs
     assert len(runs) == kinds
     assert runs["choice-error"] == 2 * runs["correction-error"]
+
+
+def factoring_mutants(f):
+    """Mutants whose corrections mix outcomes and input errors, each with its kind.
+
+    A correction gains an outcome times an input error that no choice
+    reads, on which the members of a shared run differ; a correction gains
+    a product of two input errors; and a definition reads that outcome times
+    error, and only a correction reads the definition.
+    """
+    out, errs = f.outputs[0], f.error_variables()
+    c, meas = f.corrections[out], f.pattern.measurements
+    read = {v for m in meas.values() for v in m.choice.variables}
+    unread = next(name for name in errs if name not in read)
+    mixed = BoolFn([[meas[measurement_order(f)[-1]].var, unread]])
+    yield "outcome-times-error", with_corrections(
+        f, {**f.corrections, out: Correction(c.zeta ^ mixed, c.xi)}
+    )
+    yield "error-product", with_corrections(
+        f, {**f.corrections, out: Correction(c.zeta, c.xi ^ BoolFn([[errs[0], errs[-1]]]))}
+    )
+    yield "error-definition", PatternFragment(
+        f.pattern, f.inputs, f.outputs, f.input_errors,
+        {**f.corrections, out: Correction(c.zeta, c.xi ^ BoolFn.var("w"))}, {"w": mixed},
+    )
+
+
+@pytest.mark.parametrize(
+    "frag, label, runs",
+    [(e_fragment("T"), "T", 2), (brick(BrickSettings("T", "HTH", 1)), "CZ*(TxHTH)", 4)],
+    ids=["e_t", "brick-T-HTH-1"],
+)
+def test_factored_corrections_match_the_oracle(frag, label, runs):
+    from ppmbqc import executor
+    from ppmbqc.pattern import flatten
+    from ppmbqc.verifier import _choice_classes
+
+    n, combos = len(frag.inputs), list(error_combos(frag))
+    assert assert_matches_the_oracle(frag, label).amplitude_runs == runs
+    for kind, mutant in factoring_mutants(frag):
+        rep = assert_matches_the_oracle(mutant, label)
+        # No choice reads the new terms, so no class splits: the definition
+        # keeps its value at a run's first member and factors like the rest.
+        assert rep.amplitude_runs == runs, kind
+        # Every member's frames against its substituted corrections, evaluated
+        # row by row on the run's outcomes and the member's own error bits.
+        flat = flatten(mutant)
+        for members in _choice_classes(mutant):
+            errs = [combos[c][0] for c in members]
+            ens, frames = executor._execute(mutant, None, choi_input(n), errs, n)
+            for c, got in zip(members, frames):
+                env = dict(zip(ens.names, ens.outcomes))
+                for name, b in zip(mutant.error_variables(), combos[c][1]):
+                    env[name] = np.full(len(got), b, dtype=np.uint8)
+                corrections = [flat.corrections[o] for o in mutant.outputs]
+                want = [[k.zeta.evaluate_rows(env), k.xi.evaluate_rows(env)] for k in corrections]
+                assert np.array_equal(got, np.moveaxis(want, -1, 0)), kind
+
+
+def composed(a, b):
+    return compose(a, b, {a.outputs[0]: b.inputs[0]})
+
+
+@pytest.mark.parametrize(
+    "frag, label, runs",
+    [
+        (composed(xhalf_fragment(), xhalf_fragment()), "X(pi/2)*X(pi/2)", 1),
+        (composed(e_fragment("T"), e_fragment("T")), "T*T", 2),
+        (composed(e_fragment("H"), e_fragment("T")), "T*H", 2),
+    ],
+    ids=["xhalf-xhalf", "e_t-e_t", "e_h-e_t"],
+)
+def test_composed_fragments_keep_their_shared_runs(frag, label, runs):
+    # Composing binds the second piece's input errors to definitions of the
+    # first's; only the errors that a choice reads through them split the
+    # classes, as in the pieces: xhalf has no such choice, e_t reads x.
+    assert frag.frames
+    rep = assert_matches_the_oracle(frag, label)
+    assert rep.passed and rep.amplitude_runs == runs
+    assert len(infer_corrections(frag, label)) == len(frag.outputs)
 
 
 def test_a_choice_reading_an_error_through_a_definition_splits_its_class():
