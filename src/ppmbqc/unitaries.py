@@ -98,8 +98,9 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
+    def __init__(self, label: str):
+        self.label = label
+        self.toks = _tokenize(label)
         self.i = 0
 
     def peek(self) -> str | None:
@@ -116,7 +117,13 @@ class _Parser:
         acc = self.term()
         while self.peek() in ("*", "·"):
             self.take()
-            acc = acc @ self.term()
+            rhs = self.term()
+            if acc.shape[1] != rhs.shape[0]:
+                raise LabelError(
+                    f"{self.label!r} multiplies a {acc.shape} by a {rhs.shape} matrix;"
+                    " 'x' binds tighter than '*'"
+                )
+            acc = acc @ rhs
         return acc
 
     def term(self) -> np.ndarray:
@@ -148,7 +155,7 @@ class _Parser:
 
 def unitary_from_label(label: str) -> np.ndarray:
     """Build the matrix a target label names."""
-    parser = _Parser(_tokenize(label))
+    parser = _Parser(label)
     mat = parser.expr()
     if parser.peek() is not None:
         raise LabelError(f"trailing tokens in {label!r}")

@@ -17,6 +17,10 @@ first combination ``r``, and scores combination ``c`` against the target
 plus row parts where their other input errors differ, and refuses a shared
 run whose combinations a choice could tell apart.
 Sampled runs stay one seeded run per combination and sample.
+
+Scoring takes one matrix product per frame group (see :func:`_score`):
+the rows a run shares are sorted by the frame code of its first member,
+and every member's target in a group is a row of its own frame table.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ FIT_TOL = 1e-7
 MAX_RECORDS = 4096
 # Largest truth table, in outcome and error bits, that inference will fit.
 MAX_TABLE_BITS = 20
+# Most branch rows that one scoring product takes: it bounds the product's
+# temporaries, and with them the heap that scoring leaves behind.
+_PIECE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -166,15 +173,65 @@ def _frame_table(base: np.ndarray, wires: int) -> np.ndarray:
     return apply_frames(np.arange(frames), base, wires).reshape(frames, -1).conj()
 
 
-def _branch_fidelities(ens: BranchEnsemble, frames: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Per-row fidelity against the ``_frame_table`` row of the row's frame.
+def _score(
+    ens: BranchEnsemble, frames: np.ndarray, tables: np.ndarray, keep: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Score every member of one run, one matrix product per frame group.
 
-    ``frames`` gives each row's frame, ``(rows, outputs, 2)``. Rows the
-    engine marked impossible keep fidelity 0.
+    ``frames`` holds each member's frames, ``(members, rows, outputs, 2)``,
+    and ``tables[m]`` member m's ``_frame_table``. The possible rows are
+    grouped by the first member's frame code ``g``. In that group member
+    m's frame is ``g ^ δ`` with ``δ = codes[m] ^ codes[0]``, so its target
+    is row ``g ^ δ`` of its table: a member brings one column per ``δ``
+    value of the run, and each row reads the column of its own ``δ``.
+    A group larger than ``_PIECE_ROWS`` rows takes one product per piece.
+    Returns each member's worst infidelity over the possible rows, at
+    least 0, and with ``keep`` every member's fidelity per row, 0 on the
+    rows the engine marked impossible.
     """
-    targets = table[frame_codes(frames)]
-    overlaps = np.abs(np.einsum("ij,ij->i", ens.states, targets)) ** 2
-    return np.divide(overlaps, ens.weights, out=np.zeros(len(overlaps)), where=ens.possible)
+    members, frame_count = len(frames), len(tables[0])
+    fids = np.zeros((members, len(ens.possible))) if keep else None
+    lowest = np.ones(members)
+    ok = np.flatnonzero(ens.possible)
+    lead = frame_codes(frames[0])[ok]
+    # A stable sort on the narrowest type; codes count up, so a group's
+    # rows lie between the bounds of its code and the next.
+    order = np.argsort(lead.astype(np.min_scalar_type(frame_count)), kind="stable")
+    rows, first = ok[order], lead[order]
+    bounds = np.searchsorted(first, np.arange(frame_count + 1)).tolist()
+    # Member m's columns start at start[m], one per δ value in increasing
+    # order; a member with several values reads column pick[m] on each row.
+    # The first member's δ is 0.
+    member, delta, start, pick = [0], [0], [0], {}
+    for m in range(1, members):
+        d = frame_codes(frames[m])[ok] ^ lead
+        start.append(len(member))
+        values = d[:1]
+        if not (d == values).all():
+            values, inverse = np.unique(d, return_inverse=True)
+            pick[m] = start[m] + inverse[order]
+        member += [m] * len(values)
+        delta += values.tolist()
+    member, delta = np.array(member, dtype=np.intp), np.array(delta, dtype=np.int64)
+    inv_weights = 1.0 / ens.weights[rows]
+    pieces = (
+        (g, lo, min(lo + _PIECE_ROWS, end))
+        for g, (begin, end) in enumerate(zip(bounds, bounds[1:]))
+        for lo in range(begin, end, _PIECE_ROWS)
+    )
+    for g, lo, hi in pieces:
+        # The piece's states, gathered by np.take, which outpaces fancy indexing.
+        overlaps = tables[member, g ^ delta] @ np.take(ens.states, rows[lo:hi], axis=0).T
+        fid = np.square(overlaps.real)
+        fid += np.square(overlaps.imag)
+        fid *= inv_weights[lo:hi]
+        scored = fid[start]
+        for m, p in pick.items():
+            scored[m] = fid[p[lo:hi], np.arange(hi - lo)]
+        np.minimum(lowest, scored.min(axis=1), out=lowest)
+        if keep:
+            fids[:, rows[lo:hi]] = scored
+    return 1.0 - lowest, fids
 
 
 def verify_fragment(
@@ -218,23 +275,30 @@ def verify_fragment(
         """Score one run for each of ``members``, whose first framed its input."""
         probs, ok = ens.probabilities, ens.possible
         total, count = float(probs.sum()), int(ok.sum())
-        for c, member_frames in zip(members, frames):
-            fids = _branch_fidelities(ens, member_frames, shifted[c ^ members[0]])
-            totals[c] += total
-            counts[c] += count, len(ok) - count
-            if count:
-                worsts[c] = max(worsts[c], float((1.0 - fids[ok]).max()))
-            if keep:
-                kept[c].extend(
-                    BranchRecord(
-                        combos[c][1],
-                        tuple(int(bits[r]) for bits in ens.outcomes),
-                        float(probs[r]) if ok[r] else 0.0,
-                        tuple(map(tuple, frame)),
-                        float(1.0 - fids[r]) if ok[r] else None,
-                    )
-                    for r, frame in enumerate(member_frames.tolist())
+        tables = np.stack([shifted[c ^ members[0]] for c in members])
+        worst, fids = _score(ens, frames, tables, keep)
+        totals[members] += total
+        counts[members] += count, len(ok) - count
+        worsts[members] = np.maximum(worsts[members], worst)
+        if not keep:
+            return
+        # Rows share their outcomes and probability between members, and a
+        # frame's bits follow from its code.
+        per_row = list(zip(map(tuple, ens.outcomes.T.tolist()), probs.tolist(), ok.tolist()))
+        codes, infidelities = frame_codes(frames).tolist(), (1.0 - fids).tolist()
+        for c, member_codes, member_infidelities in zip(members, codes, infidelities):
+            kept[c].extend(
+                BranchRecord(
+                    combos[c][1],
+                    outcomes,
+                    prob if possible else 0.0,
+                    frame_tuples[code],
+                    infidelity if possible else None,
                 )
+                for (outcomes, prob, possible), code, infidelity in zip(
+                    per_row, member_codes, member_infidelities
+                )
+            )
 
     # One run per choice class, or k seeded runs per combination; each run is
     # scored and dropped before the next starts, so one run's rows are live.
@@ -243,6 +307,7 @@ def verify_fragment(
     # shift lies in the class of combination 0.
     classes = _choice_classes(f) if exhaustive else [[c] for c in range(len(combos))]
     shifted = {s: _frame_table(_member_target(U, s, n), n) for s in classes[0]}
+    frame_tuples = [tuple(map(tuple, b)) for b in frame_bits(np.arange(4**n), n).tolist()]
     amplitude_runs = 0
     for members in classes:
         errs = [combos[c][0] for c in members]
@@ -305,9 +370,7 @@ def verify_fragment_product_inputs(
         table = _frame_table(U @ vec, n)
         for errs, _bits in combos:
             ens = enumerate_fragment(f, state, errs)
-            fids = _branch_fidelities(ens, ens.frames, table)
-            if ens.possible.any():
-                worst = max(worst, float((1.0 - fids[ens.possible]).max()))
+            worst = max(worst, float(_score(ens, ens.frames[None], table[None], False)[0][0]))
     return worst
 
 

@@ -268,6 +268,18 @@ def test_verify_file_fragment_requires_target(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_names_a_mismatched_product_in_the_target(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    src.write_text("qubits 2\nH 0\nT 1\n")
+    path = tmp_path / "c.json"
+    assert run_cli(capsys, "compile", "--in", str(src), "--out", str(path))[0] == 0
+    message = "'H*TxI' multiplies a (2, 2) by a (4, 4) matrix"
+    code, _, err = run_cli(capsys, "verify", str(path), "--target", "H*TxI")
+    assert code == 2 and message in err
+    code, out, _ = run_cli(capsys, "--json", "verify", str(path), "--target", "H*TxI")
+    assert code == 2 and message in json.loads(out)["error"]
+
+
 def test_verify_sampled_branches_flag(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "verify", "builtin:e_t", "--branches", "sample:3"

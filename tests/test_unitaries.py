@@ -89,6 +89,17 @@ def test_malformed_labels_raise_and_exit_two(label, message, capsys):
     assert message in json.loads(capsys.readouterr().out)["error"]
 
 
+@pytest.mark.parametrize(
+    "label, shapes",
+    [("H*TxI", "a (2, 2) by a (4, 4)"), ("CZ*H", "a (4, 4) by a (2, 2)")],
+)
+def test_mismatched_products_name_the_label_and_both_shapes(label, shapes):
+    # 'x' binds tighter than '*': H*TxI is H times (T x I).
+    with pytest.raises(LabelError, match=re.escape(f"{label!r} multiplies {shapes} matrix")):
+        unitary_from_label(label)
+    assert unitary_from_label("(H*T)xI").shape == (4, 4)
+
+
 def test_label_errors_are_package_errors():
     with pytest.raises(PpmError):
         unitary_from_label("Q")

@@ -29,13 +29,20 @@ from ppmbqc.pattern import (
     fragment_from_dict,
 )
 from ppmbqc.compiler import load_brick_table
-from ppmbqc.executor import OutcomeSource, enumerate_fragment, measurement_order, run_fragment
+from ppmbqc.executor import (
+    BranchEnsemble,
+    OutcomeSource,
+    enumerate_fragment,
+    measurement_order,
+    run_fragment,
+)
 from ppmbqc.unitaries import frame_bits, frame_codes, unitary_from_label
 from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
     FIT_TOL,
     MAX_RECORDS,
     _frame_table,
+    _score,
     canonical_brick_settings,
     choi_input,
     infer_corrections,
@@ -434,6 +441,65 @@ def assert_matches_the_oracle(f, label):
     return rep
 
 
+def synthetic_run(rng, rows, wires, spectators, members):
+    """Random unit-norm branch states with possible rows, frames and frame tables.
+
+    Member 0 frames every row at random; member 1's frame differs from it
+    by one code on every row; each later member differs by a code drawn
+    per row. About a quarter of the rows are impossible, never the first.
+    """
+    dim = 1 << (wires + spectators)
+    states = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states *= np.sqrt(rng.uniform(0.1, 1.0, size=(rows, 1)))
+    weights = np.einsum("ij,ij->i", states, states.conj()).real
+    possible = (rng.random(rows) < 0.75) | (np.arange(rows) == 0)
+    frames_count = 4**wires
+    tables = rng.normal(size=(members, frames_count, dim)) + 0j
+    tables += 1j * rng.normal(size=tables.shape)
+    tables /= np.linalg.norm(tables, axis=2, keepdims=True)
+    first = rng.integers(frames_count, size=rows)
+    codes = [first, first ^ rng.integers(frames_count)]
+    codes += [first ^ rng.integers(frames_count, size=rows) for _ in range(members - 2)]
+    frames = frame_bits(np.array(codes), wires)
+    empty = np.zeros((0, rows), dtype=np.uint8)
+    ens = BranchEnsemble([], [], states, weights, possible, empty, empty, {}, frames[0])
+    return ens, frames, tables
+
+
+@pytest.mark.parametrize("rows", [1, 200])
+@pytest.mark.parametrize("spectators", [0, 2], ids=["product", "choi"])
+@pytest.mark.parametrize("piece_rows", [None, 5], ids=["whole-groups", "pieces"])
+def test_group_scoring_matches_the_per_row_formula(rows, spectators, piece_rows, monkeypatch):
+    if piece_rows:
+        monkeypatch.setattr("ppmbqc.verifier._PIECE_ROWS", piece_rows)
+    rng = np.random.default_rng([rows, spectators])
+    ens, frames, tables = synthetic_run(rng, rows, 2, spectators, members=4)
+    ok = ens.possible
+    if rows > 1:
+        assert len(np.unique(frame_codes(frames[2]) ^ frame_codes(frames[0]))) > 1
+        assert not ok.all()
+    for keep in (True, False):
+        worst, fids = _score(ens, frames, tables, keep)
+        for m, member_frames in enumerate(frames):
+            targets = tables[m][frame_codes(member_frames)]
+            want = np.abs(np.einsum("ij,ij->i", ens.states, targets)) ** 2 / ens.weights
+            assert worst[m] == pytest.approx(
+                (1.0 - want[ok]).max(initial=0.0), rel=0, abs=1e-12
+            )
+            if keep:
+                assert fids[m][ok] == pytest.approx(want[ok], rel=0, abs=1e-12)
+                assert (fids[m][~ok] == 0).all()
+        assert (fids is None) == (not keep)
+
+
+def test_group_scoring_of_a_run_without_possible_rows():
+    ens, frames, tables = synthetic_run(np.random.default_rng(3), 16, 1, 1, members=3)
+    ens.possible[:] = False
+    worst, fids = _score(ens, frames, tables, True)
+    assert (worst == 0).all() and (fids == 0).all()
+
+
 def with_choice(f, v, choice):
     meas = dict(f.pattern.measurements)
     meas[v] = Measurement(meas[v].var, choice)
@@ -547,6 +613,21 @@ def test_factored_corrections_match_the_oracle(frag, label, runs):
                 corrections = [flat.corrections[o] for o in mutant.outputs]
                 want = [[k.zeta.evaluate_rows(env), k.xi.evaluate_rows(env)] for k in corrections]
                 assert np.array_equal(got, np.moveaxis(want, -1, 0)), kind
+
+
+def test_worst_only_and_recording_scores_agree():
+    f = brick(BrickSettings("T", "HTH", 1))
+    label = "CZ*(TxHTH)"
+    mixed = dict(factoring_mutants(f))["outcome-times-error"]
+    for frag in (f, mixed):
+        bare = verify_fragment(frag, label, keep_branches=False)
+        kept = verify_fragment(frag, label, keep_branches=True)
+        assert bare.records == []
+        assert len(kept.records) == kept.branch_count + kept.impossible_count
+        assert kept.worst_infidelity == bare.worst_infidelity
+        recorded = [r.infidelity for r in kept.records if r.infidelity is not None]
+        assert max(recorded) == bare.worst_infidelity
+        assert bare.passed == kept.passed == (frag is f)
 
 
 def composed(a, b):
