@@ -45,19 +45,26 @@ class BoolFn:
     def __post_init__(self):
         object.__setattr__(self, "monomials", _canonical(self.monomials))
 
+    @classmethod
+    def _of(cls, monomials: frozenset[Monomial]) -> BoolFn:
+        """A function on a set that is canonical as it stands: no check, no copy."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "monomials", monomials)
+        return fn
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> BoolFn:
-        return BoolFn(frozenset())
+        return BoolFn._of(frozenset())
 
     @staticmethod
     def one() -> BoolFn:
-        return BoolFn(frozenset({frozenset()}))
+        return BoolFn._of(frozenset({frozenset()}))
 
     @staticmethod
     def var(name: str) -> BoolFn:
-        return BoolFn(frozenset({frozenset({name})}))
+        return BoolFn._of(frozenset({frozenset({name})}))
 
     @staticmethod
     def const(bit: int) -> BoolFn:
@@ -72,7 +79,7 @@ class BoolFn:
     # -- algebra ------------------------------------------------------
 
     def __xor__(self, other: BoolFn) -> BoolFn:
-        return BoolFn(self.monomials.symmetric_difference(other.monomials))
+        return BoolFn._of(self.monomials ^ other.monomials)
 
     def __and__(self, other: BoolFn) -> BoolFn:
         # Distribute; x AND x = x inside a monomial via set union.
@@ -81,13 +88,10 @@ class BoolFn:
     @property
     def variables(self) -> tuple[str, ...]:
         """Sorted names referenced by at least one monomial."""
-        names: set[str] = set()
-        for m in self.monomials:
-            names |= m
-        return tuple(sorted(names))
+        return tuple(sorted(frozenset().union(*self.monomials)))
 
     def is_constant(self) -> bool:
-        return not self.variables
+        return not any(self.monomials)
 
     def constant_value(self) -> int:
         if not self.is_constant():
@@ -139,13 +143,27 @@ class BoolFn:
         return BoolFn(terms)
 
     def rename(self, mapping: Mapping[str, str]) -> BoolFn:
+        """Rename variables; monomials a non-injective map makes equal cancel."""
         return BoolFn(frozenset(mapping.get(n, n) for n in m) for m in self.monomials)
+
+    def prefixed(self, names: Mapping[str, str]) -> BoolFn:
+        """:meth:`rename` by ``names``, which puts one prefix on every variable.
+
+        A uniform prefix is injective, so no two monomials meet and the
+        result is canonical as built.
+        """
+        if not any(self.monomials):
+            return self  # a constant reads no name
+        # Copied from a set, a frozenset is sized to fit; grown from a
+        # generator, its table can be twice as large.
+        return BoolFn._of(frozenset({frozenset(map(names.__getitem__, m)) for m in self.monomials}))
 
     # -- serialization ------------------------------------------------
 
     def to_anf_lists(self) -> list[list[str]]:
         """Deterministic nested-list form used by the JSON schema."""
-        return sorted((sorted(m) for m in self.monomials), key=lambda m: (len(m), m))
+        # By length, then by name: a stable sort by length of the sorted list.
+        return sorted(sorted(map(sorted, self.monomials)), key=len)
 
     def __str__(self) -> str:
         if not self.monomials:

@@ -11,6 +11,7 @@ inputs. Entangling gates are only available between adjacent lanes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -71,6 +72,12 @@ class Circuit:
         return sum(1 for label, _ in self.gates if label in ("T", "Tdg"))
 
 
+# ASCII digits only: ``int`` would also take signs, underscores and other
+# scripts' digits.
+_COUNT = re.compile(r"[0-9]+")
+_OPERAND = re.compile(r"-?[0-9]+")
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format."""
     qubits: int | None = None
@@ -83,16 +90,15 @@ def parse_circuit(text: str) -> Circuit:
         if parts[0] == "qubits":
             if qubits is not None:
                 raise CircuitParseError("duplicate qubits header", lineno)
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not _COUNT.fullmatch(parts[1]):
                 raise CircuitParseError("usage: qubits N", lineno)
             qubits = int(parts[1])
             continue
         if qubits is None:
             raise CircuitParseError("missing 'qubits N' header", lineno)
-        try:
-            args = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise CircuitParseError("operands must be integers", lineno) from None
+        if not all(_OPERAND.fullmatch(p) for p in parts[1:]):
+            raise CircuitParseError("operands must be integers", lineno)
+        args = tuple(int(p) for p in parts[1:])
         problem = _gate_problem(parts[0], args, qubits)
         if problem:
             raise CircuitParseError(problem, lineno)

@@ -30,7 +30,7 @@ from .errors import StructuralError
 from .pattern import Correction, Measurement, MeasurementPattern, PatternFragment
 from .pgraph import PGraph
 from .statevec import xrot, zrot
-from .unitaries import CZ, apply_frames, frame_bits, phase_matched, unitary_from_label
+from .unitaries import CZ, apply_frames, frame_bits, kron, phase_matched, unitary_from_label
 
 E_MODES = ("T", "Tdg", "H", "S")
 MAX_HIERARCHY_EXPONENT = 8
@@ -56,6 +56,11 @@ _RIGHT_PLAN = {
     "HTH": (1, "cluster", 1),
     "HTdgH": (1, "cluster", 1),
 }
+
+# The quarter turns every lane composes, shared by all lanes, so read-only.
+_X_HALF = xrot(math.pi / 2)
+_Z_HALF = zrot(math.pi / 2)
+_X_HALF.flags.writeable = _Z_HALF.flags.writeable = False
 
 # Lane gates realizable per brick side, in table order; PAD is identity up
 # to Pauli frame.
@@ -142,7 +147,7 @@ class _Lane:
         self.xi = zeta ^ self.xi ^ BoolFn.one()
         self.zeta = zeta
         self.carrier = nxt
-        self.slots.append(xrot(math.pi / 2))
+        self.slots.append(_X_HALF)
 
     def cut_hair(self, var: str, mult: int) -> None:
         h = self.b.new_vertex()
@@ -156,7 +161,7 @@ class _Lane:
         self.b.edge(self.carrier, h, self.b.half_mult())
         self.b.measure(h, var, BoolFn.one())  # Z basis
         self.zeta = self.zeta ^ self.xi ^ BoolFn.var(var)
-        self.slots.append(zrot(math.pi / 2))
+        self.slots.append(_Z_HALF)
 
     def hair(self, var: str, half: bool) -> None:
         """A half hair if ``half``, else a hair cut at the half multiplicity."""
@@ -220,7 +225,7 @@ def _finalize(
         signs = dict(zip(b.signs, bits))
         built = lanes[0].matrix(signs)
         for lane in lanes[1:]:
-            built = np.kron(built, lane.matrix(signs))
+            built = kron(built, lane.matrix(signs))
         if entangler is not None:
             built = entangler @ built
         hits = np.flatnonzero(phase_matched(built, dressed))
@@ -246,7 +251,7 @@ def _finalize(
     }
     fns = [m.choice for m in measurements.values()]
     fns += [fn for c in corrections.values() for fn in (c.zeta, c.xi)]
-    if any(name.startswith("~") for fn in fns for name in fn.variables):
+    if any(name.startswith("~") for fn in fns for m in fn.monomials for name in m):
         raise StructuralError("unresolved rotation sign")
 
     graph = PGraph(b.count, b.m, tuple(b.edges))
@@ -294,7 +299,7 @@ def _cz_hook(
     b.measure(hair, hair_var, BoolFn.zero())
     for lane in (lane1, lane2):
         lane.zeta = lane.zeta ^ lane.xi ^ mb
-        lane.slots.append(zrot(math.pi / 2))
+        lane.slots.append(_Z_HALF)
     return None
 
 

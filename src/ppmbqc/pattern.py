@@ -77,9 +77,8 @@ def _dependencies(f: PatternFragment) -> dict[int, set[int]]:
 
     A node is a measured vertex or a definition; definition ``i`` of
     ``f.frames`` is node ``vertex_count + i``. A choice may read outcomes
-    other than its own, error variables and definitions; an unknown or self
-    reference raises :class:`StructuralError`. What a definition reads was
-    checked when the fragment was built.
+    other than its own, error variables and definitions; construction has
+    checked every name a fragment reads.
     """
     n = f.pattern.graph.vertex_count
     node = f.pattern.producer_of()
@@ -90,17 +89,7 @@ def _dependencies(f: PatternFragment) -> dict[int, set[int]]:
         for i, fn in enumerate(f.frames.values())
     }
     for v, meas in f.pattern.measurements.items():
-        deps[v] = set()
-        for name in meas.choice.variables:
-            if name in ambient:
-                continue
-            if name not in node:
-                raise StructuralError(
-                    f"vertex {v} choice references unknown variable {name!r}"
-                )
-            if node[name] == v:
-                raise StructuralError(f"vertex {v} choice references its own outcome")
-            deps[v].add(node[name])
+        deps[v] = {node[name] for name in meas.choice.variables if name not in ambient}
     return deps
 
 
@@ -218,7 +207,14 @@ class PatternFragment:
                         " error variable or earlier definition"
                     )
             allowed.add(name)
-        _dependencies(self)
+        for v, meas in self.pattern.measurements.items():
+            for name in meas.choice.variables:
+                if name not in allowed:
+                    raise StructuralError(
+                        f"vertex {v} choice references unknown variable {name!r}"
+                    )
+                if name == meas.var:
+                    raise StructuralError(f"vertex {v} choice references its own outcome")
         for v, corr in self.corrections.items():
             for fn in (corr.zeta, corr.xi):
                 for name in fn.variables:
@@ -345,18 +341,18 @@ def _attach(
     edges.extend(piece.pattern.graph.relabel(relabel, n).edges)
     names = {name: prefix + name for name in piece._all_variables()}
     for v, (zvar, xvar) in piece.input_errors.items():
-        zvar, xvar = prefix + zvar, prefix + xvar
+        zvar, xvar = names[zvar], names[xvar]
         if v in wired_rev:
             corr = corrections.pop(wired_rev[v])
             frames[zvar], frames[xvar] = corr.zeta, corr.xi
         else:
             input_errors[relabel[v]] = (zvar, xvar)
     for name, fn in piece.frames.items():
-        frames[prefix + name] = fn.rename(names)
+        frames[names[name]] = fn.prefixed(names)
     for v, m in piece.pattern.measurements.items():
-        measurements[relabel[v]] = Measurement(prefix + m.var, m.choice.rename(names))
+        measurements[relabel[v]] = Measurement(names[m.var], m.choice.prefixed(names))
     for v, c in piece.corrections.items():
-        corrections[relabel[v]] = Correction(c.zeta.rename(names), c.xi.rename(names))
+        corrections[relabel[v]] = Correction(c.zeta.prefixed(names), c.xi.prefixed(names))
     return relabel, n
 
 

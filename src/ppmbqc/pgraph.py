@@ -37,10 +37,12 @@ class PGraph:
         if not 1 <= self.base_exponent <= MAX_BASE_EXPONENT:
             raise StructuralError(f"base_exponent must lie in [1, {MAX_BASE_EXPONENT}]")
         modulus = self.multiplicity_modulus
+        n = self.vertex_count
         seen: dict[tuple[int, int], int] = {}
         for u, v, k in self.edges:
-            self._check_pair(u, v)
-            pair = _norm_pair(u, v)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                self._check_pair(u, v)
+            pair = (u, v) if u < v else (v, u)
             seen[pair] = (seen.get(pair, 0) + k) % modulus
         clean = tuple(sorted((u, v, k) for (u, v), k in seen.items() if k))
         object.__setattr__(self, "edges", clean)

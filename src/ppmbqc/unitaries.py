@@ -130,7 +130,7 @@ class _Parser:
         acc = self.atom()
         while self.peek() in ("x", "⊗"):
             self.take()
-            acc = np.kron(acc, self.atom())
+            acc = kron(acc, self.atom())
         return acc
 
     def atom(self) -> np.ndarray:
@@ -211,6 +211,11 @@ def apply_frames(codes, mat: np.ndarray, wires: int) -> np.ndarray:
     sign = 1 - 2 * odd[masks[..., :1] & src]
     mat = np.asarray(mat)
     return mat[src] * sign.reshape(sign.shape + (1,) * (mat.ndim - 1))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, the same products without its shape handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def pauli_product(bits: list[tuple[int, int]]) -> np.ndarray:

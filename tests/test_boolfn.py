@@ -113,6 +113,42 @@ def test_rename_and_json_lists_roundtrip():
     assert BoolFn(f.to_anf_lists()) == f
 
 
+def test_canonical_sets_and_monomial_lists_build_the_same_function():
+    monos = [["a", "b"], ["z"], []]
+    assert BoolFn(frozenset(frozenset(m) for m in monos)) == BoolFn(monos)
+    assert BoolFn([["a"], ["a"]]) == BoolFn.zero()
+    assert BoolFn([["a", "b"], ["b", "a"], ["c"]]) == BoolFn.var("c")
+    # A non-injective rename must still cancel the monomials it merges.
+    assert anf(["a"], ["b"]).rename({"a": "b"}) == BoolFn.zero()
+
+
+@given(boolfns(), st.text(alphabet="agx.19", max_size=4))
+def test_prefixing_equals_renaming_every_variable(monos, prefix):
+    f = BoolFn(monos)
+    names = {v: prefix + v for v in f.variables}
+    got = f.prefixed(names)
+    assert got == f.rename(names)
+    assert got.monomials == BoolFn(list(map(list, got.monomials))).monomials
+
+
+@given(boolfns(), boolfns())
+def test_built_sets_are_canonical_and_read_the_right_names(m1, m2):
+    f1, f2 = BoolFn(m1), BoolFn(m2)
+    for fn in (f1 ^ f2, BoolFn.zero(), BoolFn.one(), BoolFn.var("a")):
+        assert fn.monomials == BoolFn(list(map(list, fn.monomials))).monomials
+        names = set().union(*fn.monomials)
+        assert fn.variables == tuple(sorted(names))
+        assert fn.is_constant() == (not names)
+
+
+@given(boolfns())
+def test_anf_lists_order_monomials_by_length_then_names(monos):
+    f = BoolFn(monos)
+    lists = f.to_anf_lists()
+    assert lists == sorted((sorted(m) for m in f.monomials), key=lambda m: (len(m), m))
+    assert BoolFn(lists) == f
+
+
 FREE = ["u", "v", "w"]
 
 

@@ -396,6 +396,31 @@ def test_exported_json_has_schema_version_one():
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("qubits 2\nH +1\n", "line 2: operands must be integers"),
+        ("qubits 2\nH 0_1\n", "line 2: operands must be integers"),
+        ("qubits 2\nCNOT 0 +1\n", "line 2: operands must be integers"),
+        ("qubits 2\nH \u0661\n", "line 2: operands must be integers"),
+        ("qubits +2\nH 0\n", "line 1: usage: qubits N"),
+        ("qubits 2_0\nH 0\n", "line 1: usage: qubits N"),
+        ("qubits \u0662\nH 0\n", "line 1: usage: qubits N"),
+        ("qubits 2\nH -1\n", "line 2: operand -1 out of range"),
+    ],
+    ids=["plus", "underscore", "plus-second", "arabic-indic", "plus-count",
+         "underscore-count", "arabic-indic-count", "negative"],
+)
+def test_only_ascii_integers_are_read_as_numbers(text, message, tmp_path, capsys):
+    with pytest.raises(CircuitParseError, match=re.escape(message)):
+        parse_circuit(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out.json")
+    assert main(["--json", "compile", "--in", str(path), "--out", out]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         ("qubits 2\nqubits 2\n", "line 2: duplicate qubits header"),
         ("# only a comment\n\n", "line 1: missing 'qubits N' header"),
     ],

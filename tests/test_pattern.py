@@ -35,6 +35,22 @@ def test_all_constant_pattern_is_single_round():
     assert dependency_schedule(PatternFragment(p)) == [[0, 1, 2]]
 
 
+@pytest.mark.parametrize(
+    "choice, message",
+    [
+        (BoolFn([["m1"]]), "vertex 1 choice references its own outcome"),
+        (BoolFn([["q"], ["p"]]), "vertex 1 choice references unknown variable 'p'"),
+        (BoolFn([["m0", "z"]]), "vertex 1 choice references unknown variable 'z'"),
+    ],
+    ids=["own-outcome", "first-unknown-by-name", "unknown-beside-a-known-name"],
+)
+def test_construction_checks_every_name_a_choice_reads(choice, message):
+    g = PGraph(2).add_edges(0, 1, 2)
+    measurements = {0: Measurement("m0", BoolFn.zero()), 1: Measurement("m1", choice)}
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        PatternFragment(MeasurementPattern(g, measurements))
+
+
 def test_cyclic_two_vertex_pattern_rejected():
     g = PGraph(2).add_edges(0, 1, 1)
     p = MeasurementPattern(

@@ -37,6 +37,27 @@ def test_out_of_range_rejected():
         PGraph(2).add_edges(0, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((1, 1, 1),), "self-loop on vertex 1"),
+        (((0, 3, 1),), r"vertex 3 out of range \[0, 3\)"),
+        (((-1, 2, 1),), r"vertex -1 out of range \[0, 3\)"),
+        (((0, 1, 1), (2, 2, 4)), "self-loop on vertex 2"),
+    ],
+    ids=["self-loop", "past-the-end", "negative", "second-edge"],
+)
+def test_constructor_names_the_first_bad_edge(edges, message):
+    with pytest.raises(StructuralError, match=message):
+        PGraph(3, 2, edges)
+
+
+def test_constructor_merges_unordered_pairs_and_drops_full_turns():
+    g = PGraph(3, 2, ((2, 0, 1), (0, 2, 1), (1, 0, 5), (0, 1, 3)))
+    assert g.edges == ((0, 2, 2),)
+    assert g.relabel({0: 2, 1: 1, 2: 0}, 3).edges == ((0, 2, 2),)
+
+
 def test_unordered_pair_semantics():
     g = PGraph(3).add_edges(2, 0, 1).add_edges(0, 2, 1)
     assert g.multiplicity(0, 2) == 2

@@ -16,6 +16,7 @@ from ppmbqc.unitaries import (
     apply_frames,
     frame_bits,
     frame_codes,
+    kron,
     parse_angle,
     pauli_product,
     unitary_from_label,
@@ -68,6 +69,15 @@ def test_apply_frames_matches_the_kronecker_reference(wires):
         assert np.array_equal(stacked[c], ref @ mat)
         assert np.array_equal(apply_frames(int(c), mat, wires), ref @ mat)
         assert np.array_equal(apply_frames(int(c), vec, wires), ref @ vec)
+
+
+@pytest.mark.parametrize("shapes", [(1, 1), (1, 2), (2, 2), (2, 4), (4, 2), (3, 5)])
+def test_kron_is_numpys_kron_bit_for_bit(shapes):
+    rng = np.random.default_rng(sum(shapes))
+    a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in shapes)
+    got = kron(a, b)
+    assert got.shape == (shapes[0] * shapes[1],) * 2
+    assert np.array_equal(got, np.kron(a, b))
 
 
 @pytest.mark.parametrize(
