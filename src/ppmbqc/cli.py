@@ -38,6 +38,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """An integer in Python's syntax, such as ``0xC0FFEE`` or ``12_345``, in ASCII only."""
+    try:
+        if text.isascii():
+            return int(text, 0)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be an integer in ASCII digits, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="ppmbqc", description=__doc__)
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -48,11 +58,11 @@ def _build_parser() -> _Parser:
     v.add_argument("--target", help="target gate label (defaults for builtins)")
     v.add_argument("--tol", type=float, default=1e-9)
     v.add_argument("--branches", default="all", help="all or sample:K")
-    v.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
+    v.add_argument("--seed", type=_seed, default=0xC0FFEE)
 
     r = sub.add_parser("run", help="execute a pattern")
     r.add_argument("pattern", help="pattern JSON path")
-    r.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
+    r.add_argument("--seed", type=_seed, default=0xC0FFEE)
     outcomes = r.add_mutually_exclusive_group()
     outcomes.add_argument("--tape", help="forced outcome bits, one per measurement, e.g. 0110")
     outcomes.add_argument("--branches", help="all or sample:K")
@@ -89,7 +99,7 @@ def _parse_branches(text: str) -> str | tuple[str, int]:
     if text == "all":
         return "all"
     count = text.split(":", 1)[1] if text.startswith("sample:") else ""
-    if count.isdecimal() and int(count) >= 1:
+    if count.isascii() and count.isdecimal() and int(count) >= 1:
         return ("sample", int(count))
     raise UsageError(f"--branches must be 'all' or 'sample:K' with K >= 1, got {text!r}")
 

@@ -15,11 +15,13 @@ star and scale share one diagonal. The plan keeps its distinct diagonals
 while they fit in the bytes of one register at the cap and builds any
 others when their step runs; a step wider than the cap is refused.
 
-The classical side compiles to one straight-line program: each definition
-right after the last outcome it reads, each step's choice and outcome, then
-the output corrections. Each input error, outcome and definition holds one
-bit of the branch word from its write until its last reader, which may take
-the bit over, so a word is as wide as the most values live at once.
+The classical side compiles to one straight-line program, in the order of
+the one dependency walk that also orders the measurements: each step's
+choice and outcome, and each definition where the walk resolves it, as soon
+as what it reads is; then the output corrections. Each input error, outcome
+and definition holds one bit of the branch word from its write until its
+last reader, which may take the bit over, so a word is as wide as the most
+values live at once.
 
 Every call walks the plan over a ``(2**spectators, 2**live, rows)``
 amplitude array. Spectators are a leading batch axis that the engine never
@@ -40,7 +42,8 @@ agree on every input error a choice reads, directly or through definitions.
 They share the amplitudes, which are framed by the first, and its branch
 words; each gets its own corrections. The other input errors are the same
 on every row, so the plan factors every definition and correction that
-reads them into row parts, one per monomial of those errors: each row part
+reads them into row parts, one per monomial of those errors, by
+substituting each factored definition's own factored form: each row part
 is a value like any other, and a member's correction is the XOR of the row
 parts whose error monomial it sets.
 
@@ -145,7 +148,8 @@ def measurement_order(f: PatternFragment) -> list[int]:
     produced. A cyclic dependency raises :class:`WellFoundednessError`
     carrying the cycle.
     """
-    return _ready_order(f)[0]
+    n = f.pattern.graph.vertex_count
+    return [u for u in _ready_order(f)[0] if u < n]
 
 
 def feed_forward_depth(f: PatternFragment) -> int:
@@ -258,17 +262,19 @@ def _built(diag: np.ndarray | _Deferred) -> np.ndarray:
 class _Plan:
     """A fragment's standard form, compiled once.
 
-    ``program`` is the classical side in run order, as ``(anf, bit, step)``
-    entries: step -1 sets ``bit`` of the branch word to a definition's
-    value; step j evaluates the choice of ``order[j]``, measures it with
-    ``steps[j]`` and sets ``bit`` to the outcome. ``errors`` holds the bit
-    of each input-error variable, in ``error_variables`` order. A value
-    keeps its bit from its write until its last reader, which may take the
-    bit over; a value nothing reads has bit 0, so writing it changes
-    nothing. ``width`` counts the bits in use. Then the diagonal ``close``
-    (kept or deferred, as a step's), of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet live and
-    joins the unmeasured vertices. ``perm`` moves the rows first, then the
-    outputs in fragment order, then the spectators.
+    ``program`` is the classical side in the order of the dependency walk,
+    as ``(anf, bit, step)`` entries: step -1 sets ``bit`` of the branch word
+    to a definition's value, or to a row part that a correction needs (kept
+    under the key ``(definition, S)``, right before its definition); step j
+    evaluates the choice of ``order[j]``, measures it with ``steps[j]`` and
+    sets ``bit`` to the outcome. ``errors`` holds the bit of each
+    input-error variable, in ``error_variables`` order. A value keeps its
+    bit from its write until its last reader, which may take the bit over; a
+    value nothing reads has bit 0, so writing it changes nothing. ``width``
+    counts the bits in use. Then the diagonal ``close`` (kept or deferred,
+    as a step's), of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet
+    live and joins the unmeasured vertices. ``perm`` moves the rows first,
+    then the outputs in fragment order, then the spectators.
 
     ``guards`` pairs each guarded input error, by its index in
     ``error_variables``, with the first vertex whose choice reads it,
@@ -303,37 +309,23 @@ def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
     return d
 
 
-def _factor(fn: BoolFn, free: set[str], parts: dict) -> list[tuple[frozenset[str], set]]:
+def _factor(fn: BoolFn, free: set[str], forms: dict) -> list[tuple[frozenset[str], BoolFn]]:
     """``fn`` as the XOR, over monomials S of the ``free`` input errors, of S times a row part.
 
-    ``parts`` gives each factored definition's own terms. A row part is a
-    set of monomials that read neither the free errors nor a factored
-    definition. Terms with a zero row part are dropped, and the rest come in
-    a fixed order.
+    ``forms`` binds each factored definition to its own such XOR, so after
+    substitution a row part reads neither the free errors nor a factored
+    definition. Zero row parts are left out; the rest come in a fixed order.
     """
-    out: dict[frozenset[str], set] = {}
-
-    def add(terms: dict, S: frozenset[str], monomials) -> None:
-        acc = terms.setdefault(S, set())
-        for m in monomials:
-            acc.remove(m) if m in acc else acc.add(m)  # x ^ x = 0
-
-    for mono in fn.monomials:
-        factored = [v for v in mono if v in parts]
-        terms = {mono & free: {mono.difference(free, factored)}}
-        for v in factored:
-            product: dict[frozenset[str], set] = {}
-            for S, rows in terms.items():
-                for T, more in parts[v].items():
-                    add(product, S | T, [a | b for a in rows for b in more])
-            terms = product
-        for S, rows in terms.items():
-            add(out, S, rows)
-    return sorted(((S, rows) for S, rows in out.items() if rows), key=lambda t: sorted(t[0]))
+    rows: dict[frozenset[str], list] = {}
+    for mono in fn.substitute(forms).monomials:
+        rows.setdefault(mono & free, []).append(mono - free)
+    return sorted(((S, BoolFn(r)) for S, r in rows.items()), key=lambda t: sorted(t[0]))
 
 
 def _compile_plan(f: PatternFragment) -> _Plan:
-    order = measurement_order(f)
+    nodes, _ = _ready_order(f)  # vertex v is node v, definition i node n + i
+    n = f.pattern.graph.vertex_count
+    order = [u for u in nodes if u < n]
     k = len(order)
     names = [f.pattern.measurements[v].var for v in order]
     graph = f.pattern.graph
@@ -400,8 +392,10 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     # So a correction g is g at the first member, XOR, for each monomial S of
     # the free errors, g's row part g_S wherever S tells the two apart. A
     # definition that reads a free error keeps its value at the first member
-    # and has row parts too: 1, a variable, or a new definition, which runs
-    # only if a correction's row part reads it.
+    # and is bound to its form, the XOR of S times its row parts: 1, a
+    # variable, or a new definition keyed (name, S), which no fragment name
+    # (a string) can equal. A new definition runs only if a correction's row
+    # part reads it.
     errors = f.error_variables()
     reads = {name: {name} for name in errors}  # the errors each value reads
     for name, fn in f.frames.items():
@@ -412,45 +406,44 @@ def _compile_plan(f: PatternFragment) -> _Plan:
             for name in sorted(reads.get(var, ())):
                 guards.setdefault(name, v)
     free = set(errors) - set(guards)
-    definitions = dict(f.frames)
-    parts: dict[str, dict[frozenset[str], set]] = {}  # each factored definition's row parts
+    forms: dict[str, BoolFn] = {}
+    parts: dict[str, list[tuple[tuple, BoolFn]]] = {}  # each factored definition's new ones
     for name, fn in f.frames.items():
         if reads[name] & free:
-            parts[name] = {}
-            for S, rows in _factor(fn, free, parts):
-                if len(rows) > 1 or len(next(iter(rows))) > 1:  # not 1 or one variable
-                    part = f"{name}[{' '.join(sorted(S))}]"
-                    while part in definitions or part in reads or part in names:
-                        part += "'"  # loaded fragments may use any name
-                    definitions[part], rows = BoolFn(rows), {frozenset({part})}
-                parts[name][S] = rows
+            form, parts[name] = [], []
+            for S, row in _factor(fn, free, forms):
+                if len(row.monomials) > 1 or len(next(iter(row.monomials))) > 1:
+                    parts[name].append(((name, S), row))
+                    row = BoolFn([[(name, S)]])
+                form += [S | mono for mono in row.monomials]
+            forms[name] = BoolFn(form)
     corrections = [fn for o in f.outputs for fn in (f.corrections[o].zeta, f.corrections[o].xi)]
-    terms = [[(S, BoolFn(rows)) for S, rows in _factor(fn, free, parts) if S] for fn in corrections]
-    needed = {name for row_parts in terms for _, c in row_parts for name in c.variables}
-    for name in reversed([*definitions][len(f.frames):]):  # the new definitions
-        if name in needed:
-            needed.update(definitions[name].variables)
-        else:
-            del definitions[name]
+    terms = [[(S, row) for S, row in _factor(fn, free, forms) if S] for fn in corrections]
+    needed = set().union(*(mono for t in terms for _, row in t for mono in row.monomials))
+    for part, row in reversed([p for ps in parts.values() for p in ps]):
+        if part in needed:
+            needed.update(*row.monomials)
 
-    # A definition runs right after the last step whose outcome it reads,
-    # directly or through the definitions it reads: -1 for none.
-    after = {name: j for j, name in enumerate(names)}
-    defined: list[list] = [[] for _ in range(k + 1)]
-    for name, fn in definitions.items():
-        after[name] = max((after.get(v, -1) for v in fn.variables), default=-1)
-        defined[after[name] + 1].append((fn, name, -1))
-    program = defined[0]
-    for j, v in enumerate(order):
-        program += [(f.pattern.measurements[v].choice, names[j], j), *defined[j + 1]]
+    # The walk resolves each definition as soon as what it reads is, so it
+    # runs there, right behind those of its row parts that a correction
+    # needs: they read only what it reads.
+    frames = list(f.frames.items())
+    program = []
+    for u in nodes:
+        if u < n:
+            program.append((f.pattern.measurements[u].choice, names[rank[u]], rank[u]))
+        else:
+            name, fn = frames[u - n]
+            program += [(row, part, -1) for part, row in parts.get(name, ()) if part in needed]
+            program.append((fn, name, -1))
 
     # Each value holds the lowest free bit from its write until its last
     # read, where the bit is freed for the value that reader writes.
     last = {}
     for i, (fn, _, _) in enumerate(program):
-        last.update(dict.fromkeys(fn.variables, i))
-    for fn in [*corrections, *(c for row_parts in terms for _, c in row_parts)]:
-        last.update(dict.fromkeys(fn.variables, len(program)))
+        last.update(dict.fromkeys(set().union(*fn.monomials), i))
+    for fn in [*corrections, *(row for t in terms for _, row in t)]:
+        last.update(dict.fromkeys(set().union(*fn.monomials), len(program)))
     bit, free_bits, freed, slots = {}, [], {}, itertools.count()
     for i, name in enumerate([*errors, *(name for _, name, _ in program)], -len(errors)):
         for slot in freed.pop(i, ()):
@@ -514,26 +507,18 @@ def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
     ``word`` is the final branch word (per row) and ``members`` holds each
     member's input-error bits in ``error_variables`` order. A member's
     correction is the first member's, XOR the row parts of the terms whose
-    free errors the two set differently: each row part is evaluated once
-    over the rows, and each sum once per distinct set of terms.
+    free errors the two set differently. Each row part is evaluated once
+    over the rows, and only if some member differs on it.
     """
     out = np.empty((len(members), len(plan.corrections)) + np.shape(word), dtype=np.uint8)
     first = members[0]
     for i, (anf, terms) in enumerate(plan.corrections):
-        sums: dict[tuple[int, ...], object] = {(): _evaluate(anf, word)}
-        rows: dict[int, object] = {}
-        for m, e in enumerate(members):
-            key = tuple(
-                t for t, (errs, _) in enumerate(terms) if (e & errs == errs) != (first & errs == errs)
-            )
-            if key not in sums:
-                acc = sums[()]
-                for t in key:
-                    if t not in rows:
-                        rows[t] = _evaluate(terms[t][1], word)
-                    acc = acc ^ rows[t]
-                sums[key] = acc
-            out[m, i] = sums[key]
+        out[:, i] = _evaluate(anf, word)
+        for errs, row in terms:
+            sets = first & errs == errs
+            differ = [m for m, e in enumerate(members) if (e & errs == errs) != sets]
+            if differ:
+                out[differ, i] ^= np.asarray(_evaluate(row, word), dtype=np.uint8)
     return out
 
 

@@ -459,7 +459,7 @@ def builtin_fragment(name: str) -> tuple[PatternFragment, str]:
     if name in _BUILTINS:
         factory, label = _BUILTINS[name]
         return factory(), label
-    m = re.fullmatch(r"hier_m(\d+)", name)
+    m = re.fullmatch(r"hier_m([0-9]+)", name)
     if m:
         k = int(m.group(1))
         return hierarchy_fragment(k), f"Z(pi/{1 << k})"

@@ -94,12 +94,13 @@ def _dependencies(f: PatternFragment) -> dict[int, set[int]]:
 
 
 def _ready_order(f: PatternFragment) -> tuple[list[int], dict[int, int]]:
-    """Measured vertices lowest ready first, plus each vertex's feed-forward round.
+    """Every node in run order, lowest ready first, plus each vertex's feed-forward round.
 
-    A vertex is ready once every outcome its choice function reads, directly
-    or through definitions, has been produced; input-error variables are
-    known from the start. A definition costs no round: it is resolved as soon
-    as what it reads is. A cyclic dependency raises
+    Nodes are numbered as in :func:`_dependencies`. A vertex is ready once
+    every outcome its choice function reads, directly or through
+    definitions, has been produced; input-error variables are known from the
+    start. A definition costs no round: it is resolved as soon as what it
+    reads is, before the next vertex. A cyclic dependency raises
     :class:`WellFoundednessError` carrying the vertices of one offending cycle.
     """
     n = f.pattern.graph.vertex_count
@@ -118,13 +119,12 @@ def _ready_order(f: PatternFragment) -> tuple[list[int], dict[int, int]]:
     while ready:
         measured, u = heapq.heappop(ready)
         depth[u] = measured + max((depth[w] for w in deps[u]), default=-1)
-        if measured:
-            order.append(u)
+        order.append(u)
         for w in readers[u]:
             waiting[w] -= 1
             if not waiting[w]:
                 heapq.heappush(ready, (w < n, w))
-    if len(order) < len(f.pattern.measurements):
+    if len(order) < len(deps):
         # Every stuck node waits on another stuck one: walk until a repeat.
         # Definitions read only earlier ones, so the cycle holds a vertex.
         v = min(v for v, count in waiting.items() if count)
@@ -136,7 +136,7 @@ def _ready_order(f: PatternFragment) -> tuple[list[int], dict[int, int]]:
         raise WellFoundednessError(
             f"cyclic dependency between vertices {cycle}", cycle=cycle
         )
-    return order, {v: depth[v] for v in order}
+    return order, {v: depth[v] for v in order if v < n}
 
 
 def dependency_schedule(f: PatternFragment) -> list[list[int]]:

@@ -64,14 +64,16 @@ def parse_angle(text: str) -> float:
         sign, s = -1.0, s[1:]
     elif s.startswith("+"):
         s = s[1:]
-    m = re.fullmatch(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?", s)
+    m = re.fullmatch(r"(?:([0-9]+(?:\.[0-9]+)?)\*?)?pi(?:/([0-9]+(?:\.[0-9]+)?))?", s)
     try:
         if m:
             num = float(m.group(1)) if m.group(1) else 1.0
             den = float(m.group(2)) if m.group(2) else 1.0
             angle = sign * num * math.pi / den
-        else:
+        elif s.isascii():  # float() also reads other scripts' digits
             angle = sign * float(s)
+        else:
+            raise ValueError(s)
     except (ValueError, ZeroDivisionError):
         raise LabelError(f"malformed angle {text!r}") from None
     if not math.isfinite(angle):

@@ -70,7 +70,9 @@ def test_unknown_builtin_is_json_error(capsys):
     assert "error" in json.loads(out)
 
 
-@pytest.mark.parametrize("target", ["Z(pi/0)", "Z(abc)", "X()", "Z(1e400)"])
+@pytest.mark.parametrize(
+    "target", ["Z(pi/0)", "Z(abc)", "X()", "Z(1e400)", "Z(pi/\u0662)", "Z(\u0661.5)"]
+)
 def test_malformed_target_angle_is_json_usage_error(capsys, target):
     code, out, _ = run_cli(capsys, "--json", "verify", "builtin:xhalf", "--target", target)
     assert code == 2
@@ -290,7 +292,7 @@ def test_verify_sampled_branches_flag(capsys):
     assert payload["amplitude_runs"] == 4 * 3  # seeded runs: samples x error combinations
 
 
-@pytest.mark.parametrize("count", ["0", "-3", "x"])
+@pytest.mark.parametrize("count", ["0", "-3", "x", "\u0662"])
 def test_verify_rejects_sample_counts_below_one(capsys, count):
     argv = ("verify", "builtin:e_t", "--branches", f"sample:{count}")
     code, _, err = run_cli(capsys, *argv)
@@ -298,6 +300,30 @@ def test_verify_rejects_sample_counts_below_one(capsys, count):
     code, out, _ = run_cli(capsys, "--json", *argv)
     assert code == 2
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "builtin:hier_m\u0663"), ("verify", "builtin:e_t", "--seed", "\u0663")],
+    ids=["builtin", "seed"],
+)
+def test_only_ascii_digits_are_read_as_numbers(capsys, argv):
+    # Python's int(), float() and \d read other scripts' digits too; so do
+    # the target angles and sample counts above.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "error" in err
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("seed, same", [("0xC0FFEE", None), ("12_345", "12345")])
+def test_seeds_keep_pythons_integer_syntax(capsys, seed, same):
+    argv = ("--json", "verify", "builtin:e_t", "--branches", "sample:2")
+    code, out, _ = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 0
+    _, want, _ = run_cli(capsys, *argv, *(() if same is None else ("--seed", same)))
+    assert json.loads(out) == json.loads(want)
 
 
 def test_run_rejects_tape_characters_other_than_bits(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import itertools
 import math
 import re
+import time
 import weakref
 
 import numpy as np
@@ -185,8 +187,8 @@ def test_seeded_outcome_tapes_are_pinned():
 
 def test_plan_is_built_once_per_fragment(monkeypatch):
     calls = []
-    order = executor.measurement_order
-    monkeypatch.setattr(executor, "measurement_order", lambda f: calls.append(f) or order(f))
+    compile_plan = executor._compile_plan
+    monkeypatch.setattr(executor, "_compile_plan", lambda f: calls.append(f) or compile_plan(f))
     f = brick(BrickSettings("T", "HTH", 1))
     psi = random_state(2)
     first = run_fragment(f, psi, {}, OutcomeSource.seeded(3))
@@ -560,6 +562,27 @@ def test_branch_words_stay_narrow_at_any_depth():
     assert widths[0] == widths[1] <= 32
 
 
+def test_plan_build_grows_linearly_with_depth():
+    # Four times the `T 0 / H 0` pairs take about four times as long to plan,
+    # where a build quadratic in depth takes sixteen. Process time with the
+    # collector off, best of two, so the ratio depends little on load.
+    def build_time(pairs):
+        f = compile_circuit(parse_circuit("qubits 1\n" + "T 0\nH 0\n" * pairs))
+        gc.disable()
+        try:
+            times = []
+            for _ in range(2):
+                start = time.process_time()
+                executor._compile_plan(f)
+                times.append(time.process_time() - start)
+        finally:
+            gc.enable()
+        return min(times)
+
+    ratio = build_time(1000) / build_time(250)
+    assert ratio < 8, ratio
+
+
 def dense_branches(f, psi, errs, spectators):
     """Every branch of ``f``, rebuilt on one dense register from the public kernels.
 
@@ -675,6 +698,33 @@ def test_a_definition_that_only_corrections_read_shares_the_run():
         assert np.array_equal(got, enumerate_fragment(h, psi, errs, 1).frames)
     with pytest.raises(PpmError, match="choose differently at vertex 5"):
         executor._execute(g, None, psi, members, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(definitions=True), st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_a_shared_run_gives_each_member_its_own_frames(case, spectators, seed):
+    # Every input-error assignment that agrees with the drawn one on the
+    # guarded errors shares its run, with the drawn one first. Each zeta
+    # also reads every definition, so that their row parts reach the frames.
+    f, errs = case
+    zeta = {o: Correction(c.zeta ^ BoolFn.xor_of(*f.frames), c.xi) for o, c in f.corrections.items()}
+    f = PatternFragment(f.pattern, f.inputs, f.outputs, f.input_errors, zeta, f.frames)
+    rng = np.random.default_rng(seed)
+    width = len(f.inputs) + spectators
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    psi = Statevector(width, amps / np.linalg.norm(amps))
+    drawn = [b for v in f.inputs for b in errs[v]]
+    guarded = [i for i, _ in executor._plan(f).guards]
+    members = [
+        {v: bits[2 * i : 2 * i + 2] for i, v in enumerate(f.inputs)}
+        for bits in itertools.product((0, 1), repeat=len(drawn))
+        if all(bits[i] == drawn[i] for i in guarded)
+    ]
+    members.sort(key=lambda m: m != errs)
+    ens, frames = executor._execute(f, None, psi, members, spectators)
+    assert len(frames) == len(members) and np.array_equal(frames[0], ens.frames)
+    for member, got in zip(members, frames):
+        assert np.array_equal(got, enumerate_fragment(f, psi, member, spectators).frames)
 
 
 def test_input_errors_must_name_input_vertices():
