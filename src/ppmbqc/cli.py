@@ -38,14 +38,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _seed(text: str) -> int:
-    """An integer in Python's syntax, such as ``0xC0FFEE`` or ``12_345``, in ASCII only."""
-    try:
-        if text.isascii():
-            return int(text, 0)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"seed must be an integer in ASCII digits, got {text!r}")
+def _ascii(parse, kind: str):
+    """An argument type that applies ``parse`` to ASCII text only.
+
+    ``int`` and ``float`` would also read the digits of other scripts.
+    """
+
+    def read(text: str):
+        try:
+            if text.isascii():
+                return parse(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {kind} in ASCII digits, got {text!r}")
+
+    return read
+
+
+_seed = _ascii(lambda text: int(text, 0), "an integer")  # such as 0xC0FFEE or 12_345
+_tol = _ascii(float, "a number")
 
 
 def _build_parser() -> _Parser:
@@ -56,7 +67,7 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="certify a fragment against a target gate")
     v.add_argument("fragment", help="fragment JSON path or builtin:NAME")
     v.add_argument("--target", help="target gate label (defaults for builtins)")
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=_tol, default=1e-9)
     v.add_argument("--branches", default="all", help="all or sample:K")
     v.add_argument("--seed", type=_seed, default=0xC0FFEE)
 
@@ -75,7 +86,7 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="derive the certified brick table")
     t.add_argument("--out", dest="outfile")
-    t.add_argument("--tol", type=float, default=1e-9)
+    t.add_argument("--tol", type=_tol, default=1e-9)
 
     d = sub.add_parser("depth", help="feed-forward depth of a pattern")
     d.add_argument("pattern", help="pattern JSON path")

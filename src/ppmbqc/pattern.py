@@ -338,7 +338,7 @@ def _attach(
         else:
             relabel[v] = n
             n += 1
-    edges.extend(piece.pattern.graph.relabel(relabel, n).edges)
+    edges.extend((relabel[u], relabel[w], k) for u, w, k in piece.pattern.graph.edges)
     names = {name: prefix + name for name in piece._all_variables()}
     for v, (zvar, xvar) in piece.input_errors.items():
         zvar, xvar = names[zvar], names[xvar]

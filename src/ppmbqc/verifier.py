@@ -16,7 +16,9 @@ first combination ``r``, and scores combination ``c`` against the target
 ``U P_c† P_r``. The engine gives each combination the corrections of ``r``
 plus row parts where their other input errors differ, and refuses a shared
 run whose combinations a choice could tell apart.
-Sampled runs stay one seeded run per combination and sample.
+Sampled runs stay one seeded run per combination and sample. Verification
+and inference both draw their runs, with each member's frame table, from
+the one generator :func:`_runs`.
 
 Scoring takes one matrix product per frame group (see :func:`_score`):
 the rows a run shares are sorted by the frame code of its first member,
@@ -34,14 +36,7 @@ import numpy as np
 
 from .boolfn import mobius_anf
 from .errors import DimensionError, InferenceError, TableDerivationError
-from .executor import (
-    BranchEnsemble,
-    OutcomeSource,
-    _execute,
-    _plan,
-    enumerate_fragment,
-    measurement_order,
-)
+from .executor import BranchEnsemble, OutcomeSource, _execute, _plan, enumerate_fragment
 from .fragments import LEFT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
 from .statevec import Statevector
@@ -135,35 +130,6 @@ def _error_combos(inputs: tuple[int, ...]):
         yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
 
 
-def _choice_classes(f: PatternFragment) -> list[list[int]]:
-    """The error combinations, by frame code, grouped so that one run serves a group.
-
-    A group holds the combinations that agree on every input-error variable
-    a choice reads, directly or through definitions: the plan's guards,
-    which the engine checks. Groups come in the order of their first
-    combination.
-    """
-    guarded = [i for i, _ in _plan(f).guards]
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for combo, (_, bits) in enumerate(_error_combos(f.inputs)):
-        classes.setdefault(tuple(bits[i] for i in guarded), []).append(combo)
-    return list(classes.values())
-
-
-def _member_target(U: np.ndarray, shift: int, wires: int) -> np.ndarray:
-    """The target that scores combination ``c`` on a run framed by ``r``; ``shift = c ^ r``.
-
-    On the Choi input an input error is a Pauli on the reference side,
-    ``(P ⊗ I)|Φ⟩ = (I ⊗ Pᵀ)|Φ⟩``, which the engine never touches. So where the
-    choices of ``c`` and ``r`` agree, ``c``'s branch state, as an (outputs,
-    references) matrix, is the run's ``S`` times ``P_r† P_c`` on the right,
-    and its overlap with a target ``T`` is the run's overlap with
-    ``T P_c† P_r``. That product is ``P_shift`` up to a sign, which no
-    fidelity sees.
-    """
-    return U @ apply_frames(shift, np.eye(1 << wires), wires) / math.sqrt(1 << wires)
-
-
 def _frame_table(base: np.ndarray, wires: int) -> np.ndarray:
     """``base`` dressed with every frame, flattened and conjugated; row c is code c.
 
@@ -234,6 +200,40 @@ def _score(
     return 1.0 - lowest, fids
 
 
+def _runs(f: PatternFragment, U: np.ndarray, sample_count: int = 0, seed: int = 0):
+    """Every engine run of a Choi-input certificate, as ``(members, ens, frames, tables)``.
+
+    ``members`` are error combinations by frame code; the run is framed by
+    the first, ``r``, and ``ens`` and ``frames`` are :func:`_execute`'s.
+    Exhaustive runs (``sample_count`` 0) take one per choice class, keyed
+    on the plan's guards; sampled ones take ``sample_count`` seeded one-row
+    runs per combination, each its own class. Where the choices of ``c``
+    and ``r`` agree, ``c``'s branch state, as an (outputs, references)
+    matrix, is the run's ``S`` times ``P_r† P_c`` on the right (an input
+    error is a reference Pauli), so its overlap with a target ``T`` is the
+    run's overlap with ``T P_c† P_r``, which is ``T P_(c^r)`` up to a sign
+    that no fidelity sees. So ``tables[m]`` is the :func:`_frame_table` of
+    ``U P_(c^r) / √d`` for member ``c``; every shift ``c ^ r`` lies in the
+    class of combination 0.
+    """
+    n = len(f.inputs)
+    read = range(2 * n) if sample_count else [i for i, _ in _plan(f).guards]
+    combos, classes = [], {}
+    for c, (errs, bits) in enumerate(_error_combos(f.inputs)):
+        combos.append(errs)
+        classes.setdefault(tuple(bits[i] for i in read), []).append(c)
+    classes = list(classes.values())
+    bases = U @ apply_frames(classes[0], np.eye(1 << n), n) / math.sqrt(1 << n)
+    shifted = {s: _frame_table(base, n) for s, base in zip(classes[0], bases)}
+    for members in classes:
+        errs = [combos[c] for c in members]
+        tables = np.stack([shifted[c ^ members[0]] for c in members])
+        base = seed * 0x9E3779B1 + members[0] * 1009
+        seeds = ((base + k) & 0x7FFFFFFF for k in range(sample_count))
+        for src in map(OutcomeSource.seeded, seeds) if sample_count else [None]:
+            yield (members, *_execute(f, src, choi_input(n), errs, n), tables)
+
+
 def verify_fragment(
     f: PatternFragment,
     target: np.ndarray | str,
@@ -247,7 +247,7 @@ def verify_fragment(
     Checks, for every outcome branch and every input Pauli-error
     combination, that the output equals the frame-dressed target on a
     maximally entangled input. ``branches`` is ``"all"`` for exhaustive
-    enumeration, one run per choice class (see :func:`_member_target`), or
+    enumeration, one run per choice class (see :func:`_runs`), or
     ``("sample", k)`` for k seeded runs per error combo; ``tol`` is the
     worst accepted infidelity, strictly between 0 and 1.
     """
@@ -271,11 +271,10 @@ def verify_fragment(
     rows = (1 << measured) if exhaustive else sample_count
     keep = rows << (2 * n) <= MAX_RECORDS if keep_branches is None else keep_branches
 
-    def score(members, ens, frames):
+    def score(members, ens, frames, tables):
         """Score one run for each of ``members``, whose first framed its input."""
         probs, ok = ens.probabilities, ens.possible
         total, count = float(probs.sum()), int(ok.sum())
-        tables = np.stack([shifted[c ^ members[0]] for c in members])
         worst, fids = _score(ens, frames, tables, keep)
         totals[members] += total
         counts[members] += count, len(ok) - count
@@ -300,22 +299,12 @@ def verify_fragment(
                 )
             )
 
-    # One run per choice class, or k seeded runs per combination; each run is
-    # scored and dropped before the next starts, so one run's rows are live.
-    # Members of a class differ from its first only on errors that no choice
-    # reads, directly or through definitions (the plan's guards), so every
-    # shift lies in the class of combination 0.
-    classes = _choice_classes(f) if exhaustive else [[c] for c in range(len(combos))]
-    shifted = {s: _frame_table(_member_target(U, s, n), n) for s in classes[0]}
     frame_tuples = [tuple(map(tuple, b)) for b in frame_bits(np.arange(4**n), n).tolist()]
     amplitude_runs = 0
-    for members in classes:
-        errs = [combos[c][0] for c in members]
-        base = seed * 0x9E3779B1 + members[0] * 1009
-        seeds = ((base + k) & 0x7FFFFFFF for k in range(sample_count))
-        for src in [None] if exhaustive else map(OutcomeSource.seeded, seeds):
-            score(members, *_execute(f, src, choi_input(n), errs, n))
-            amplitude_runs += 1
+    for run in _runs(f, U, sample_count, seed):
+        score(*run)
+        amplitude_runs += 1
+        del run  # dropped before the next run starts, so one run's rows are live
 
     prob_ok = (
         all(abs(t - 1.0) < 1e-9 for t in totals) if exhaustive else True
@@ -383,35 +372,31 @@ def infer_corrections(
     Any corrections already on the fragment are ignored. For every branch
     and error combination the unique per-wire Pauli making the branch equal
     the target is found through the entangled-input overlap, on one
-    enumeration per choice class as in :func:`verify_fragment`; the
+    enumeration per choice class from :func:`_runs`, as in verification; the
     resulting truth tables are converted to polynomials with the exact GF(2)
     Moebius transform and certified before being returned.
     """
     U, label = _checked_target(f, target)
     n = len(f.inputs)
-    out_names = [f.pattern.measurements[v].var for v in measurement_order(f)]
+    out_names = _plan(f).names  # the rows of a run pack the outcomes in this order
     err_names = [name for v in f.inputs for name in f.input_errors[v]]
-    names = err_names + out_names
+    names = err_names + list(out_names)
     k = len(names)
     if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
-    combos = list(_error_combos(f.inputs))
+    combos = [bits for _, bits in _error_combos(f.inputs)]
     codes = np.zeros((len(combos), 1 << len(out_names)), dtype=np.int64)
-    classes = _choice_classes(f)  # one run per class, as in verify_fragment
-    shifted = {s: _frame_table(_member_target(U, s, n), n).T for s in classes[0]}
-    for members in classes:
-        ens = enumerate_fragment(f, choi_input(n), combos[members[0]][0], spectators=n)
+    for members, ens, _, tables in _runs(f, U):
         ok = ens.possible
-        for combo in members:
-            targets = shifted[combo ^ members[0]]
-            fids = np.abs(ens.states @ targets) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
+        for combo, table in zip(members, tables):
+            fids = np.abs(ens.states @ table.T) ** 2 / np.where(ok, ens.weights, 1.0)[:, None]
             hits = fids > 1.0 - FIT_TOL
             n_hits = hits.sum(axis=1)
             bad = np.nonzero(ok & (n_hits != 1))[0]
             if len(bad):
                 raise InferenceError(
-                    f"branch {int(bad[0])} of error combo {combos[combo][1]} admits "
+                    f"branch {int(bad[0])} of error combo {combos[combo]} admits "
                     f"{int(n_hits[bad[0]])} Pauli solutions against {label}"
                 )
             # Impossible branches are don't-cares and stay at 0.

@@ -79,9 +79,16 @@ def test_malformed_target_angle_is_json_usage_error(capsys, target):
     assert "error" in json.loads(out)
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0", "\u0661e-9"])
 def test_meaningless_tolerance_is_json_usage_error(capsys, tol):
     code, out, _ = run_cli(capsys, "--json", "verify", "builtin:xhalf", "--tol", tol)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_table_tolerance_is_read_in_ascii_only(capsys):
+    # float() reads other scripts' digits; the table must not run on them.
+    code, out, _ = run_cli(capsys, "--json", "table", "--tol", "\u0661e-9")
     assert code == 2
     assert "error" in json.loads(out)
 

@@ -183,6 +183,31 @@ def test_infer_recovers_e_t_reference_anf_exactly():
     assert str(corr.xi) == "1 ^ c ^ d ^ x"
 
 
+@pytest.mark.parametrize(
+    "frag, label, classes",
+    [(e_fragment("T"), "T", 2), (brick(BrickSettings("T", "HTH", 1)), "CZ*(TxHTH)", 4)],
+)
+def test_inference_runs_the_engine_once_per_choice_class(frag, label, classes, monkeypatch):
+    from ppmbqc import verifier
+    from ppmbqc.executor import _plan
+
+    # A class per value of the guarded input errors, which every choice reads.
+    assert 1 << len(_plan(frag).guards) == classes
+    calls = {"_execute": 0, "enumerate_fragment": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(verifier, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, name, counted)
+    stripped = with_corrections(
+        frag, {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in frag.outputs}
+    )
+    assert infer_corrections(stripped, label) == frag.corrections
+    # One run per class for the fit, then one per class for its certificate.
+    assert calls == {"_execute": 2 * classes, "enumerate_fragment": 0}
+
+
 def test_infer_derives_h_mode_from_scratch_and_is_idempotent():
     f = e_fragment("H")
     stripped = with_corrections(
@@ -589,11 +614,10 @@ def factoring_mutants(f):
     ids=["e_t", "brick-T-HTH-1"],
 )
 def test_factored_corrections_match_the_oracle(frag, label, runs):
-    from ppmbqc import executor
     from ppmbqc.pattern import flatten
-    from ppmbqc.verifier import _choice_classes
+    from ppmbqc.verifier import _runs
 
-    n, combos = len(frag.inputs), list(error_combos(frag))
+    combos = list(error_combos(frag))
     assert assert_matches_the_oracle(frag, label).amplitude_runs == runs
     for kind, mutant in factoring_mutants(frag):
         rep = assert_matches_the_oracle(mutant, label)
@@ -603,9 +627,7 @@ def test_factored_corrections_match_the_oracle(frag, label, runs):
         # Every member's frames against its substituted corrections, evaluated
         # row by row on the run's outcomes and the member's own error bits.
         flat = flatten(mutant)
-        for members in _choice_classes(mutant):
-            errs = [combos[c][0] for c in members]
-            ens, frames = executor._execute(mutant, None, choi_input(n), errs, n)
+        for members, ens, frames, _ in _runs(mutant, unitary_from_label(label)):
             for c, got in zip(members, frames):
                 env = dict(zip(ens.names, ens.outcomes))
                 for name, b in zip(mutant.error_variables(), combos[c][1]):
