@@ -37,6 +37,13 @@ most significant bit of the branch index), a seeded shot draws one outcome
 from the branch distribution, and a tape forces it. A run with a source
 keeps one row, so its branch word is one Python int; an exhaustive run
 keeps one word per row, and a split hands each row's word to both children.
+A one-row step needs three numbers of the halves a0, a1 of the measured
+axis: ``|a0|^2``, ``|a1|^2`` and ``Re<a0,a1>``. One real 4x4 Gram product
+gives them, and with them both outcome weights in either Pauli basis. The
+step then builds only the drawn child. The amplitudes stay unnormalized, so
+their weight times the run's scale is the branch probability, and are
+rescaled only when that weight leaves ``[2**-500, 2**500]``.
+
 An exhaustive run may carry several input-error assignments (members) that
 agree on every input error a choice reads, directly or through definitions.
 They share the amplitudes, which are framed by the first, and its branch
@@ -116,20 +123,29 @@ class OutcomeSource:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Record of one adaptive run."""
+    """Record of one adaptive run.
+
+    ``probability`` is the branch probability, 0.0 on an impossible branch;
+    on a deep one it can underflow to 0.0 where ``log2_probability``, its
+    base-2 logarithm, stays finite. That is -inf on an impossible branch,
+    and ``to_dict`` gives it as None there.
+    """
 
     outcomes: dict[str, int]
     bases: dict[int, str]
     probability: float
+    log2_probability: float
     state: Statevector | None
     frame: dict[int, tuple[int, int]]
     error_bits: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self, include_amplitudes: bool = False) -> dict:
+        log2p = self.log2_probability
         out = {
             "outcomes": dict(sorted(self.outcomes.items())),
             "bases": {str(v): b for v, b in sorted(self.bases.items())},
             "probability": self.probability,
+            "log2_probability": log2p if log2p > -math.inf else None,  # JSON has no -inf
             "frame": {str(v): list(zx) for v, zx in sorted(self.frame.items())},
             "error_bits": dict(sorted(self.error_bits.items())),
         }
@@ -163,10 +179,12 @@ class BranchEnsemble:
 
     ``states`` holds unnormalized leaf vectors and ``weights`` their squared
     norms; a weight times ``scale`` is the branch probability. Exhaustive
-    runs keep ``scale`` at 1; single-row runs renormalize after each
-    measurement and carry the product of the measurement probabilities in
-    it. ``possible`` is the engine's verdict on each row: every measurement
-    on it had conditional probability at least ``IMPOSSIBLE_PROB``. Branch
+    runs keep ``scale`` at 1. A single-row run leaves its amplitudes
+    unnormalized and rescales them only when their weight leaves
+    ``[2**-500, 2**500]``; ``scale`` takes the factor out, and a deep run's
+    scale can underflow, so ``log2_scale`` keeps its base-2 logarithm.
+    ``possible`` is the engine's verdict on each row: every measurement on
+    it had conditional probability at least ``IMPOSSIBLE_PROB``. Branch
     index bits follow ``order`` with the first measurement as the most
     significant bit.
     """
@@ -181,6 +199,7 @@ class BranchEnsemble:
     error_bits: dict[str, int]
     frames: np.ndarray  # (rows, outputs, 2): each output's (zeta, xi)
     scale: float = 1.0
+    log2_scale: float = 0.0
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -207,6 +226,7 @@ class BranchEnsemble:
                     {var: got[var] for var in var_order},
                     {v: BASIS_BY_CHOICE[c] for v, c in zip(self.order, choices[r])},
                     self.scale * w if ok else 0.0,
+                    self.log2_scale + math.log2(w) if ok else -math.inf,
                     Statevector(qubits, self.states[r] / math.sqrt(w)) if ok else None,
                     dict(zip(f.outputs, map(tuple, frame))),
                     dict(self.error_bits),
@@ -536,11 +556,8 @@ def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
     t = amps.reshape(S, A, s, B, 1, rows)
     diag = _built(step.diag)
     kids = np.empty((S, A, B, diag.shape[2], rows, 2), dtype=complex)
-    if rows == 1:  # one call, with the outcome as the inner axis of both operands
-        np.multiply(t.transpose(0, 1, 3, 4, 5, 2), diag, out=kids)
-    else:  # one call per outcome, so the inner loop runs over the rows
-        for b in (0, 1):
-            np.multiply(t[:, :, b * (s - 1)], diag[..., b], out=kids[..., b])
+    for b in (0, 1):  # one call per outcome, so the inner loop runs over the rows
+        np.multiply(t[:, :, b * (s - 1)], diag[..., b], out=kids[..., b])
     if not isinstance(x, bool):
         x = True if x.all() else x if x.any() else False
     if x is False:
@@ -563,28 +580,11 @@ def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
     return kids.reshape(S, -1, 2 * rows)
 
 
-def _drawer(src: OutcomeSource):
-    """The outcome of a one-row measurement as ``(bit, probability)``.
-
-    Seeded sources draw from the branch distribution, one draw per step;
-    tapes force the bit.
-    """
-    rng = np.random.default_rng(src.seed) if src.mode == "seeded" else None
-
-    def draw(step, v, halves):
-        p0, p1 = [float(np.vdot(h, h).real) for h in halves]
-        if rng is None:
-            b = src.tape[step]
-            if (p0, p1)[b] < IMPOSSIBLE_PROB:
-                raise ImpossibleBranchError(
-                    f"tape forces outcome {b} on vertex {v} (p={(p0, p1)[b]:.3e})"
-                )
-        else:
-            u = rng.random()
-            b = 0 if (u < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
-        return b, (p0, p1)[b]
-
-    return draw
+# A one-row run rescales its amplitudes only when their squared norm leaves
+# [_FLOOR, 1 / _FLOOR], so they never underflow nor overflow. An X outcome
+# b is the product of the halves with _SIGNS[b]: a0 + a1 or a0 - a1.
+_FLOOR = 2.0**-500
+_SIGNS = np.array([1.0, 1.0], dtype=complex), np.array([1.0, -1.0], dtype=complex)
 
 
 def _possible(weights: np.ndarray) -> np.ndarray:
@@ -592,7 +592,7 @@ def _possible(weights: np.ndarray) -> np.ndarray:
 
     Row r splits into rows 2r and 2r + 1, so summing sibling weights level
     by level gives the branch weight of every earlier step. A one-row run is
-    the root alone: its drawer already refused any less likely outcome.
+    the root alone: its draws already refused any less likely outcome.
     """
     levels = [weights]
     while len(levels[-1]) > 1:
@@ -646,8 +646,6 @@ def _execute(
     k = len(plan.order)
     if src is not None and src.mode == "tape" and len(src.tape) < k:
         raise PpmError(f"tape of {len(src.tape)} bits is shorter than {k} measurements")
-    draw = None if src is None else _drawer(src)
-
     inputs = []  # each member's (z, x) per input wire, in error-variable order
     for errs in members:
         errs = errs or {}
@@ -663,7 +661,7 @@ def _execute(
     frame = inputs[0]
     error_bits = dict(zip(f.error_variables(), frame))
     word = sum(bit for bit, b in zip(plan.errors, frame) if b)  # one row: one Python int
-    if draw is None:  # one word per row, int64 while they fit
+    if src is None:  # one word per row, int64 while they fit
         word = np.array([word], dtype=np.int64 if plan.width < 63 else object)
 
     # Axes (spectators, inputs, rows): a new array, so the in-place kernels
@@ -676,29 +674,65 @@ def _execute(
     )
     amps = np.ascontiguousarray(framed.T).reshape(S, -1, 1)
 
-    scale, outcome, chosen = 1.0, 0, []  # one-row runs: outcomes so far, choices
+    if src is not None:  # one row: one cap check and every seeded draw up front
+        _check_cap(max((step.diag.size for step in plan.steps), default=1), spectators)
+        seeded = src.mode == "seeded"
+        draws = np.random.default_rng(src.seed).random(k).tolist() if seeded else src.tape
+    mantissa, exponent = 1.0, 0  # one-row runs: the scale, as mantissa * 2**exponent
+    outcomes, chosen = [], []  # one-row runs: outcomes so far, choices
     for anf, bit, j in plan.program:
         value = _evaluate(anf, word)
         if j < 0:  # a definition
             word = word & ~bit | value * bit
             continue
         step = plan.steps[j]
-        _check_cap(amps.shape[-1] * step.diag.size, spectators)
-        if draw is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
+        if src is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
+            _check_cap(amps.shape[-1] * step.diag.size, spectators)
             amps = _split(amps, step, value == 0)
             kids = np.empty((len(word), 2), dtype=word.dtype)  # faster than a broadcast OR
             np.bitwise_and(word, ~bit, out=kids[:, 0])
             np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
             word = kids.reshape(-1)
+            chosen.append(value)
+            continue
+        # One row: the halves a0, a1 of the measured axis as the columns of
+        # ``kid``, and their real Gram matrix over (Re a0, Im a0, Re a1, Im a1).
+        A, s, B = step.split
+        diag = step.diag
+        t = amps.reshape(S, A, s, B, 1, 1).transpose(0, 1, 3, 4, 5, 2)
+        kid = np.multiply(t, diag if type(diag) is np.ndarray else diag.build(), order="C")
+        kid = kid.reshape(-1, 2)
+        v = kid.view(float)
+        g = v.T.dot(v).tolist()
+        n0, n1, r = g[0][0] + g[1][1], g[2][2] + g[3][3], 2.0 * (g[0][2] + g[1][3])
+        # Z keeps a half; X takes a0 + a1 or a0 - a1, whose 1/sqrt(2) the
+        # diagonal holds when ``scaled`` and the scale takes otherwise.
+        q0, q1 = (n0, n1) if value else (n0 + n1 + r, n0 + n1 - r)
+        p0, p1 = q0 / (q0 + q1), q1 / (q0 + q1)
+        if seeded:
+            b = 0 if (draws[j] < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
         else:
-            kids = _split(amps, step, value == 0).reshape(-1, 2)
-            b, p = draw(j, plan.order[j], (kids[:, 0], kids[:, 1]))
-            amps = (kids[:, b] * (1.0 / math.sqrt(p))).reshape(S, -1, 1)
-            scale *= p
-            outcome = outcome << 1 | b
-            word = word & ~bit | bit * b
+            b = draws[j]
+            if (p0, p1)[b] < IMPOSSIBLE_PROB:
+                raise ImpossibleBranchError(
+                    f"tape forces outcome {b} on vertex {plan.order[j]} (p={(p0, p1)[b]:.3e})"
+                )
+        if value:
+            amps = kid[:, b]
+        else:  # one product, faster here than adding the two columns
+            amps = kid.dot(_SIGNS[b])
+            exponent -= not step.scaled
+        w = q1 if b else q0  # the squared norm of ``amps``
+        if not _FLOOR <= w <= 1 / _FLOOR:  # rescale before it could under- or overflow
+            amps = amps * (1.0 / math.sqrt(w))
+            mantissa, shift = math.frexp(mantissa * w)
+            exponent += shift
+        outcomes.append(b)
+        word = word & ~bit | bit * b
         chosen.append(value)
 
+    if src is not None:  # the one row's axis, back on the end
+        amps = amps.reshape(S, -1, 1)
     rows = amps.shape[-1]
     _check_cap(rows * plan.close.size, spectators)
     L, F = plan.close.shape[:2]
@@ -711,9 +745,9 @@ def _execute(
 
     # Outcome j of row r is bit k-1-j of r; a step's choices, kept at their
     # own level, cover 2**(k-j) rows each.
-    index = np.arange(rows) if draw is None else outcome
-    outcomes = [(index >> (k - 1 - j)) & 1 for j in range(k)]
-    if draw is None:
+    if src is None:
+        index = np.arange(rows)
+        outcomes = [(index >> (k - 1 - j)) & 1 for j in range(k)]
         chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
     bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
     codes = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
@@ -729,7 +763,8 @@ def _execute(
         bits[k:],
         error_bits,
         frames[0],
-        scale,
+        math.ldexp(mantissa, exponent),
+        exponent + math.log2(mantissa),
     )
     return ens, frames
 

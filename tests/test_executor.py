@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ppmbqc import executor
 from ppmbqc.boolfn import BoolFn
-from ppmbqc.compiler import compile_circuit, parse_circuit
+from ppmbqc.compiler import circuit_unitary, compile_circuit, parse_circuit
 from ppmbqc.errors import (
     DimensionError,
     ImpossibleBranchError,
@@ -306,8 +306,50 @@ def test_trace_json_roundtrip_fields():
     f = xhalf_fragment()
     tr = run_fragment(f, zero_state(1), {0: (1, 1)}, OutcomeSource.fixed([0]))
     d = tr.to_dict(include_amplitudes=True)
-    assert set(d) == {"outcomes", "bases", "probability", "frame", "error_bits", "amplitudes"}
+    assert set(d) == {
+        "outcomes",
+        "bases",
+        "probability",
+        "log2_probability",
+        "frame",
+        "error_bits",
+        "amplitudes",
+    }
     assert d["error_bits"] == {"x": 1, "z": 1}
+
+
+def test_log2_probability_is_the_probability_or_minus_infinity():
+    p = MeasurementPattern(PGraph(1), {0: Measurement("a", BoolFn.zero())})
+    traces = enumerate_fragment(closed(p)).traces(closed(p))
+    assert [tr.state is None for tr in traces] == [False, True]  # |+> never reads X = 1
+    assert traces[0].log2_probability == pytest.approx(math.log2(traces[0].probability))
+    assert traces[1].log2_probability == -math.inf
+    assert traces[1].to_dict()["log2_probability"] is None
+
+
+def test_a_deep_shot_stays_normalized_and_exact():
+    # 2 800 measurements of about 1/2 each: the branch probability underflows
+    # a float, so the engine rescales the amplitudes and keeps its log2.
+    c = parse_circuit("qubits 1\n" + "T 0\nH 0\n" * 100)
+    f = compile_circuit(c)
+    assert len(f.pattern.measurements) == 2800
+    U = np.kron(circuit_unitary(c), np.eye(2))
+    psi = random_state(2)
+    errs = {f.inputs[0]: (0, 1), f.inputs[1]: (1, 1)}
+    var = {v: m.var for v, m in f.pattern.measurements.items()}
+    shot = run_fragment(f, psi, errs, OutcomeSource.seeded(5))
+    tape = [shot.outcomes[var[v]] for v in shot.bases]
+    replay = run_fragment(f, psi, errs, OutcomeSource.fixed(tape))
+    for tr in (shot, replay):
+        amps = tr.state.amplitudes
+        assert np.isfinite(amps).all()
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+        want = pauli_product([tr.frame[o] for o in f.outputs]) @ U @ psi.amplitudes
+        assert 1.0 - abs(np.vdot(want, amps)) ** 2 <= 1e-9
+        assert math.isfinite(tr.log2_probability)
+    assert replay.outcomes == shot.outcomes
+    assert np.array_equal(replay.state.amplitudes, shot.state.amplitudes)
+    assert replay.log2_probability == pytest.approx(shot.log2_probability, abs=1e-9)
 
 
 def test_trace_internal_consistency():
@@ -410,6 +452,24 @@ def test_deferred_diagonals_enumerate_like_kept_ones(monkeypatch):
     want, got = (enumerate_fragment(h, choi_input(1), {}, 1) for h in (f, g))
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.frames, want.frames)
+
+
+def test_deferred_diagonals_shoot_like_kept_ones(monkeypatch):
+    f, g = e_fragment("T"), e_fragment("T")
+    executor._plan(f)  # kept diagonals, at the default cap
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)
+    plan = executor._plan(g)
+    assert {type(step.diag) for step in plan.steps} == {np.ndarray, executor._Deferred}
+    psi = random_state(1)
+    var = {v: m.var for v, m in f.pattern.measurements.items()}
+    for seed in range(6):
+        errs = {0: (seed & 1, seed >> 1 & 1)}
+        want, got = (run_fragment(h, psi, errs, OutcomeSource.seeded(seed)) for h in (f, g))
+        tape = OutcomeSource.fixed([want.outcomes[var[v]] for v in want.bases])
+        replays = [run_fragment(h, psi, errs, tape) for h in (f, g)]
+        for a, b in [(want, got), replays]:
+            assert a.outcomes == b.outcomes and a.frame == b.frame
+            assert np.allclose(a.state.amplitudes, b.state.amplitudes, rtol=0, atol=1e-12)
 
 
 @st.composite
