@@ -5,43 +5,46 @@ in the standard form of the measurement calculus (Danos, Kashefi and
 Panangaden, arXiv:0704.1263) and keeps it on the fragment. The plan
 measures the lowest ready vertex first, and puts each edge at its
 first-measured endpoint, so every edge applied at step j touches the vertex
-v measured there. Fix v's value b, and that star of parity phases is a
-diagonal on the other live qubits. So each step compiles to one kernel:
-where v sits in the register (or that it is fresh), and two diagonals, one
-per outcome, that also carry the |+> normalization of the qubits the step
-prepares. Edges joining two unmeasured vertices, and the outputs not yet
-prepared, make one closing diagonal. Steps with the same register layout,
-star and scale share one diagonal. The plan keeps its distinct diagonals
-while they fit in the bytes of one register at the cap and builds any
-others when their step runs; a step wider than the cap is refused.
+v measured there: a star of parity phases, which is diagonal. Diagonals
+commute, so a step joins the block of the step before it (up to
+``_BLOCK`` steps) when it prepares no qubit and its choice reads no outcome
+of the block; the block's one diagonal also carries the |+> normalization
+of the qubits its first step prepares. Edges joining two unmeasured
+vertices, and the outputs not yet prepared, make one closing diagonal.
+Blocks with the same register layout, star and scale share one diagonal.
+The plan keeps its distinct diagonals while they fit in the bytes of one
+register at the cap and builds any others when their block runs; a block
+wider than the cap is refused.
 
 The classical side compiles to one straight-line program, in the order of
 the one dependency walk that also orders the measurements: each step's
 choice and outcome, and each definition where the walk resolves it, as soon
-as what it reads is; then the output corrections. Each input error, outcome
-and definition holds one bit of the branch word from its write until its
-last reader, which may take the bit over, so a word is as wide as the most
-values live at once.
+as what it reads is, or after the block it falls in; then the output
+corrections. Each input error, outcome and definition holds one bit of the
+branch word from its write until its last reader, which may take the bit
+over, so a word is as wide as the most values live at once.
 
-Every call walks the plan over a ``(2**spectators, 2**live, rows)``
-amplitude array. Spectators are a leading batch axis that the engine never
-touches; the register sits in the middle; branch rows are the innermost
-axis, so each kernel's inner loop runs over the rows. A qubit joins the
-register in |+> when its first edge or measurement needs it and leaves it
-once measured.
+Every call walks the plan over a ``(2**live, 2**spectators, rows)``
+amplitude array. The live qubits stay in measurement order, so the measured
+qubit always leads and its halves are contiguous; spectators ride along
+untouched, and branch rows are the innermost axis, so each kernel's inner
+loop runs over the rows. A qubit joins the register in |+>, at its place in
+that order, when its first edge or measurement needs it, and leaves it once
+measured.
 
 Only the choice of surviving outcome rows depends on the source: exhaustive
-enumeration splits every row into both outcomes (row r into rows 2r and
-2r+1, written as a trailing outcome axis, so the first measurement is the
-most significant bit of the branch index), a seeded shot draws one outcome
-from the branch distribution, and a tape forces it. A run with a source
-keeps one row, so its branch word is one Python int; an exhaustive run
-keeps one word per row, and a split hands each row's word to both children.
-A one-row step needs three numbers of the halves a0, a1 of the measured
-axis: ``|a0|^2``, ``|a1|^2`` and ``Re<a0,a1>``. One real 4x4 Gram product
-gives them, and with them both outcome weights in either Pauli basis. The
-step then builds only the drawn child. The amplitudes stay unnormalized, so
-their weight times the run's scale is the branch probability, and are
+enumeration applies each block's diagonal once and splits every row into
+both outcomes at each step (row r into rows 2r and 2r+1, written as a
+trailing outcome axis, so the first measurement is the most significant bit
+of the branch index), a seeded shot draws one outcome from the branch
+distribution, and a tape forces it. A run with a source keeps one row, so
+its branch word is one Python int; an exhaustive run keeps one word per row,
+and a split hands each row's word to both children. A one-row run measures
+a block of g steps at once: a fixed matrix per basis pattern turns one real
+Gram product of the 2**g halves of the block's measured qubits into the
+weight of every outcome prefix, the outcomes are drawn from those step by
+step, and only the drawn child is built. The amplitudes stay unnormalized,
+so their weight times the run's scale is the branch probability, and are
 rescaled only when that weight leaves ``[2**-500, 2**500]``.
 
 An exhaustive run may carry several input-error assignments (members) that
@@ -63,6 +66,7 @@ Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -244,27 +248,30 @@ CompiledAnf = tuple[int, ...]
 
 @dataclass(frozen=True)
 class _Step:
-    """One measurement of the plan: a diagonal per outcome, then a split.
+    """One measurement of the plan, in a block of at most ``_BLOCK`` steps.
 
-    ``split`` groups the live register as ``(A, s, B)`` around the measured
-    vertex's axis: ``s`` is 2, or 1 when the vertex is fresh, and then
-    ``(A, B) = (2**live, 1)``. ``diag[..., b]``, of shape ``(A, B, F, 1)``,
-    is the product of the step's edge phases with the vertex reading ``b``
-    over the other live qubits and the ``F`` other fresh ones, times
-    ``2**(-f/2)`` for the ``f`` fresh |+> qubits. When ``scaled``, the
-    choice is the constant X and ``diag`` also carries its ``1/sqrt(2)``.
-    ``diag`` has one entry per basis state of the register after allocation;
-    it is :class:`_Deferred` when the plan does not keep it.
+    The register holds the live qubits in measurement order, so the vertex a
+    step measures is its leading axis. Only a block's first step may prepare
+    qubits. There ``shape`` views the register as the measured qubit's axis
+    (1 if it is fresh), then one axis per run of live qubits and a size-1
+    axis per run of fresh ones. ``diag``, of the same rank plus a trailing
+    axis of 1, is the product of the whole block's edge phases over the
+    register after allocation (step diagonals commute), times ``2**(-f/2)``
+    for the ``f`` fresh |+> qubits and ``1/sqrt(2)`` for each ``scaled``
+    step, whose choice is the constant X. ``diag`` is :class:`_Deferred`
+    when the plan does not keep it, and None on a block's later steps.
+    ``block`` counts the steps of the block a step begins, 0 on the others.
     """
 
-    split: tuple[int, int, int]
-    diag: np.ndarray | _Deferred
+    shape: tuple[int, ...]
+    diag: np.ndarray | _Deferred | None
     scaled: bool
+    block: int = 0
 
 
 @dataclass(frozen=True)
 class _Deferred:
-    """A diagonal that the plan does not keep: ``build()`` makes it for one use."""
+    """A diagonal that the plan does not keep: numpy has ``build()`` make it for one use."""
 
     shape: tuple[int, ...]
     build: Callable[[], np.ndarray]
@@ -273,9 +280,8 @@ class _Deferred:
     def size(self) -> int:
         return math.prod(self.shape)
 
-
-def _built(diag: np.ndarray | _Deferred) -> np.ndarray:
-    return diag if isinstance(diag, np.ndarray) else diag.build()
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -287,14 +293,16 @@ class _Plan:
     to a definition's value, or to a row part that a correction needs (kept
     under the key ``(definition, S)``, right before its definition); step j
     evaluates the choice of ``order[j]``, measures it with ``steps[j]`` and
-    sets ``bit`` to the outcome. ``errors`` holds the bit of each
-    input-error variable, in ``error_variables`` order. A value keeps its
-    bit from its write until its last reader, which may take the bit over; a
-    value nothing reads has bit 0, so writing it changes nothing. ``width``
-    counts the bits in use. Then the diagonal ``close`` (kept or deferred,
-    as a step's), of shape ``(L, F, 1)``, prepares the ``F`` outputs not yet
-    live and joins the unmeasured vertices. ``perm`` moves the rows first,
-    then the outputs in fragment order, then the spectators.
+    sets ``bit`` to the outcome. A block's choices come first, as none reads
+    an outcome of the block, and the definitions the walk resolves inside it
+    follow it. ``errors`` holds the bit of each input-error variable, in
+    ``error_variables`` order. A value keeps its bit from its write until
+    its last reader, which may take the bit over; a value nothing reads has
+    bit 0, so writing it changes nothing. ``width`` counts the bits in use.
+    Then the step ``close`` prepares the outputs not yet live and joins the
+    unmeasured vertices, which leaves the outputs in fragment order. ``perm``
+    puts the input axes in measurement order, and ``widest`` is the number of
+    entries of the widest register a block multiplies.
 
     ``guards`` pairs each guarded input error, by its index in
     ``error_variables``, with the first vertex whose choice reads it,
@@ -311,12 +319,17 @@ class _Plan:
     names: tuple[str, ...]
     steps: tuple[_Step, ...]
     program: tuple[tuple[CompiledAnf, int, int], ...]
-    close: np.ndarray | _Deferred
+    close: _Step
     perm: tuple[int, ...]
     corrections: tuple[tuple[CompiledAnf, tuple[tuple[int, CompiledAnf], ...]], ...]
     errors: tuple[int, ...]
     guards: tuple[tuple[int, int], ...]
     width: int
+    widest: int
+
+
+# A step joins the block before it only while the block holds fewer steps.
+_BLOCK = 4
 
 
 def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
@@ -350,61 +363,10 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     names = [f.pattern.measurements[v].var for v in order]
     graph = f.pattern.graph
     tables = {m: phase_table(graph.angle(m)) for m in {mult for *_, mult in graph.edges}}
-    rank = {v: step for step, v in enumerate(order)}
+    rank = {v: i for i, v in enumerate([*order, *f.outputs])}  # the register's order
     edges: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
     for u, w, mult in graph.edges:
-        edges[min(rank.get(u, k), rank.get(w, k))].append((u, w, mult))
-
-    # Steps with the same register layout, star and scale share one diagonal
-    # (repeated gates give many). The plan keeps distinct diagonals while
-    # they fit in the bytes of one register at the cap, and defers the rest
-    # to their steps, so neither depth nor width makes it outgrow that.
-    shared: dict[tuple, np.ndarray | _Deferred] = {}
-    kept = 0
-
-    def diagonal(register: list[int], star, scale: float, shape: tuple, pos=None):
-        """The star's diagonal over ``register``, axis ``pos`` (if any) moved last, in ``shape``."""
-        nonlocal kept
-        if len(register) > DEFAULT_QUBIT_CAP:  # no run of this step fits
-            raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
-        where = tuple(sorted((register.index(u), register.index(w), m) for u, w, m in star))
-        key = (len(register), shape, pos, scale, where)
-        if key not in shared:
-
-            def build() -> np.ndarray:
-                d = _diagonal(register, [(u, w, tables[m]) for u, w, m in star], scale)
-                return (d if pos is None else np.moveaxis(d, pos, -1)).reshape(shape)
-
-            if kept + (16 << len(register)) <= 16 << DEFAULT_QUBIT_CAP:
-                kept += 16 << len(register)
-                shared[key] = build()
-            else:  # -1 in ``shape`` takes the rest of the register's entries
-                rest = (1 << len(register)) // -math.prod(shape)
-                shared[key] = _Deferred(tuple(rest if n < 0 else n for n in shape), build)
-        return shared[key]
-
-    live, steps = list(f.inputs), []
-    prepared = set(live)
-    for j, v in enumerate(order):
-        touched = [v, *(w for edge in edges[j] for w in edge[:2])]
-        fresh = [w for w in dict.fromkeys(touched) if w not in prepared]
-        prepared.update(fresh)
-        register = live + fresh
-        scaled = not f.pattern.measurements[v].choice.monomials  # the constant X
-        scale = 2.0 ** (-len(fresh) / 2) * (SQRT2_INV if scaled else 1)
-        pos = register.index(v)
-        if v in live:
-            split = (1 << pos, 2, 1 << (len(live) - 1 - pos))
-        else:
-            split = (1 << len(live), 1, 1)
-        diag = diagonal(register, edges[j], scale, (split[0], split[2], -1, 1, 2), pos)
-        steps.append(_Step(split, diag, scaled))
-        live = [w for w in register if w != v]
-
-    fresh = [w for w in f.outputs if w not in prepared]
-    register = live + fresh
-    scale = 2.0 ** (-len(fresh) / 2)
-    close = diagonal(register, edges[k], scale, (1 << len(live), -1, 1))
+        edges[min(rank[u], rank[w], k)].append((u, w, mult))
 
     # An input error that a choice reads, directly or through definitions,
     # is guarded: the members of a run agree on it. They differ from the
@@ -444,18 +406,83 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         if part in needed:
             needed.update(*row.monomials)
 
-    # The walk resolves each definition as soon as what it reads is, so it
-    # runs there, right behind those of its row parts that a correction
-    # needs: they read only what it reads.
+    # The walk resolves each definition as soon as what it reads is, right
+    # behind those of its row parts that a correction needs: they read only
+    # what it reads. A step joins the block before it while that holds fewer
+    # than _BLOCK steps, if it prepares no qubit and its choice reads nothing
+    # written since the block began: no outcome of the block, directly or
+    # through the definitions the walk resolves inside it, which all read
+    # one. Those definitions then run after the block.
+    def touched(j: int) -> set[int]:  # the vertices step j measures or entangles
+        return {order[j], *(w for edge in edges[j] for w in edge[:2])}
+
     frames = list(f.frames.items())
-    program = []
+    program, held, written, prepared = [], [], set(), set(f.inputs)
+    blocks = []  # each block's first step
     for u in nodes:
-        if u < n:
-            program.append((f.pattern.measurements[u].choice, names[rank[u]], rank[u]))
-        else:
+        if u >= n:
             name, fn = frames[u - n]
-            program += [(row, part, -1) for part, row in parts.get(name, ()) if part in needed]
-            program.append((fn, name, -1))
+            held += [(row, part, -1) for part, row in parts.get(name, ()) if part in needed]
+            held.append((fn, name, -1))
+            written.add(name)
+            continue
+        j = rank[u]
+        new = touched(j) - prepared
+        prepared |= new
+        choice = f.pattern.measurements[u].choice
+        joins = blocks and not new and j - blocks[-1] < _BLOCK
+        if not (joins and written.isdisjoint(choice.variables)):
+            program += held
+            held, written = [], set()
+            blocks.append(j)
+        written.add(names[j])
+        program.append((choice, names[j], j))
+    program += held
+
+    # Blocks with the same register layout, star and scale share one
+    # diagonal (repeated gates give many). The plan keeps distinct diagonals
+    # while they fit in the bytes of one register at the cap, and defers the
+    # rest to their blocks, so neither depth nor width makes it outgrow that.
+    shared: dict[tuple, np.ndarray | _Deferred] = {}
+    kept = 0
+
+    def step(register: list[int], new: set[int], star, scale: float, **kw) -> _Step:
+        """A step with the star's diagonal over ``register``, of which ``new`` is fresh."""
+        nonlocal kept
+        if len(register) > DEFAULT_QUBIT_CAP:  # no run of this step fits
+            raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
+        runs = [(w in new, [w]) for w in register[:1]]  # the measured qubit is a run of its own
+        runs += [(b, list(g)) for b, g in itertools.groupby(register[1:], new.__contains__)]
+        view = tuple(1 if b else 1 << len(g) for b, g in runs)
+        shape = (*(1 << len(g) for _, g in runs), 1)
+        where = tuple(sorted((register.index(u), register.index(w), m) for u, w, m in star))
+        key = (view, shape, scale, where)
+        if key not in shared:
+
+            def build() -> np.ndarray:
+                d = _diagonal(register, [(u, w, tables[m]) for u, w, m in star], scale)
+                return d.reshape(shape)
+
+            if kept + (16 << len(register)) <= 16 << DEFAULT_QUBIT_CAP:
+                kept += 16 << len(register)
+                shared[key] = build()
+            else:
+                shared[key] = _Deferred(shape, build)
+        return _Step(view, shared[key], **kw)
+
+    live, steps = sorted(f.inputs, key=rank.get), []
+    for j, end in zip(blocks, [*blocks[1:], k]):
+        new = touched(j).difference(live)  # none of them is measured yet
+        register = sorted([*live, *new], key=rank.get)  # the block's vertices lead
+        scaled = [not f.pattern.measurements[order[i]].choice.monomials for i in range(j, end)]
+        star = [edge for i in range(j, end) for edge in edges[i]]
+        scale = 2.0 ** (-(len(new) + sum(scaled)) / 2)
+        steps.append(step(register, new, star, scale, scaled=scaled[0], block=end - j))
+        steps += [_Step(steps[-1].shape, None, x) for x in scaled[1:]]
+        live = register[end - j :]
+
+    new = set(f.outputs) - prepared  # the live qubits are now the outputs
+    close = step(list(f.outputs), new, edges[k], 2.0 ** (-len(new) / 2), scaled=False)
 
     # Each value holds the lowest free bit from its write until its last
     # read, where the bit is freed for the value that reader writes.
@@ -483,7 +510,7 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         tuple(steps),
         tuple((compiled(fn), bit[name], j) for fn, name, j in program),
         close,
-        (len(register) + 1, *(1 + register.index(o) for o in f.outputs), 0),
+        tuple(sorted(range(len(f.inputs)), key=lambda i: rank[f.inputs[i]])),
         tuple(
             (compiled(fn), tuple((sum(1 << errors.index(e) for e in S), compiled(c)) for S, c in t))
             for fn, t in zip(corrections, terms)
@@ -491,6 +518,7 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         tuple(bit[name] for name in errors),
         tuple((errors.index(name), v) for name, v in guards.items()),
         next(slots),  # the bits ever taken
+        max((s.diag.size for s in steps if s.diag is not None), default=1),
     )
 
 
@@ -543,48 +571,73 @@ def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
 
 
 def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
-    """Measure one vertex on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
+    """Measure the leading qubit on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
 
-    ``amps`` has shape ``(spectators, live, rows)``. Outcome b's half times
-    ``diag[..., b]`` is written straight into the children, and the X
-    rotation then runs in place on the rows where ``x`` holds: ``x`` is
-    True, False or a bool per row. Rows are the inner axis, so a per-row
-    ``x`` blends the two bases with per-row coefficients, without masks.
+    ``amps`` has shape ``(2**live, spectators, rows)``. A block's first step
+    writes each half times its half of the block's diagonal straight into
+    the children, which also prepares the block's fresh qubits; its later
+    steps take the halves a0, a1 as they are. Z keeps the halves; X makes
+    them ``a0 + a1`` and ``a0 - a1``, times ``1/sqrt(2)`` unless the
+    diagonal holds it. ``x`` is True, False or a bool per row: rows are the
+    inner axis, so a per-row ``x`` blends the two bases with per-row
+    coefficients, without masks.
     """
-    S, _, rows = amps.shape
-    A, s, B = step.split
-    t = amps.reshape(S, A, s, B, 1, rows)
-    diag = _built(step.diag)
-    kids = np.empty((S, A, B, diag.shape[2], rows, 2), dtype=complex)
-    for b in (0, 1):  # one call per outcome, so the inner loop runs over the rows
-        np.multiply(t[:, :, b * (s - 1)], diag[..., b], out=kids[..., b])
+    N, S, rows = amps.shape
+    if step.block:  # the children hold the halves; a fresh measured qubit has one
+        t, diag = amps.reshape(step.shape + (S, rows)), np.asarray(step.diag)[..., None]
+        kids = np.empty(diag.shape[1:-2] + (S, rows, 2), dtype=complex)
+        for b in (0, 1):  # one call per outcome, so the inner loop runs over the rows
+            np.multiply(t[b * (len(t) - 1)], diag[b], out=kids[..., b])
+        a0, a1 = kids[..., 0], kids[..., 1]
+    else:
+        a0, a1 = amps.reshape(2, N // 2, S, rows)
+        kids = np.empty((N // 2, S, rows, 2), dtype=complex)
+    k0, k1 = kids[..., 0], kids[..., 1]
     if not isinstance(x, bool):
         x = True if x.all() else x if x.any() else False
-    if x is False:
-        return kids.reshape(S, -1, 2 * rows)
-    pairs = kids.reshape((-1, 2) if x is True else (-1, rows, 2))
-    a0, a1 = pairs[..., 0], pairs[..., 1]
     if x is True:
-        np.subtract(a0, a1, out=a1)  # a1 <- a0 - a1
-        np.multiply(a0, 2.0, out=a0)
-        np.subtract(a0, a1, out=a0)  # a0 <- a0 + a1
+        if step.block:  # in place: a1 <- a0 - a1, then a0 <- 2 a0 - a1
+            np.subtract(a0, a1, out=a1)
+            np.multiply(a0, 2.0, out=a0)
+            np.subtract(a0, a1, out=a0)
+        else:
+            np.add(a0, a1, out=k0)
+            np.subtract(a0, a1, out=k1)
         if not step.scaled:
-            np.multiply(pairs, SQRT2_INV, out=pairs)
+            np.multiply(kids, SQRT2_INV, out=kids)
+    elif x is False:
+        if not step.block:
+            k0[...], k1[...] = a0, a1
     else:  # X rows: (a0 + a1, a0 - a1) / sqrt(2); Z rows keep (a0, a1)
         h = np.where(x, SQRT2_INV, 0.0)
-        t = a0 * h
-        np.multiply(a0, np.where(x, SQRT2_INV, 1.0), out=a0)
-        a0 += a1 * h
-        np.multiply(a1, np.where(x, -SQRT2_INV, 1.0), out=a1)
-        a1 += t
-    return kids.reshape(S, -1, 2 * rows)
+        t = a0 * h  # before k0, which may be a0, is written
+        np.multiply(a0, np.where(x, SQRT2_INV, 1.0), out=k0)
+        k0 += a1 * h
+        np.multiply(a1, np.where(x, -SQRT2_INV, 1.0), out=k1)
+        k1 += t
+    return kids.reshape(-1, S, 2 * rows)
 
 
 # A one-row run rescales its amplitudes only when their squared norm leaves
-# [_FLOOR, 1 / _FLOOR], so they never underflow nor overflow. An X outcome
-# b is the product of the halves with _SIGNS[b]: a0 + a1 or a0 - a1.
+# [_FLOOR, 1 / _FLOOR], so they never underflow nor overflow.
 _FLOOR = 2.0**-500
-_SIGNS = np.array([1.0, 1.0], dtype=complex), np.array([1.0, -1.0], dtype=complex)
+
+
+@functools.cache
+def _block_tables(choices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed matrices of a block measuring X where ``choices`` is 0, Z elsewhere.
+
+    Row b of ``signs`` takes the halves of the block's qubits to outcome b's
+    child, X without its ``1/sqrt(2)``. ``marginals`` takes their real Gram
+    matrix, flattened, to the weight of each prefix p of L outcomes, at
+    ``2**L - 2 + p``; the first outcome is the most significant bit.
+    """
+    signs = np.ones((1, 1))
+    for c in choices:
+        signs = np.kron(signs, np.eye(2) if c else [[1.0, 1.0], [1.0, -1.0]])
+    full = np.einsum("bx,by->bxy", signs, signs).reshape(len(signs), -1)
+    levels = [full.reshape(1 << L, -1, full.shape[1]).sum(axis=1) for L in range(1, len(choices))]
+    return np.concatenate([*levels, full]), signs.astype(complex)
 
 
 def _possible(weights: np.ndarray) -> np.ndarray:
@@ -642,6 +695,9 @@ def _execute(
         )
     if n_in + spectators > DEFAULT_QUBIT_CAP:
         raise StateSizeError(f"{n_in + spectators} qubits exceed cap {DEFAULT_QUBIT_CAP}")
+    norm2 = np.vdot(input_state.amplitudes, input_state.amplitudes).real
+    if not abs(norm2 - 1.0) <= 1e-9:  # also refuses nan and inf
+        raise DimensionError(f"input state must be finite with squared norm 1, got {norm2}")
     plan = _plan(f)
     k = len(plan.order)
     if src is not None and src.mode == "tape" and len(src.tape) < k:
@@ -664,18 +720,18 @@ def _execute(
     if src is None:  # one word per row, int64 while they fit
         word = np.array([word], dtype=np.int64 if plan.width < 63 else object)
 
-    # Axes (spectators, inputs, rows): a new array, so the in-place kernels
-    # below never touch the caller's state.
+    # Axes (inputs in measurement order, spectators, rows): a new array, so
+    # the in-place kernels below never touch the caller's state.
     S = 1 << spectators
     framed = apply_frames(
         frame_codes(np.reshape(frame, (n_in, 2))),
         input_state.amplitudes.reshape(1 << n_in, S),
         n_in,
     )
-    amps = np.ascontiguousarray(framed.T).reshape(S, -1, 1)
+    amps = framed.reshape((2,) * n_in + (S,)).transpose(*plan.perm, n_in).reshape(-1, S, 1)
 
     if src is not None:  # one row: one cap check and every seeded draw up front
-        _check_cap(max((step.diag.size for step in plan.steps), default=1), spectators)
+        _check_cap(plan.widest, spectators)
         seeded = src.mode == "seeded"
         draws = np.random.default_rng(src.seed).random(k).tolist() if seeded else src.tape
     mantissa, exponent = 1.0, 0  # one-row runs: the scale, as mantissa * 2**exponent
@@ -687,7 +743,8 @@ def _execute(
             continue
         step = plan.steps[j]
         if src is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            _check_cap(amps.shape[-1] * step.diag.size, spectators)
+            if step.block:  # rows times the register stay the same across the block
+                _check_cap(amps.shape[-1] * step.diag.size, spectators)
             amps = _split(amps, step, value == 0)
             kids = np.empty((len(word), 2), dtype=word.dtype)  # faster than a broadcast OR
             np.bitwise_and(word, ~bit, out=kids[:, 0])
@@ -695,53 +752,54 @@ def _execute(
             word = kids.reshape(-1)
             chosen.append(value)
             continue
-        # One row: the halves a0, a1 of the measured axis as the columns of
-        # ``kid``, and their real Gram matrix over (Re a0, Im a0, Re a1, Im a1).
-        A, s, B = step.split
-        diag = step.diag
-        t = amps.reshape(S, A, s, B, 1, 1).transpose(0, 1, 3, 4, 5, 2)
-        kid = np.multiply(t, diag if type(diag) is np.ndarray else diag.build(), order="C")
-        kid = kid.reshape(-1, 2)
+        # One row: gather the block's choices, then measure it at its last step.
+        if step.block:
+            first, block, choices = step, [], ()
+        block.append((bit, j, step.scaled))
+        choices += (value,)
+        if len(block) < first.block:
+            continue
+        # ``kid`` holds the 2**g halves of the block's g measured qubits as
+        # rows; their real Gram product gives every outcome prefix's weight.
+        kid = np.multiply(amps.reshape(first.shape + (-1,)), first.diag)
+        kid = kid.reshape(1 << first.block, -1)
         v = kid.view(float)
-        g = v.T.dot(v).tolist()
-        n0, n1, r = g[0][0] + g[1][1], g[2][2] + g[3][3], 2.0 * (g[0][2] + g[1][3])
-        # Z keeps a half; X takes a0 + a1 or a0 - a1, whose 1/sqrt(2) the
-        # diagonal holds when ``scaled`` and the scale takes otherwise.
-        q0, q1 = (n0, n1) if value else (n0 + n1 + r, n0 + n1 - r)
-        p0, p1 = q0 / (q0 + q1), q1 / (q0 + q1)
-        if seeded:
-            b = 0 if (draws[j] < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
-        else:
-            b = draws[j]
-            if (p0, p1)[b] < IMPOSSIBLE_PROB:
-                raise ImpossibleBranchError(
-                    f"tape forces outcome {b} on vertex {plan.order[j]} (p={(p0, p1)[b]:.3e})"
-                )
-        if value:
-            amps = kid[:, b]
-        else:  # one product, faster here than adding the two columns
-            amps = kid.dot(_SIGNS[b])
-            exponent -= not step.scaled
-        w = q1 if b else q0  # the squared norm of ``amps``
+        marginals, signs = _block_tables(choices)
+        weight = marginals.dot(v.dot(v.T).reshape(-1)).tolist()
+        p = 0  # the block's outcomes so far, first most significant
+        for i, ((bit, j, scaled), value) in enumerate(zip(block, choices)):
+            q0, q1 = weight[(2 << i) - 2 + 2 * p], weight[(2 << i) - 1 + 2 * p]
+            p0, p1 = q0 / (q0 + q1), q1 / (q0 + q1)
+            if seeded:
+                b = 0 if (draws[j] < p0 and p0 >= IMPOSSIBLE_PROB) or p1 < IMPOSSIBLE_PROB else 1
+            else:
+                b = draws[j]
+                if (p0, p1)[b] < IMPOSSIBLE_PROB:
+                    raise ImpossibleBranchError(
+                        f"tape forces outcome {b} on vertex {plan.order[j]} (p={(p0, p1)[b]:.3e})"
+                    )
+            p = 2 * p + b
+            # X takes a0 + a1 or a0 - a1, whose 1/sqrt(2) the diagonal holds
+            # when ``scaled`` and the scale takes otherwise.
+            exponent -= not (value or scaled)
+            outcomes.append(b)
+            word = word & ~bit | bit * b
+            chosen.append(value)
+        amps = signs[p].dot(kid)
+        w = weight[(1 << first.block) - 2 + p]  # the squared norm of ``amps``
         if not _FLOOR <= w <= 1 / _FLOOR:  # rescale before it could under- or overflow
             amps = amps * (1.0 / math.sqrt(w))
             mantissa, shift = math.frexp(mantissa * w)
             exponent += shift
-        outcomes.append(b)
-        word = word & ~bit | bit * b
-        chosen.append(value)
 
-    if src is not None:  # the one row's axis, back on the end
-        amps = amps.reshape(S, -1, 1)
-    rows = amps.shape[-1]
-    _check_cap(rows * plan.close.size, spectators)
-    L, F = plan.close.shape[:2]
-    t = amps.reshape(S, L, 1, rows)
-    amps = t if F == 1 else np.empty((S, L, F, rows), dtype=complex)
-    np.multiply(t, _built(plan.close), out=amps)
-    re, im = amps.real.reshape(-1, rows), amps.imag.reshape(-1, rows)
+    rows = amps.shape[-1] if src is None else 1
+    _check_cap(rows * plan.close.diag.size, spectators)
+    close = plan.close  # multiplied in place when it prepares no output
+    t = amps.reshape(close.shape + (-1,))
+    amps = np.multiply(t, close.diag, out=t if close.shape == close.diag.shape[:-1] else None)
+    amps = amps.reshape(-1, rows)  # (outputs in fragment order, spectators) by rows
+    re, im = amps.real, amps.imag
     weights = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
-    amps = amps.reshape((S,) + (2,) * (len(plan.perm) - 2) + (rows,)).transpose(plan.perm)
 
     # Outcome j of row r is bit k-1-j of r; a step's choices, kept at their
     # own level, cover 2**(k-j) rows each.
@@ -756,7 +814,7 @@ def _execute(
     ens = BranchEnsemble(
         list(plan.order),
         list(plan.names),
-        amps.reshape(rows, -1),
+        np.ascontiguousarray(amps.T),
         weights,
         _possible(weights),
         bits[:k],

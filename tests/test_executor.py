@@ -405,23 +405,26 @@ def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode(monkeypatch):
     run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1)
 
 
-def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_step(monkeypatch):
-    # Steps with the same layout, star and scale share one diagonal, so a
+def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_block(monkeypatch):
+    # Blocks with the same layout, star and scale share one diagonal, so a
     # plan's diagonal bytes stop growing with depth. It keeps distinct ones
     # while they fit in one register at the cap and builds the others when
-    # their step runs; only a step wider than the cap is refused.
+    # their block runs; only a block wider than the cap is refused. A
+    # block's diagonal spans its first step's register, so blocks widen
+    # nothing.
     def kept(plan):
-        diags = [plan.close, *(step.diag for step in plan.steps)]
+        diags = [plan.close.diag, *(step.diag for step in plan.steps)]
         arrays = {id(d): d.nbytes for d in diags if isinstance(d, np.ndarray)}
         return len(arrays), sum(arrays.values())
 
     shallow, deep = ("qubits 1\n" + "T 0\nH 0\n" * n for n in (20, 100))
     plan = executor._plan(compile_circuit(parse_circuit(shallow)))
-    assert len(plan.steps) == 560
-    assert max(step.diag.size for step in plan.steps) == 1 << 8
-    assert sum(step.diag.nbytes for step in plan.steps) + plan.close.nbytes == 980544
+    firsts = [step for step in plan.steps if step.block]
+    assert (len(plan.steps), len(firsts)) == (560, 222)
+    assert plan.widest == max(step.diag.size for step in firsts) == 1 << 8
+    assert sum(step.diag.nbytes for step in firsts) + plan.close.diag.nbytes == 586048
     f = compile_circuit(parse_circuit(deep))
-    assert kept(plan) == kept(executor._plan(f)) == (33, 37824)
+    assert kept(plan) == kept(executor._plan(f)) == (19, 24384)
     want = run_fragment(f, plus_state(len(f.inputs)), src=OutcomeSource.seeded(1))
 
     monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 10)  # 16 KiB of amplitudes
@@ -433,22 +436,26 @@ def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_step(mon
     assert got.outcomes == want.outcomes
     assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
 
-    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 7)  # the widest steps take 8 qubits
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 7)  # the widest blocks take 8 qubits
     f = compile_circuit(parse_circuit(shallow))
     with pytest.raises(StateSizeError, match="8 qubits would exceed cap 7"):
         run_fragment(f, plus_state(len(f.inputs)))
     assert "_plan" not in vars(f)  # refused by the plan, before any step ran
 
 
+def block_diagonals(plan):
+    return [plan.close.diag, *(step.diag for step in plan.steps if step.block)]
+
+
 def test_deferred_diagonals_enumerate_like_kept_ones(monkeypatch):
     from ppmbqc.verifier import choi_input
 
     f, g = e_fragment("T"), e_fragment("T")
-    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)  # keeps 128 B of e_t's 416
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)  # keeps 128 B of e_t's 352
     plan = executor._plan(g)
     monkeypatch.undo()
-    kinds = {type(d) for d in [plan.close, *(step.diag for step in plan.steps)]}
-    assert kinds == {np.ndarray, executor._Deferred}
+    assert {type(d) for d in block_diagonals(plan)} == {np.ndarray, executor._Deferred}
+    assert max(step.block for step in plan.steps) == 2
     want, got = (enumerate_fragment(h, choi_input(1), {}, 1) for h in (f, g))
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.frames, want.frames)
@@ -459,7 +466,8 @@ def test_deferred_diagonals_shoot_like_kept_ones(monkeypatch):
     executor._plan(f)  # kept diagonals, at the default cap
     monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)
     plan = executor._plan(g)
-    assert {type(step.diag) for step in plan.steps} == {np.ndarray, executor._Deferred}
+    assert {type(d) for d in block_diagonals(plan)} == {np.ndarray, executor._Deferred}
+    assert max(step.block for step in plan.steps) == 2
     psi = random_state(1)
     var = {v: m.var for v, m in f.pattern.measurements.items()}
     for seed in range(6):
@@ -470,6 +478,28 @@ def test_deferred_diagonals_shoot_like_kept_ones(monkeypatch):
         for a, b in [(want, got), replays]:
             assert a.outcomes == b.outcomes and a.frame == b.frame
             assert np.allclose(a.state.amplitudes, b.state.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(("tape", "vertex"), [([0, 1, 0], 1), ([0, 0, 1], 2)])
+def test_a_tape_refused_inside_a_block_names_its_step(tape, vertex):
+    # Inputs 0, 1, 2 in |+> are measured in X as one block; only vertex 0
+    # has an edge, so outcome 1 is impossible at the block's later steps.
+    g = PGraph(4, base_exponent=2).add_edges(0, 3, 1)
+    p = MeasurementPattern(g, {v: Measurement(f"m{v}", BoolFn.zero()) for v in range(3)})
+    zero = Correction(BoolFn.zero(), BoolFn.zero())
+    errors = {v: (f"z{v}", f"x{v}") for v in range(3)}
+    f = PatternFragment(p, (0, 1, 2), (3,), errors, {3: zero})
+    assert [step.block for step in executor._plan(f).steps] == [3, 0, 0]
+    run_fragment(f, plus_state(3), src=OutcomeSource.fixed([1, 0, 0]))  # vertex 0 may read 1
+    with pytest.raises(ImpossibleBranchError, match=f"outcome 1 on vertex {vertex} "):
+        run_fragment(f, plus_state(3), src=OutcomeSource.fixed(tape))
+
+
+@pytest.mark.parametrize("amplitudes", [[0, 0], [3, 0], [math.nan, 1]])
+@pytest.mark.parametrize("run", [run_fragment, enumerate_fragment])
+def test_inputs_that_are_not_unit_vectors_are_refused(amplitudes, run):
+    with pytest.raises(DimensionError, match="squared norm 1"):
+        run(e_fragment("T"), Statevector(1, amplitudes))
 
 
 @st.composite
@@ -508,6 +538,35 @@ def adaptive_fragments(draw, definitions=False):
     pattern = MeasurementPattern(graph, meas)
     f = PatternFragment(pattern, inputs, outputs, errors, corrections, frames)
     return f, {v: (draw(st.integers(0, 1)), draw(st.integers(0, 1))) for v in inputs}
+
+
+@settings(max_examples=100, deadline=None)
+@given(adaptive_fragments(definitions=True))
+def test_blocks_prepare_qubits_first_and_read_no_outcome_of_their_own(case):
+    f, _ = case
+    plan = executor._plan(f)
+    rank = {v: j for j, v in enumerate(plan.order)}
+    reads = {}  # the outcomes and errors each definition reads
+    for name, fn in f.frames.items():
+        reads[name] = set().union(*(reads.get(var, {var}) for var in fn.variables))
+    prepared, block, left = set(f.inputs), [], 0  # left: steps the block still holds
+    for j, (v, step) in enumerate(zip(plan.order, plan.steps)):
+        touched = {v}  # with the far end of each edge measured after v, or never
+        for u, w, _ in f.pattern.graph.edges:
+            if v in (u, w) and rank.get(u + w - v, j + 1) > j:
+                touched.add(u + w - v)
+        choice = f.pattern.measurements[v].choice
+        read = set().union(*(reads.get(var, {var}) for var in choice.variables))
+        if step.block:
+            assert left == 0 and step.block <= executor._BLOCK and step.diag is not None
+            block, left = [], step.block
+        else:
+            assert left > 0 and touched <= prepared and step.diag is None
+            assert not read & set(block)
+        block.append(f.pattern.measurements[v].var)
+        left -= 1
+        prepared |= touched
+    assert left == 0
 
 
 @settings(max_examples=60, deadline=None)
