@@ -6,25 +6,26 @@ Panangaden, arXiv:0704.1263) and keeps it on the fragment. The plan
 measures the lowest ready vertex first, and puts each edge at its
 first-measured endpoint, so every edge applied at step j touches the vertex
 v measured there: a star of parity phases, which is diagonal. Diagonals
-commute, so a step joins the block of the step before it (up to
-``_BLOCK`` steps) when it prepares no qubit and its choice reads no outcome
-of the block; the block's one diagonal also carries the |+> normalization
-of the qubits its first step prepares. Edges joining two unmeasured
-vertices, and the outputs not yet prepared, make one closing diagonal.
-Blocks with the same register layout, star and scale share one diagonal.
-The plan keeps its distinct diagonals while they fit in the bytes of one
-register at the cap and builds any others when their block runs; a block
-wider than the cap is refused.
+commute, so the plan is a list of blocks: a step joins the block before it
+(up to ``_BLOCK`` steps) when it prepares no qubit and its choice reads no
+outcome of the block. A block's one diagonal also carries the |+>
+normalization of the qubits it prepares. The last block measures nothing:
+its diagonal joins the unmeasured vertices and prepares the outputs not yet
+live. Blocks with the same register layout, star and scale share one
+diagonal. The plan keeps its distinct diagonals while they fit in the bytes
+of one register at the cap and builds any others when their block runs; a
+block wider than the cap is refused, and so is a run whose widest point
+would be, before it starts.
 
-The classical side compiles to one straight-line program, in the order of
-the one dependency walk that also orders the measurements: each step's
-choice and outcome, and each definition where the walk resolves it, as soon
-as what it reads is, or after the block it falls in; then the output
-corrections. Each input error, outcome and definition holds one bit of the
-branch word from its write until its last reader, which may take the bit
-over, so a word is as wide as the most values live at once.
+The classical side follows the one dependency walk that also orders the
+measurements: each block first sets the definitions the walk resolved since
+the block before it, then evaluates each step's choice and writes its
+outcome; the output corrections come last. Each input error, outcome and
+definition holds one bit of the branch word from its write until its last
+reader, which may take the bit over, so a word is as wide as the most values
+live at once.
 
-Every call walks the plan over a ``(2**live, 2**spectators, rows)``
+Every call walks the blocks over a ``(2**live, 2**spectators, rows)``
 amplitude array. The live qubits stay in measurement order, so the measured
 qubit always leads and its halves are contiguous; spectators ride along
 untouched, and branch rows are the innermost axis, so each kernel's inner
@@ -247,68 +248,66 @@ CompiledAnf = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class _Step:
-    """One measurement of the plan, in a block of at most ``_BLOCK`` steps.
-
-    The register holds the live qubits in measurement order, so the vertex a
-    step measures is its leading axis. Only a block's first step may prepare
-    qubits. There ``shape`` views the register as the measured qubit's axis
-    (1 if it is fresh), then one axis per run of live qubits and a size-1
-    axis per run of fresh ones. ``diag``, of the same rank plus a trailing
-    axis of 1, is the product of the whole block's edge phases over the
-    register after allocation (step diagonals commute), times ``2**(-f/2)``
-    for the ``f`` fresh |+> qubits and ``1/sqrt(2)`` for each ``scaled``
-    step, whose choice is the constant X. ``diag`` is :class:`_Deferred`
-    when the plan does not keep it, and None on a block's later steps.
-    ``block`` counts the steps of the block a step begins, 0 on the others.
-    """
-
-    shape: tuple[int, ...]
-    diag: np.ndarray | _Deferred | None
-    scaled: bool
-    block: int = 0
-
-
-@dataclass(frozen=True)
 class _Deferred:
     """A diagonal that the plan does not keep: numpy has ``build()`` make it for one use."""
 
     shape: tuple[int, ...]
     build: Callable[[], np.ndarray]
 
-    @property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.build()
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Up to ``_BLOCK`` measurements that share one diagonal, and what runs before them.
+
+    ``defs`` are the definitions the walk resolved since the block before,
+    as ``(anf, bit)``: each sets ``bit`` of the branch word to a
+    definition's value, or to a row part that a correction needs (kept under
+    the key ``(definition, S)``, right before its definition). ``steps``
+    are the measurements, as ``(anf, bit)``: each evaluates a choice, which
+    reads no outcome of the block, and sets ``bit`` to the outcome. A step
+    whose compiled choice is empty measures X, and the diagonal holds its
+    ``1/sqrt(2)``. The closing block has no steps.
+
+    The register holds the live qubits in measurement order, so the block's
+    measured vertices lead. ``shape`` views it as the first one's axis (1
+    if it is fresh), then one axis per run of live qubits and a size-1 axis
+    per run of fresh ones. ``diag``, of the same rank plus a trailing axis
+    of 1, is the product of the block's edge phases over the register after
+    allocation (step diagonals commute), times ``2**(-f/2)`` for the ``f``
+    fresh |+> qubits and ``1/sqrt(2)`` for each X step with an empty choice.
+    ``diag`` is :class:`_Deferred` when the plan does not keep it.
+    """
+
+    shape: tuple[int, ...]
+    diag: np.ndarray | _Deferred
+    defs: tuple[tuple[CompiledAnf, int], ...]
+    steps: tuple[tuple[CompiledAnf, int], ...]
 
 
 @dataclass(frozen=True)
 class _Plan:
     """A fragment's standard form, compiled once.
 
-    ``program`` is the classical side in the order of the dependency walk,
-    as ``(anf, bit, step)`` entries: step -1 sets ``bit`` of the branch word
-    to a definition's value, or to a row part that a correction needs (kept
-    under the key ``(definition, S)``, right before its definition); step j
-    evaluates the choice of ``order[j]``, measures it with ``steps[j]`` and
-    sets ``bit`` to the outcome. A block's choices come first, as none reads
-    an outcome of the block, and the definitions the walk resolves inside it
-    follow it. ``errors`` holds the bit of each input-error variable, in
+    ``blocks`` measure ``order`` in the order of the dependency walk; the
+    last measures nothing, prepares the outputs not yet live and joins the
+    unmeasured vertices, which leaves the outputs in fragment order.
+    ``errors`` holds the bit of each input-error variable, in
     ``error_variables`` order. A value keeps its bit from its write until
     its last reader, which may take the bit over; a value nothing reads has
     bit 0, so writing it changes nothing. ``width`` counts the bits in use.
-    Then the step ``close`` prepares the outputs not yet live and joins the
-    unmeasured vertices, which leaves the outputs in fragment order. ``perm``
-    puts the input axes in measurement order, and ``widest`` is the number of
-    entries of the widest register a block multiplies.
+    ``perm`` puts the input axes in measurement order. ``peaks`` holds the
+    most qubits a run keeps at once, spectators aside: first a one-row
+    run's, its widest block, then an exhaustive run's, the most log2(rows)
+    plus register at any block.
 
     ``guards`` pairs each guarded input error, by its index in
     ``error_variables``, with the first vertex whose choice reads it,
     directly or through definitions, in that vertex's order: a run's members
     must agree on them. ``corrections`` lists each output's zeta then xi,
-    read after the last entry, as ``(anf, terms)``: ``anf`` gives it at the
+    read after the last block, as ``(anf, terms)``: ``anf`` gives it at the
     first member, and each ``(errs, row)`` term adds the compiled ANF
     ``row`` where a member and the first differ on the product of the free
     (unguarded) errors in the mask ``errs``, over their bits in
@@ -317,29 +316,27 @@ class _Plan:
 
     order: tuple[int, ...]
     names: tuple[str, ...]
-    steps: tuple[_Step, ...]
-    program: tuple[tuple[CompiledAnf, int, int], ...]
-    close: _Step
+    blocks: tuple[_Block, ...]
     perm: tuple[int, ...]
     corrections: tuple[tuple[CompiledAnf, tuple[tuple[int, CompiledAnf], ...]], ...]
     errors: tuple[int, ...]
     guards: tuple[tuple[int, int], ...]
     width: int
-    widest: int
+    peaks: tuple[int, int]
 
 
 # A step joins the block before it only while the block holds fewer steps.
 _BLOCK = 4
 
 
-def _diagonal(register: list[int], edges, scale: float) -> np.ndarray:
-    """The ``edges``' parity phases over ``register``, times ``scale``: shape ``(2,)*qubits``."""
+def _diagonal(register: list[int], star, tables, scale: float, shape) -> np.ndarray:
+    """The ``star``'s parity phases over ``register``, times ``scale``, reshaped to ``shape``."""
     d = np.full((2,) * len(register), scale, dtype=complex)
-    for u, w, table in edges:
-        shape = [1] * len(register)
-        shape[register.index(u)] = shape[register.index(w)] = 2
-        d *= table.reshape(shape)  # a parity table is symmetric in its two qubits
-    return d
+    for u, w, m in star:
+        axes = [1] * len(register)
+        axes[register.index(u)] = axes[register.index(w)] = 2
+        d *= tables[m].reshape(axes)  # a parity table is symmetric in its two qubits
+    return d.reshape(shape)
 
 
 def _factor(fn: BoolFn, free: set[str], forms: dict) -> list[tuple[frozenset[str], BoolFn]]:
@@ -412,87 +409,41 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     # than _BLOCK steps, if it prepares no qubit and its choice reads nothing
     # written since the block began: no outcome of the block, directly or
     # through the definitions the walk resolves inside it, which all read
-    # one. Those definitions then run after the block.
+    # one. Those definitions then run before the next block.
     def touched(j: int) -> set[int]:  # the vertices step j measures or entangles
         return {order[j], *(w for edge in edges[j] for w in edge[:2])}
 
     frames = list(f.frames.items())
-    program, held, written, prepared = [], [], set(), set(f.inputs)
-    blocks = []  # each block's first step
+    walk, held, written, prepared = [], [], set(), set(f.inputs)  # walk: (first step, defs, steps)
     for u in nodes:
         if u >= n:
             name, fn = frames[u - n]
-            held += [(row, part, -1) for part, row in parts.get(name, ()) if part in needed]
-            held.append((fn, name, -1))
+            held += [(row, part) for part, row in parts.get(name, ()) if part in needed]
+            held.append((fn, name))
             written.add(name)
             continue
         j = rank[u]
         new = touched(j) - prepared
         prepared |= new
         choice = f.pattern.measurements[u].choice
-        joins = blocks and not new and j - blocks[-1] < _BLOCK
+        joins = walk and not new and len(walk[-1][2]) < _BLOCK
         if not (joins and written.isdisjoint(choice.variables)):
-            program += held
+            walk.append((j, held, []))
             held, written = [], set()
-            blocks.append(j)
         written.add(names[j])
-        program.append((choice, names[j], j))
-    program += held
-
-    # Blocks with the same register layout, star and scale share one
-    # diagonal (repeated gates give many). The plan keeps distinct diagonals
-    # while they fit in the bytes of one register at the cap, and defers the
-    # rest to their blocks, so neither depth nor width makes it outgrow that.
-    shared: dict[tuple, np.ndarray | _Deferred] = {}
-    kept = 0
-
-    def step(register: list[int], new: set[int], star, scale: float, **kw) -> _Step:
-        """A step with the star's diagonal over ``register``, of which ``new`` is fresh."""
-        nonlocal kept
-        if len(register) > DEFAULT_QUBIT_CAP:  # no run of this step fits
-            raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
-        runs = [(w in new, [w]) for w in register[:1]]  # the measured qubit is a run of its own
-        runs += [(b, list(g)) for b, g in itertools.groupby(register[1:], new.__contains__)]
-        view = tuple(1 if b else 1 << len(g) for b, g in runs)
-        shape = (*(1 << len(g) for _, g in runs), 1)
-        where = tuple(sorted((register.index(u), register.index(w), m) for u, w, m in star))
-        key = (view, shape, scale, where)
-        if key not in shared:
-
-            def build() -> np.ndarray:
-                d = _diagonal(register, [(u, w, tables[m]) for u, w, m in star], scale)
-                return d.reshape(shape)
-
-            if kept + (16 << len(register)) <= 16 << DEFAULT_QUBIT_CAP:
-                kept += 16 << len(register)
-                shared[key] = build()
-            else:
-                shared[key] = _Deferred(shape, build)
-        return _Step(view, shared[key], **kw)
-
-    live, steps = sorted(f.inputs, key=rank.get), []
-    for j, end in zip(blocks, [*blocks[1:], k]):
-        new = touched(j).difference(live)  # none of them is measured yet
-        register = sorted([*live, *new], key=rank.get)  # the block's vertices lead
-        scaled = [not f.pattern.measurements[order[i]].choice.monomials for i in range(j, end)]
-        star = [edge for i in range(j, end) for edge in edges[i]]
-        scale = 2.0 ** (-(len(new) + sum(scaled)) / 2)
-        steps.append(step(register, new, star, scale, scaled=scaled[0], block=end - j))
-        steps += [_Step(steps[-1].shape, None, x) for x in scaled[1:]]
-        live = register[end - j :]
-
-    new = set(f.outputs) - prepared  # the live qubits are now the outputs
-    close = step(list(f.outputs), new, edges[k], 2.0 ** (-len(new) / 2), scaled=False)
+        walk[-1][2].append((choice, names[j]))
+    walk.append((k, held, []))  # the closing block measures nothing
+    program = [entry for _, defs, steps in walk for entry in (*defs, *steps)]
 
     # Each value holds the lowest free bit from its write until its last
     # read, where the bit is freed for the value that reader writes.
     last = {}
-    for i, (fn, _, _) in enumerate(program):
+    for i, (fn, _) in enumerate(program):
         last.update(dict.fromkeys(set().union(*fn.monomials), i))
     for fn in [*corrections, *(row for t in terms for _, row in t)]:
         last.update(dict.fromkeys(set().union(*fn.monomials), len(program)))
     bit, free_bits, freed, slots = {}, [], {}, itertools.count()
-    for i, name in enumerate([*errors, *(name for _, name, _ in program)], -len(errors)):
+    for i, name in enumerate([*errors, *(name for _, name in program)], -len(errors)):
         for slot in freed.pop(i, ()):
             heapq.heappush(free_bits, slot)
         bit[name] = 0
@@ -504,12 +455,43 @@ def _compile_plan(f: PatternFragment) -> _Plan:
     def compiled(fn) -> CompiledAnf:
         return tuple(sum(bit[name] for name in mono) for mono in fn.monomials)
 
+    # Blocks with the same register layout, star and scale share one
+    # diagonal (repeated gates give many). The plan keeps distinct diagonals
+    # while they fit in the bytes of one register at the cap, and defers the
+    # rest to their blocks, so neither depth nor width makes it outgrow that.
+    shared: dict[tuple, np.ndarray | _Deferred] = {}
+    kept = 0
+    live, blocks, peaks = sorted(f.inputs, key=rank.get), [], (0, 0)
+    for j, defs, steps in walk:
+        new = (touched(j) if steps else set(f.outputs)).difference(live)  # none is measured yet
+        register = sorted([*live, *new], key=rank.get)  # the block's vertices lead
+        if len(register) > DEFAULT_QUBIT_CAP:  # no run of this block fits
+            raise StateSizeError(f"{len(register)} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
+        # The closing block, at j = k, takes the edges between unmeasured vertices.
+        star = [edge for i in range(j, j + max(len(steps), 1)) for edge in edges[i]]
+        scale = 2.0 ** (-(len(new) + sum(not fn.monomials for fn, _ in steps)) / 2)
+        runs = [(w in new, [w]) for w in register[:1]]  # the measured qubit is a run of its own
+        runs += [(b, list(g)) for b, g in itertools.groupby(register[1:], new.__contains__)]
+        view = tuple(1 if b else 1 << len(g) for b, g in runs)
+        shape = (*(1 << len(g) for _, g in runs), 1)
+        where = tuple(sorted((register.index(u), register.index(w), m) for u, w, m in star))
+        key = (view, shape, scale, where)
+        if key not in shared:
+            build = functools.partial(_diagonal, register, star, tables, scale, shape)
+            if kept + (16 << len(register)) <= 16 << DEFAULT_QUBIT_CAP:
+                kept += 16 << len(register)
+                shared[key] = build()
+            else:
+                shared[key] = _Deferred(shape, build)
+        entries = [tuple((compiled(fn), bit[name]) for fn, name in e) for e in (defs, steps)]
+        blocks.append(_Block(view, shared[key], *entries))
+        peaks = (max(peaks[0], len(register)), max(peaks[1], j + len(register)))
+        live = register[len(steps) :]
+
     return _Plan(
         tuple(order),
         tuple(names),
-        tuple(steps),
-        tuple((compiled(fn), bit[name], j) for fn, name, j in program),
-        close,
+        tuple(blocks),
         tuple(sorted(range(len(f.inputs)), key=lambda i: rank[f.inputs[i]])),
         tuple(
             (compiled(fn), tuple((sum(1 << errors.index(e) for e in S), compiled(c)) for S, c in t))
@@ -518,7 +500,7 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         tuple(bit[name] for name in errors),
         tuple((errors.index(name), v) for name, v in guards.items()),
         next(slots),  # the bits ever taken
-        max((s.diag.size for s in steps if s.diag is not None), default=1),
+        peaks,
     )
 
 
@@ -539,7 +521,7 @@ def _evaluate(anf: CompiledAnf, words):
     """XOR of the monomials of ``anf`` over branch words.
 
     A branch word holds a bit for each value live at that point of the
-    program, from its write to its last reader. ``words`` is one Python int
+    run, from its write to its last reader. ``words`` is one Python int
     for a one-row run, giving an int, or an array of them, giving one value
     per row.
     """
@@ -570,21 +552,22 @@ def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
     return out
 
 
-def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
+def _split(amps: np.ndarray, x, scaled: bool, block: _Block | None = None) -> np.ndarray:
     """Measure the leading qubit on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
 
-    ``amps`` has shape ``(2**live, spectators, rows)``. A block's first step
-    writes each half times its half of the block's diagonal straight into
-    the children, which also prepares the block's fresh qubits; its later
-    steps take the halves a0, a1 as they are. Z keeps the halves; X makes
-    them ``a0 + a1`` and ``a0 - a1``, times ``1/sqrt(2)`` unless the
-    diagonal holds it. ``x`` is True, False or a bool per row: rows are the
-    inner axis, so a per-row ``x`` blends the two bases with per-row
-    coefficients, without masks.
+    ``amps`` has shape ``(2**live, spectators, rows)``. At a block's first
+    step, ``block`` is given: each half times its half of the block's
+    diagonal is written straight into the children, which also prepares the
+    block's fresh qubits; later steps take the halves a0, a1 as they are. Z
+    keeps the halves; X makes them ``a0 + a1`` and ``a0 - a1``, times
+    ``1/sqrt(2)`` unless the diagonal holds it (``scaled``). ``x`` is True,
+    False or a bool per row: rows are the inner axis, so a per-row ``x``
+    blends the two bases with per-row coefficients, without masks.
     """
     N, S, rows = amps.shape
-    if step.block:  # the children hold the halves; a fresh measured qubit has one
-        t, diag = amps.reshape(step.shape + (S, rows)), np.asarray(step.diag)[..., None]
+    first = block is not None
+    if first:  # the children hold the halves; a fresh measured qubit has one
+        t, diag = amps.reshape(block.shape + (S, rows)), np.asarray(block.diag)[..., None]
         kids = np.empty(diag.shape[1:-2] + (S, rows, 2), dtype=complex)
         for b in (0, 1):  # one call per outcome, so the inner loop runs over the rows
             np.multiply(t[b * (len(t) - 1)], diag[b], out=kids[..., b])
@@ -596,17 +579,17 @@ def _split(amps: np.ndarray, step: _Step, x) -> np.ndarray:
     if not isinstance(x, bool):
         x = True if x.all() else x if x.any() else False
     if x is True:
-        if step.block:  # in place: a1 <- a0 - a1, then a0 <- 2 a0 - a1
+        if first:  # in place: a1 <- a0 - a1, then a0 <- 2 a0 - a1
             np.subtract(a0, a1, out=a1)
             np.multiply(a0, 2.0, out=a0)
             np.subtract(a0, a1, out=a0)
         else:
             np.add(a0, a1, out=k0)
             np.subtract(a0, a1, out=k1)
-        if not step.scaled:
+        if not scaled:
             np.multiply(kids, SQRT2_INV, out=kids)
     elif x is False:
-        if not step.block:
+        if not first:
             k0[...], k1[...] = a0, a1
     else:  # X rows: (a0 + a1, a0 - a1) / sqrt(2); Z rows keep (a0, a1)
         h = np.where(x, SQRT2_INV, 0.0)
@@ -656,13 +639,6 @@ def _possible(weights: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _check_cap(size: int, spectators: int) -> None:
-    """Raise unless log2(size) + spectators qubits fit under the cap."""
-    qubits = size.bit_length() - 1 + spectators
-    if qubits > DEFAULT_QUBIT_CAP:
-        raise StateSizeError(f"{qubits} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
-
-
 def _execute(
     f: PatternFragment,
     src: OutcomeSource | None,
@@ -674,7 +650,8 @@ def _execute(
 
     A run with a source keeps one row; without one, every row splits into
     both outcomes at every measurement. ``DEFAULT_QUBIT_CAP`` bounds log2(rows)
-    plus the live qubits after every allocation, spectators included.
+    plus the live qubits at the run's widest point, spectators included,
+    before the run starts.
 
     ``members`` are input-error assignments that share the run: the input is
     framed by the first, and the ensemble and the branch words are the
@@ -714,6 +691,9 @@ def _execute(
             raise PpmError(
                 f"input-error assignments that share a run choose differently at vertex {v}"
             )
+    qubits = plan.peaks[src is None] + spectators  # at the run's widest point
+    if qubits > DEFAULT_QUBIT_CAP:
+        raise StateSizeError(f"{qubits} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
     frame = inputs[0]
     error_bits = dict(zip(f.error_variables(), frame))
     word = sum(bit for bit, b in zip(plan.errors, frame) if b)  # one row: one Python int
@@ -730,44 +710,40 @@ def _execute(
     )
     amps = framed.reshape((2,) * n_in + (S,)).transpose(*plan.perm, n_in).reshape(-1, S, 1)
 
-    if src is not None:  # one row: one cap check and every seeded draw up front
-        _check_cap(plan.widest, spectators)
+    if src is not None:  # one row: every seeded draw up front
         seeded = src.mode == "seeded"
         draws = np.random.default_rng(src.seed).random(k).tolist() if seeded else src.tape
     mantissa, exponent = 1.0, 0  # one-row runs: the scale, as mantissa * 2**exponent
     outcomes, chosen = [], []  # one-row runs: outcomes so far, choices
-    for anf, bit, j in plan.program:
-        value = _evaluate(anf, word)
-        if j < 0:  # a definition
-            word = word & ~bit | value * bit
-            continue
-        step = plan.steps[j]
+    for block in plan.blocks:
+        for anf, bit in block.defs:
+            word = word & ~bit | _evaluate(anf, word) * bit
         if src is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            if step.block:  # rows times the register stay the same across the block
-                _check_cap(amps.shape[-1] * step.diag.size, spectators)
-            amps = _split(amps, step, value == 0)
-            kids = np.empty((len(word), 2), dtype=word.dtype)  # faster than a broadcast OR
-            np.bitwise_and(word, ~bit, out=kids[:, 0])
-            np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
-            word = kids.reshape(-1)
-            chosen.append(value)
+            if not block.steps:  # the closing block, in place when it prepares no output
+                t = amps.reshape(block.shape + (-1,))
+                out = t if block.shape == block.diag.shape[:-1] else None
+                amps = np.multiply(t, block.diag, out=out)
+            for i, (anf, bit) in enumerate(block.steps):
+                value = _evaluate(anf, word)
+                amps = _split(amps, value == 0, not anf, None if i else block)
+                kids = np.empty((len(word), 2), dtype=word.dtype)  # faster than a broadcast OR
+                np.bitwise_and(word, ~bit, out=kids[:, 0])
+                np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
+                word = kids.reshape(-1)
+                chosen.append(value)
             continue
-        # One row: gather the block's choices, then measure it at its last step.
-        if step.block:
-            first, block, choices = step, [], ()
-        block.append((bit, j, step.scaled))
-        choices += (value,)
-        if len(block) < first.block:
-            continue
-        # ``kid`` holds the 2**g halves of the block's g measured qubits as
-        # rows; their real Gram product gives every outcome prefix's weight.
-        kid = np.multiply(amps.reshape(first.shape + (-1,)), first.diag)
-        kid = kid.reshape(1 << first.block, -1)
+        # One row: ``kid`` holds the 2**g halves of the block's g measured
+        # qubits as rows (g = 0 closes); their real Gram product gives every
+        # outcome prefix's weight. No choice reads an outcome of the block.
+        choices = tuple([_evaluate(anf, word) for anf, _ in block.steps])
+        kid = np.multiply(amps.reshape(block.shape + (-1,)), block.diag)
+        kid = kid.reshape(1 << len(choices), -1)
         v = kid.view(float)
         marginals, signs = _block_tables(choices)
         weight = marginals.dot(v.dot(v.T).reshape(-1)).tolist()
         p = 0  # the block's outcomes so far, first most significant
-        for i, ((bit, j, scaled), value) in enumerate(zip(block, choices)):
+        for i, ((anf, bit), value) in enumerate(zip(block.steps, choices)):
+            j = len(outcomes)
             q0, q1 = weight[(2 << i) - 2 + 2 * p], weight[(2 << i) - 1 + 2 * p]
             p0, p1 = q0 / (q0 + q1), q1 / (q0 + q1)
             if seeded:
@@ -780,23 +756,19 @@ def _execute(
                     )
             p = 2 * p + b
             # X takes a0 + a1 or a0 - a1, whose 1/sqrt(2) the diagonal holds
-            # when ``scaled`` and the scale takes otherwise.
-            exponent -= not (value or scaled)
+            # when the choice is empty and the scale takes otherwise.
+            exponent -= bool(anf) and not value
             outcomes.append(b)
             word = word & ~bit | bit * b
             chosen.append(value)
         amps = signs[p].dot(kid)
-        w = weight[(1 << first.block) - 2 + p]  # the squared norm of ``amps``
+        w = weight[(1 << len(choices)) - 2 + p]  # the squared norm of ``amps``
         if not _FLOOR <= w <= 1 / _FLOOR:  # rescale before it could under- or overflow
             amps = amps * (1.0 / math.sqrt(w))
             mantissa, shift = math.frexp(mantissa * w)
             exponent += shift
 
-    rows = amps.shape[-1] if src is None else 1
-    _check_cap(rows * plan.close.diag.size, spectators)
-    close = plan.close  # multiplied in place when it prepares no output
-    t = amps.reshape(close.shape + (-1,))
-    amps = np.multiply(t, close.diag, out=t if close.shape == close.diag.shape[:-1] else None)
+    rows = 1 << k if src is None else 1
     amps = amps.reshape(-1, rows)  # (outputs in fragment order, spectators) by rows
     re, im = amps.real, amps.imag
     weights = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)

@@ -500,4 +500,8 @@ def fragment_to_json(f: PatternFragment) -> str:
 
 
 def fragment_from_json(text: str) -> PatternFragment:
-    return fragment_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise StructuralError("fragment JSON is nested too deeply") from None
+    return fragment_from_dict(data)

@@ -82,11 +82,13 @@ def plus_state(n: int) -> Statevector:
 
 def from_amplitudes(amps: Iterable[complex]) -> Statevector:
     arr = np.asarray(list(amps), dtype=complex)
-    n = int(round(math.log2(arr.size)))
-    if 1 << n != arr.size:
+    n = arr.size.bit_length() - 1
+    if n < 0 or 1 << n != arr.size:
         raise DimensionError(f"amplitude count {arr.size} is not a power of two")
-    arr = arr / np.linalg.norm(arr)
-    return Statevector(n, arr)
+    norm = np.linalg.norm(arr)
+    if not 0 < norm < math.inf:  # also refuses nan
+        raise DimensionError(f"amplitudes must be finite with a nonzero norm, got norm {norm}")
+    return Statevector(n, arr / norm)
 
 
 def phase_table(alpha: float) -> np.ndarray:

@@ -7,6 +7,7 @@ factor applied last). ``PAD`` is an alias for the single-qubit identity.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -129,11 +130,16 @@ class _Parser:
         return acc
 
     def term(self) -> np.ndarray:
-        acc = self.atom()
+        factors = [self.atom()]
         while self.peek() in ("x", "⊗"):
             self.take()
-            acc = kron(acc, self.atom())
-        return acc
+            factors.append(self.atom())
+        # A Choi certificate of n qubits needs 2n under the cap.
+        if math.prod(map(len, factors)) > 1 << sv.DEFAULT_QUBIT_CAP // 2:
+            raise LabelError(
+                f"{self.label!r} names a product wider than {sv.DEFAULT_QUBIT_CAP // 2} qubits"
+            )
+        return functools.reduce(kron, factors)
 
     def atom(self) -> np.ndarray:
         tok = self.take()
@@ -158,7 +164,10 @@ class _Parser:
 def unitary_from_label(label: str) -> np.ndarray:
     """Build the matrix a target label names."""
     parser = _Parser(label)
-    mat = parser.expr()
+    try:
+        mat = parser.expr()
+    except RecursionError:
+        raise LabelError(f"label {label[:20]!r}... is nested too deeply") from None
     if parser.peek() is not None:
         raise LabelError(f"trailing tokens in {label!r}")
     return mat

@@ -403,6 +403,7 @@ MALFORMED_FRAGMENTS.update({
     "v2 correction reads an unknown name": _two_halves(
         corrections={"2": {"zeta": [["g2.z"]], "xi": [["g3.x"]]}}
     ),
+    "nested too deeply": "[" * 100_000 + "]" * 100_000,  # JSON text, written as it is
 })
 
 EXPECTED_MESSAGE = {
@@ -423,6 +424,7 @@ EXPECTED_MESSAGE = {
     "v2 definition reads an unknown name": "definition 'g2.x' reads 'q'",
     "v2 choice reads an unknown name": "vertex 1 choice references unknown variable 'q'",
     "v2 correction reads an unknown name": "correction on vertex 2 references unknown 'g3.x'",
+    "nested too deeply": "fragment JSON is nested too deeply",
 }
 
 
@@ -430,7 +432,8 @@ EXPECTED_MESSAGE = {
 @pytest.mark.parametrize("command", ["verify", "depth"])
 def test_malformed_fragment_json_is_a_usage_error(tmp_path, capsys, shape, command):
     path = tmp_path / "frag.json"
-    path.write_text(json.dumps(MALFORMED_FRAGMENTS[shape]))
+    data = MALFORMED_FRAGMENTS[shape]
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     extra = ("--target", "I") if command == "verify" else ()
     code, _, err = run_cli(capsys, command, str(path), *extra)
     assert code == 2 and err.startswith("error:")

@@ -405,6 +405,25 @@ def test_cap_bounds_branch_bits_plus_live_qubits_in_every_mode(monkeypatch):
     run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1)
 
 
+def test_a_run_the_cap_refuses_does_no_amplitude_work(monkeypatch):
+    # The plan knows each arm's widest point, so an exhaustive run whose
+    # rows would outgrow the cap is refused before its first split, with
+    # the qubits at its widest point.
+    from ppmbqc.verifier import choi_input
+
+    f = e_fragment("T")
+    n = f.pattern.graph.vertex_count  # log2(rows) + live at the end of an exhaustive run
+    calls = []
+    split = executor._split
+    monkeypatch.setattr(executor, "_split", lambda *a: calls.append(a) or split(*a))
+    monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", n)
+    with pytest.raises(StateSizeError, match=f"^{n + 1} qubits would exceed cap {n}$"):
+        enumerate_fragment(f, choi_input(1), spectators=1)
+    assert calls == []
+    run_fragment(f, choi_input(1), src=OutcomeSource.seeded(3), spectators=1)  # one row fits
+    assert calls == []  # one-row runs never split
+
+
 def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_block(monkeypatch):
     # Blocks with the same layout, star and scale share one diagonal, so a
     # plan's diagonal bytes stop growing with depth. It keeps distinct ones
@@ -413,16 +432,15 @@ def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_block(mo
     # block's diagonal spans its first step's register, so blocks widen
     # nothing.
     def kept(plan):
-        diags = [plan.close.diag, *(step.diag for step in plan.steps)]
-        arrays = {id(d): d.nbytes for d in diags if isinstance(d, np.ndarray)}
+        arrays = {id(b.diag): b.diag.nbytes for b in plan.blocks if isinstance(b.diag, np.ndarray)}
         return len(arrays), sum(arrays.values())
 
     shallow, deep = ("qubits 1\n" + "T 0\nH 0\n" * n for n in (20, 100))
     plan = executor._plan(compile_circuit(parse_circuit(shallow)))
-    firsts = [step for step in plan.steps if step.block]
-    assert (len(plan.steps), len(firsts)) == (560, 222)
-    assert plan.widest == max(step.diag.size for step in firsts) == 1 << 8
-    assert sum(step.diag.nbytes for step in firsts) + plan.close.diag.nbytes == 586048
+    *measured, closing = plan.blocks
+    assert (sum(len(b.steps) for b in measured), len(measured), closing.steps) == (560, 222, ())
+    assert 1 << plan.peaks[0] == max(b.diag.size for b in plan.blocks) == 1 << 8
+    assert sum(b.diag.nbytes for b in plan.blocks) == 586048
     f = compile_circuit(parse_circuit(deep))
     assert kept(plan) == kept(executor._plan(f)) == (19, 24384)
     want = run_fragment(f, plus_state(len(f.inputs)), src=OutcomeSource.seeded(1))
@@ -431,7 +449,7 @@ def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_block(mo
     f = compile_circuit(parse_circuit(deep))  # a fresh fragment, with no plan yet
     plan = executor._plan(f)
     assert kept(plan)[1] <= 16 << 10
-    assert any(isinstance(step.diag, executor._Deferred) for step in plan.steps)
+    assert any(isinstance(b.diag, executor._Deferred) for b in plan.blocks)
     got = run_fragment(f, plus_state(len(f.inputs)), src=OutcomeSource.seeded(1))
     assert got.outcomes == want.outcomes
     assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
@@ -443,10 +461,6 @@ def test_a_plan_keeps_one_register_of_diagonals_and_builds_the_rest_per_block(mo
     assert "_plan" not in vars(f)  # refused by the plan, before any step ran
 
 
-def block_diagonals(plan):
-    return [plan.close.diag, *(step.diag for step in plan.steps if step.block)]
-
-
 def test_deferred_diagonals_enumerate_like_kept_ones(monkeypatch):
     from ppmbqc.verifier import choi_input
 
@@ -454,8 +468,8 @@ def test_deferred_diagonals_enumerate_like_kept_ones(monkeypatch):
     monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)  # keeps 128 B of e_t's 352
     plan = executor._plan(g)
     monkeypatch.undo()
-    assert {type(d) for d in block_diagonals(plan)} == {np.ndarray, executor._Deferred}
-    assert max(step.block for step in plan.steps) == 2
+    assert {type(b.diag) for b in plan.blocks} == {np.ndarray, executor._Deferred}
+    assert max(len(b.steps) for b in plan.blocks) == 2
     want, got = (enumerate_fragment(h, choi_input(1), {}, 1) for h in (f, g))
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.frames, want.frames)
@@ -466,8 +480,8 @@ def test_deferred_diagonals_shoot_like_kept_ones(monkeypatch):
     executor._plan(f)  # kept diagonals, at the default cap
     monkeypatch.setattr(executor, "DEFAULT_QUBIT_CAP", 3)
     plan = executor._plan(g)
-    assert {type(d) for d in block_diagonals(plan)} == {np.ndarray, executor._Deferred}
-    assert max(step.block for step in plan.steps) == 2
+    assert {type(b.diag) for b in plan.blocks} == {np.ndarray, executor._Deferred}
+    assert max(len(b.steps) for b in plan.blocks) == 2
     psi = random_state(1)
     var = {v: m.var for v, m in f.pattern.measurements.items()}
     for seed in range(6):
@@ -489,7 +503,7 @@ def test_a_tape_refused_inside_a_block_names_its_step(tape, vertex):
     zero = Correction(BoolFn.zero(), BoolFn.zero())
     errors = {v: (f"z{v}", f"x{v}") for v in range(3)}
     f = PatternFragment(p, (0, 1, 2), (3,), errors, {3: zero})
-    assert [step.block for step in executor._plan(f).steps] == [3, 0, 0]
+    assert [len(b.steps) for b in executor._plan(f).blocks] == [3, 0]
     run_fragment(f, plus_state(3), src=OutcomeSource.fixed([1, 0, 0]))  # vertex 0 may read 1
     with pytest.raises(ImpossibleBranchError, match=f"outcome 1 on vertex {vertex} "):
         run_fragment(f, plus_state(3), src=OutcomeSource.fixed(tape))
@@ -515,7 +529,7 @@ def adaptive_fragments(draw, definitions=False):
     mult = st.integers(0, (2 << m) - 1)
     graph = PGraph(n, m, tuple((u, w, draw(mult)) for u, w in pairs))
     perm = draw(st.permutations(range(n)))
-    n_out = draw(st.integers(1, min(2, n - 1)))
+    n_out = draw(st.integers(1, min(2, n)))
     outputs, measured = tuple(perm[:n_out]), perm[n_out:]
     inputs = tuple(draw(st.lists(st.sampled_from(range(n)), unique=True, max_size=2)))
     errors = {v: (f"z{v}", f"x{v}") for v in inputs}
@@ -549,24 +563,24 @@ def test_blocks_prepare_qubits_first_and_read_no_outcome_of_their_own(case):
     reads = {}  # the outcomes and errors each definition reads
     for name, fn in f.frames.items():
         reads[name] = set().union(*(reads.get(var, {var}) for var in fn.variables))
-    prepared, block, left = set(f.inputs), [], 0  # left: steps the block still holds
-    for j, (v, step) in enumerate(zip(plan.order, plan.steps)):
-        touched = {v}  # with the far end of each edge measured after v, or never
-        for u, w, _ in f.pattern.graph.edges:
-            if v in (u, w) and rank.get(u + w - v, j + 1) > j:
-                touched.add(u + w - v)
-        choice = f.pattern.measurements[v].choice
-        read = set().union(*(reads.get(var, {var}) for var in choice.variables))
-        if step.block:
-            assert left == 0 and step.block <= executor._BLOCK and step.diag is not None
-            block, left = [], step.block
-        else:
-            assert left > 0 and touched <= prepared and step.diag is None
-            assert not read & set(block)
-        block.append(f.pattern.measurements[v].var)
-        left -= 1
-        prepared |= touched
-    assert left == 0
+    *measured, closing = plan.blocks
+    assert not closing.steps
+    prepared, steps = set(f.inputs), enumerate(plan.order)
+    for block in measured:
+        assert 1 <= len(block.steps) <= executor._BLOCK
+        outcomes = []
+        for j, v in itertools.islice(steps, len(block.steps)):
+            touched = {v}  # with the far end of each edge measured after v, or never
+            for u, w, _ in f.pattern.graph.edges:
+                if v in (u, w) and rank.get(u + w - v, j + 1) > j:
+                    touched.add(u + w - v)
+            choice = f.pattern.measurements[v].choice
+            read = set().union(*(reads.get(var, {var}) for var in choice.variables))
+            if outcomes:
+                assert touched <= prepared and not read & set(outcomes)
+            outcomes.append(f.pattern.measurements[v].var)
+            prepared |= touched
+    assert next(steps, None) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -662,13 +676,15 @@ def test_definitions_past_the_int64_word_are_enumerated():
 
 
 def test_only_fragments_with_definitions_plan_them():
-    program = executor._plan(brick(BrickSettings("T", "HTH", 1))).program
-    assert [step for *_, step in program] == list(range(len(program)))
+    f = brick(BrickSettings("T", "HTH", 1))
+    blocks = executor._plan(f).blocks
+    assert not any(b.defs for b in blocks)
+    assert sum(len(b.steps) for b in blocks) == len(f.pattern.measurements)
     f = compose(xhalf_fragment(), xhalf_fragment(), {1: 0})
-    program = executor._plan(f).program  # both definitions read step 0's outcome
-    assert [step for *_, step in program] == [0, -1, -1, 1]
+    blocks = executor._plan(f).blocks  # both definitions read step 0's outcome
+    assert [(len(b.defs), len(b.steps)) for b in blocks] == [(0, 1), (2, 1), (0, 0)]
     sizes = [len(fn.monomials) for fn in f.frames.values()]
-    assert [len(anf) for anf, _, step in program if step < 0] == sizes == [2, 4]
+    assert [len(anf) for b in blocks for anf, _ in b.defs] == sizes == [2, 4]
 
 
 def test_branch_words_stay_narrow_at_any_depth():

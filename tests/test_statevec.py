@@ -38,6 +38,19 @@ def parity_phase_matrix(alpha):
     return np.diag([even, odd, odd, even]).astype(complex)
 
 
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ([0, 0], "finite with a nonzero norm"),
+        ([math.nan, 1], "finite with a nonzero norm"),
+        ([math.inf, 0], "finite with a nonzero norm"),
+        ([], "amplitude count 0 is not a power of two"),
+    ],
+)
+def test_from_amplitudes_refuses_vectors_it_cannot_normalize(amplitudes, message):
+    with pytest.raises(DimensionError, match=message):
+        from_amplitudes(amplitudes)
+
 def test_basis_ordering_qubit0_is_msb():
     s = zero_state(2)
     s = apply_matrix(s, 0, np.array([[0, 1], [1, 0]], dtype=complex))

@@ -89,8 +89,10 @@ def test_kron_is_numpys_kron_bit_for_bit(shapes):
         ("Y(pi)", "unknown parametrized gate 'Y'"),
         ("Q", "unknown gate 'Q'"),
         ("H)", "trailing tokens in 'H)'"),
+        ("(" * 5000 + "T" + ")" * 5000, "is nested too deeply"),
+        ("Tx" * 12 + "T", "names a product wider than 12 qubits"),  # refused before kron
     ],
-    ids=["tokenize", "end", "parenthesis", "parametrized", "gate", "trailing"],
+    ids=["tokenize", "end", "parenthesis", "parametrized", "gate", "trailing", "deep", "wide"],
 )
 def test_malformed_labels_raise_and_exit_two(label, message, capsys):
     with pytest.raises(LabelError, match=re.escape(message)):
