@@ -61,6 +61,8 @@ parts whose error monomial it sets.
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
 ``IMPOSSIBLE_PROB``. Traces and the verifier read its ``possible`` mask.
+The ensemble's outcome and choice bits are built on first read, so a
+certificate that keeps no records never builds them.
 
 Choice semantics everywhere: choice value 0 measures X, value 1 measures Z.
 """
@@ -191,7 +193,9 @@ class BranchEnsemble:
     ``possible`` is the engine's verdict on each row: every measurement on
     it had conditional probability at least ``IMPOSSIBLE_PROB``. Branch
     index bits follow ``order`` with the first measurement as the most
-    significant bit.
+    significant bit. The ``(steps, rows)`` uint8 ``outcomes`` and
+    ``choices`` are built on first read: from the row index, or ``drawn``
+    in a one-row run, and from each step's choices as ``chosen`` holds them.
     """
 
     order: list[int]
@@ -199,16 +203,29 @@ class BranchEnsemble:
     states: np.ndarray  # (rows, 2**(outputs+spectators))
     weights: np.ndarray  # (rows,)
     possible: np.ndarray  # (rows,) bool
-    outcomes: np.ndarray  # (steps, rows)
-    choices: np.ndarray  # (steps, rows)
+    chosen: list  # per step: an array over the rows before it splits, or an int
     error_bits: dict[str, int]
     frames: np.ndarray  # (rows, outputs, 2): each output's (zeta, xi)
     scale: float = 1.0
     log2_scale: float = 0.0
+    drawn: list[int] | None = None  # a one-row run's outcomes
 
     @property
     def probabilities(self) -> np.ndarray:
         return self.scale * self.weights
+
+    @functools.cached_property
+    def outcomes(self) -> np.ndarray:
+        if self.drawn is not None:
+            return np.array(self.drawn, dtype=np.uint8).reshape(-1, 1)
+        shifts = np.arange(len(self.chosen) - 1, -1, -1)[:, None]
+        return (np.arange(len(self.weights)) >> shifts & 1).astype(np.uint8)
+
+    @functools.cached_property
+    def choices(self) -> np.ndarray:  # a step's choice covers the rows its row splits into
+        rows = len(self.weights)
+        levels = [np.repeat(c, rows // np.size(c)) for c in self.chosen]
+        return np.array(levels, dtype=np.uint8).reshape(-1, rows)
 
     def full_env_rows(self) -> dict[str, np.ndarray]:
         """Each variable's bit in every row: the outcomes, then the input errors."""
@@ -221,7 +238,10 @@ class BranchEnsemble:
     def traces(self, f: PatternFragment) -> list[ExecutionTrace]:
         qubits = self.states.shape[1].bit_length() - 1
         var_order = [m.var for m in f.pattern.measurements.values()]
-        outcomes, choices = self.outcomes.T.tolist(), self.choices.T.tolist()
+        if self.drawn is None:
+            outcomes, choices = self.outcomes.T.tolist(), self.choices.T.tolist()
+        else:  # one row: its lists as they are
+            outcomes, choices = [self.drawn], [self.chosen]
         out = []
         per_row = zip(self.weights.tolist(), self.possible.tolist(), self.frames.tolist())
         for r, (w, ok, frame) in enumerate(per_row):
@@ -632,10 +652,14 @@ def _possible(weights: np.ndarray) -> np.ndarray:
     """
     levels = [weights]
     while len(levels[-1]) > 1:
-        levels.append(levels[-1].reshape(-1, 2).sum(axis=1))
+        levels.append(levels[-1][0::2] + levels[-1][1::2])
     ok = np.ones(1, dtype=bool)
     for child, parent in zip(levels[-2::-1], levels[:0:-1]):
-        ok = np.repeat(ok, 2) & (child >= IMPOSSIBLE_PROB * np.repeat(parent, 2))
+        floor, kids = IMPOSSIBLE_PROB * parent, np.empty(len(child), dtype=bool)
+        for b in (0, 1):  # the children of outcome b against their parents
+            np.greater_equal(child[b::2], floor, out=kids[b::2])
+            kids[b::2] &= ok
+        ok = kids
     return ok
 
 
@@ -769,32 +793,25 @@ def _execute(
             exponent += shift
 
     rows = 1 << k if src is None else 1
-    amps = amps.reshape(-1, rows)  # (outputs in fragment order, spectators) by rows
-    re, im = amps.real, amps.imag
-    weights = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
-
-    # Outcome j of row r is bit k-1-j of r; a step's choices, kept at their
-    # own level, cover 2**(k-j) rows each.
-    if src is None:
-        index = np.arange(rows)
-        outcomes = [(index >> (k - 1 - j)) & 1 for j in range(k)]
-        chosen = [c.repeat(1 << (k - j)) for j, c in enumerate(chosen)]
-    bits = np.array(outcomes + chosen, dtype=np.uint8).reshape(2 * k, rows)
+    # Rows by (outputs in fragment order, spectators), copied rows first, so
+    # each weight is one contiguous pass over its row's floats.
+    states = np.ascontiguousarray(amps.reshape(-1, rows).T)
+    weights = np.einsum("ij,ij->i", states.view(float), states.view(float))
     codes = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
     frames = _corrections(plan, word, codes).reshape(len(members), len(f.outputs), 2, rows)
     frames = frames.transpose(0, 3, 1, 2)
     ens = BranchEnsemble(
         list(plan.order),
         list(plan.names),
-        np.ascontiguousarray(amps.T),
+        states,
         weights,
         _possible(weights),
-        bits[:k],
-        bits[k:],
+        chosen,
         error_bits,
         frames[0],
         math.ldexp(mantissa, exponent),
         exponent + math.log2(mantissa),
+        None if src is None else outcomes,
     )
     return ens, frames
 

@@ -101,10 +101,8 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, label: str):
-        self.label = label
-        self.toks = _tokenize(label)
-        self.i = 0
+    def __init__(self, label: str, wires: int):
+        self.label, self.wires, self.toks, self.i = label, wires, _tokenize(label), 0
 
     def peek(self) -> str | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -134,11 +132,14 @@ class _Parser:
         while self.peek() in ("x", "⊗"):
             self.take()
             factors.append(self.atom())
-        # A Choi certificate of n qubits needs 2n under the cap.
-        if math.prod(map(len, factors)) > 1 << sv.DEFAULT_QUBIT_CAP // 2:
+        # A Choi certificate of n qubits needs 2n under the cap; a target fits its wires.
+        width = math.prod(map(len, factors)).bit_length() - 1
+        if width > sv.DEFAULT_QUBIT_CAP // 2:
             raise LabelError(
                 f"{self.label!r} names a product wider than {sv.DEFAULT_QUBIT_CAP // 2} qubits"
             )
+        if width > self.wires:
+            raise LabelError(f"{self.label!r} names a {width}-qubit product for arity {self.wires}")
         return functools.reduce(kron, factors)
 
     def atom(self) -> np.ndarray:
@@ -161,9 +162,9 @@ class _Parser:
         raise LabelError(f"unknown gate {tok!r}")
 
 
-def unitary_from_label(label: str) -> np.ndarray:
-    """Build the matrix a target label names."""
-    parser = _Parser(label)
+def unitary_from_label(label: str, wires: int = sv.DEFAULT_QUBIT_CAP // 2) -> np.ndarray:
+    """Build the matrix a target label names, refusing any product wider than ``wires``."""
+    parser = _Parser(label, wires)
     try:
         mat = parser.expr()
     except RecursionError:

@@ -95,11 +95,11 @@ class VerificationReport:
 
 def _checked_target(f: PatternFragment, target: np.ndarray | str) -> tuple[np.ndarray, str]:
     """The target as a matrix with its label, checked against the fragment."""
-    named = isinstance(target, str)
-    U = unitary_from_label(target) if named else np.asarray(target, dtype=complex)
     n = len(f.inputs)
     if len(f.outputs) != n:
         raise DimensionError("equal input/output arity required for this check")
+    named = isinstance(target, str)  # a label wider than n wires is refused unbuilt
+    U = unitary_from_label(target, n) if named else np.asarray(target, dtype=complex)
     if U.shape != (1 << n, 1 << n):
         raise DimensionError(f"target shape {U.shape} does not match arity {n}")
     if not is_unitary(U):
@@ -224,7 +224,9 @@ def _runs(f: PatternFragment, U: np.ndarray, sample_count: int = 0, seed: int = 
         classes.setdefault(tuple(bits[i] for i in read), []).append(c)
     classes = list(classes.values())
     bases = U @ apply_frames(classes[0], np.eye(1 << n), n) / math.sqrt(1 << n)
-    shifted = {s: _frame_table(base, n) for s, base in zip(classes[0], bases)}
+    # One call dresses every shift's base, side by side as (outputs, shifts, references).
+    stacked = _frame_table(bases.transpose(1, 0, 2), n).reshape(4**n, 1 << n, len(bases), -1)
+    shifted = dict(zip(classes[0], stacked.transpose(2, 0, 1, 3).reshape(len(bases), 4**n, -1)))
     for members in classes:
         errs = [combos[c] for c in members]
         tables = np.stack([shifted[c ^ members[0]] for c in members])

@@ -41,6 +41,7 @@ from ppmbqc.pattern import (
 )
 from ppmbqc.pgraph import PGraph
 from ppmbqc.statevec import (
+    IMPOSSIBLE_PROB,
     X,
     Z,
     Statevector,
@@ -789,6 +790,74 @@ def test_outcome_bits_are_the_branch_index_and_choices_read_them():
     for j, v in enumerate(ens.order):
         want = f.pattern.measurements[v].choice.evaluate_rows(env)
         assert np.array_equal(ens.choices[j], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_outcome_and_choice_bits_built_on_read_match_the_eager_matrix(case, spectators, seed):
+    f, errs = case
+    rng = np.random.default_rng(seed)
+    width = len(f.inputs) + spectators
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    psi = Statevector(width, amps / np.linalg.norm(amps))
+    ens = enumerate_fragment(f, psi, errs, spectators=spectators)
+    # The eager (2k, rows) construction: outcome j of row r is bit k-1-j of
+    # r, and each choice reads those bits and the input errors.
+    k, rows = len(ens.order), len(ens.weights)
+    index = np.arange(rows)
+    env = {name: (index >> (k - 1 - j) & 1).astype(np.uint8) for j, name in enumerate(ens.names)}
+    env.update((name, np.full(rows, b, dtype=np.uint8)) for name, b in ens.error_bits.items())
+    choices = [f.pattern.measurements[v].choice.evaluate_rows(env) for v in ens.order]
+    eager = np.array([env[name] for name in ens.names] + choices, dtype=np.uint8)
+    eager = eager.reshape(2 * k, rows)
+    for got, want in ((ens.outcomes, eager[:k]), (ens.choices, eager[k:])):
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+    # A one-row run keeps its drawn outcomes and choices: they are its row's.
+    shot = executor._execute(f, OutcomeSource.seeded(seed), psi, [errs], spectators)[0]
+    row = int("".join(map(str, shot.drawn)) or "0", 2)
+    assert np.array_equal(shot.outcomes, eager[:k, row : row + 1])
+    assert np.array_equal(shot.choices, eager[k:, row : row + 1])
+    trace = shot.traces(f)[0]
+    assert [trace.outcomes[name] for name in ens.names] == shot.drawn
+    assert trace.bases == {v: BASIS_BY_CHOICE[c] for v, c in zip(ens.order, eager[k:, row])}
+
+
+def possible_by_definition(weights):
+    """Per row: every step's branch weight is at least IMPOSSIBLE_PROB of its parent's."""
+    k = len(weights).bit_length() - 1
+
+    def branch(r, j):  # the weight of row r's first j outcomes
+        s = k - j
+        return sum(weights[(r >> s) << s : ((r >> s) + 1) << s])
+
+    return [
+        all(branch(r, j + 1) >= IMPOSSIBLE_PROB * branch(r, j) for j in range(k))
+        for r in range(len(weights))
+    ]
+
+
+# Dyadic weights, so every branch sum is exact; 2**-40 < IMPOSSIBLE_PROB < 2**-39.
+_DYADIC = [0.0, 2.0**-41, 2.0**-40, 2.0**-39, 2.0**-20, 0.5, 1.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.0], [1.0], [0.0, 1.0], [1.0, 0.0], [2.0**-40, 1.0], [1.0, 2.0**-39],
+     [IMPOSSIBLE_PROB, 1.0 - IMPOSSIBLE_PROB],  # sums to 1.0: exactly at the floor
+     [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.5, 0.0], [1.0, 0.0, 2.0**-41, 2.0**-41, 0.0, 0.0, 0.0, 0.0]],
+    ids=["one", "one-zero", "first-zero", "last-zero", "below", "above", "at-floor", "dead-half",
+         "dead-quarter"],
+)
+def test_possible_rows_follow_their_definition(weights):
+    assert executor._possible(np.array(weights)).tolist() == possible_by_definition(weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.lists(st.sampled_from(_DYADIC), min_size=1 << k,
+                                                    max_size=1 << k)))
+def test_possible_rows_follow_their_definition_on_any_tree(weights):
+    assume(any(weights))
+    assert executor._possible(np.array(weights)).tolist() == possible_by_definition(weights)
 
 
 def test_a_shared_run_refuses_members_whose_choices_differ():

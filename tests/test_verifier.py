@@ -10,7 +10,7 @@ import pytest
 
 from ppmbqc.boolfn import BoolFn, mobius_anf
 from ppmbqc.cli import main
-from ppmbqc.errors import DimensionError, InferenceError
+from ppmbqc.errors import DimensionError, InferenceError, PpmError
 from ppmbqc.fragments import (
     LEFT_LANE_GATES,
     RIGHT_LANE_GATES,
@@ -36,12 +36,13 @@ from ppmbqc.executor import (
     measurement_order,
     run_fragment,
 )
-from ppmbqc.unitaries import frame_bits, frame_codes, unitary_from_label
+from ppmbqc.unitaries import apply_frames, frame_bits, frame_codes, unitary_from_label
 from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
     FIT_TOL,
     MAX_RECORDS,
     _frame_table,
+    _runs,
     _score,
     canonical_brick_settings,
     choi_input,
@@ -487,8 +488,7 @@ def synthetic_run(rng, rows, wires, spectators, members):
     codes = [first, first ^ rng.integers(frames_count)]
     codes += [first ^ rng.integers(frames_count, size=rows) for _ in range(members - 2)]
     frames = frame_bits(np.array(codes), wires)
-    empty = np.zeros((0, rows), dtype=np.uint8)
-    ens = BranchEnsemble([], [], states, weights, possible, empty, empty, {}, frames[0])
+    ens = BranchEnsemble([], [], states, weights, possible, [], {}, frames[0])
     return ens, frames, tables
 
 
@@ -720,3 +720,60 @@ def test_inference_matches_one_fit_per_combination(name):
         f, {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in f.outputs}
     )
     assert infer_corrections(stripped, label) == per_combination_fit(stripped, label)
+
+
+# -- what an exhaustive run builds -------------------------------------------
+
+
+def _builtins_and_bricks():
+    from ppmbqc.fragments import builtin_fragment, builtin_names
+
+    names = [name for name in builtin_names() if "{" not in name] + ["hier_m2", "hier_m4"]
+    cases = {f"builtin:{name}": builtin_fragment(name) for name in names}
+    triples = list(product(LEFT_LANE_GATES, RIGHT_LANE_GATES, (0, 1)))
+    for i in np.random.default_rng(26).choice(len(triples), size=10, replace=False):
+        settings = BrickSettings(*triples[i])
+        cases["brick:" + "-".join(map(str, triples[i]))] = (brick(settings), settings.label())
+    return cases
+
+
+_CASES = _builtins_and_bricks()
+
+
+@pytest.mark.parametrize("case", list(_CASES))
+def test_one_stacked_call_gives_every_shift_its_frame_table(case):
+    f, label = _CASES[case]
+    U, n = unitary_from_label(label), len(f.inputs)
+    # The first run is framed by combination 0 and holds every shift of its class.
+    members, _, _, tables = next(_runs(f, U))
+    assert members[0] == 0
+    bases = U @ apply_frames(members, np.eye(1 << n), n) / math.sqrt(1 << n)
+    for c, base, table in zip(members, bases, tables):
+        assert np.array_equal(table, _frame_table(base, n)), c
+
+
+def test_a_certificate_that_keeps_no_records_builds_no_outcome_bits(monkeypatch):
+    builds = []
+    for name in ("outcomes", "choices"):
+        build = BranchEnsemble.__dict__[name].func
+        counted = property(lambda ens, build=build: builds.append(build) or build(ens))
+        monkeypatch.setattr(BranchEnsemble, name, counted)
+    for case in [case for case in _CASES if case.startswith("builtin:")]:
+        assert verify_fragment(*_CASES[case], keep_branches=False).passed
+    assert builds == []
+    f, label = _CASES["builtin:e_t"]
+    assert verify_fragment(f, label, keep_branches=True).records
+    assert builds  # records read the outcomes
+
+
+def test_a_target_wider_than_its_fragment_is_refused_before_any_kron(monkeypatch, capsys):
+    def kron(*args):
+        pytest.fail("built a product wider than the fragment")
+
+    monkeypatch.setattr("ppmbqc.unitaries.kron", kron)
+    label = "Tx" * 11 + "T"  # 12 qubits, within the label cap
+    message = f"{label!r} names a 12-qubit product for arity 1"
+    with pytest.raises(PpmError, match=re.escape(message)):
+        verify_fragment(xhalf_fragment(), label)
+    assert main(["--json", "verify", "builtin:xhalf", "--target", label]) == 2
+    assert message in json.loads(capsys.readouterr().out)["error"]
