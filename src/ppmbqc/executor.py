@@ -40,13 +40,22 @@ trailing outcome axis, so the first measurement is the most significant bit
 of the branch index), a seeded shot draws one outcome from the branch
 distribution, and a tape forces it. A run with a source keeps one row, so
 its branch word is one Python int; an exhaustive run keeps one word per row,
-and a split hands each row's word to both children. A one-row run measures
-a block of g steps at once: a fixed matrix per basis pattern turns one real
-Gram product of the 2**g halves of the block's measured qubits into the
-weight of every outcome prefix, the outcomes are drawn from those step by
-step, and only the drawn child is built. The amplitudes stay unnormalized,
-so their weight times the run's scale is the branch probability, and are
-rescaled only when that weight leaves ``[2**-500, 2**500]``.
+and a split hands each row's word to both children. No choice reads an
+outcome of its block, so an exhaustive run evaluates each step's choice,
+and decides between X, Z and a per-row blend, once over the rows that
+enter the block. Its tail, the last measuring block and the closing block,
+then runs over chunks of those rows, each writing at most ``_CHUNK``
+amplitudes: every chunk makes the same splits and closing multiply as the
+whole array would, in arrays that stay in cache, and writes its leaves
+transposed straight into the rows-first states, so no run makes a
+full-size children array in its last block nor a transposed copy of the
+whole register. A one-row run measures a block of g steps at once: a fixed
+matrix per basis pattern turns one real Gram product of the 2**g halves of
+the block's measured qubits into the weight of every outcome prefix, the
+outcomes are drawn from those step by step, and only the drawn child is
+built. The amplitudes stay unnormalized, so their weight times the run's
+scale is the branch probability, and are rescaled only when that weight
+leaves ``[2**-500, 2**500]``.
 
 An exhaustive run may carry several input-error assignments (members) that
 agree on every input error a choice reads, directly or through definitions.
@@ -75,7 +84,7 @@ import itertools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -195,7 +204,9 @@ class BranchEnsemble:
     index bits follow ``order`` with the first measurement as the most
     significant bit. The ``(steps, rows)`` uint8 ``outcomes`` and
     ``choices`` are built on first read: from the row index, or ``drawn``
-    in a one-row run, and from each step's choices as ``chosen`` holds them.
+    in a one-row run, and from each step's choices as ``chosen`` holds them:
+    over the rows entering the step's block, each covering the rows it
+    splits into.
     """
 
     order: list[int]
@@ -203,7 +214,7 @@ class BranchEnsemble:
     states: np.ndarray  # (rows, 2**(outputs+spectators))
     weights: np.ndarray  # (rows,)
     possible: np.ndarray  # (rows,) bool
-    chosen: list  # per step: an array over the rows before it splits, or an int
+    chosen: list  # per step: an array over the rows entering its block, or an int
     error_bits: dict[str, int]
     frames: np.ndarray  # (rows, outputs, 2): each output's (zeta, xi)
     scale: float = 1.0
@@ -572,6 +583,16 @@ def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
     return out
 
 
+def _basis(value) -> bool | np.ndarray:
+    """A step's basis from its choice ``value``: X (True), Z (False), or X per row where it is 0.
+
+    Decided once over the rows entering the step's block, so every chunk of
+    them runs the same arithmetic.
+    """
+    x = value == 0
+    return True if x.all() else x if x.any() else False
+
+
 def _split(amps: np.ndarray, x, scaled: bool, block: _Block | None = None) -> np.ndarray:
     """Measure the leading qubit on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
 
@@ -580,9 +601,10 @@ def _split(amps: np.ndarray, x, scaled: bool, block: _Block | None = None) -> np
     diagonal is written straight into the children, which also prepares the
     block's fresh qubits; later steps take the halves a0, a1 as they are. Z
     keeps the halves; X makes them ``a0 + a1`` and ``a0 - a1``, times
-    ``1/sqrt(2)`` unless the diagonal holds it (``scaled``). ``x`` is True,
-    False or a bool per row: rows are the inner axis, so a per-row ``x``
-    blends the two bases with per-row coefficients, without masks.
+    ``1/sqrt(2)`` unless the diagonal holds it (``scaled``). ``x`` is a
+    :func:`_basis`, with a bool per row of ``amps``: rows are the inner
+    axis, so a per-row ``x`` blends the two bases with per-row
+    coefficients, without masks.
     """
     N, S, rows = amps.shape
     first = block is not None
@@ -596,8 +618,6 @@ def _split(amps: np.ndarray, x, scaled: bool, block: _Block | None = None) -> np
         a0, a1 = amps.reshape(2, N // 2, S, rows)
         kids = np.empty((N // 2, S, rows, 2), dtype=complex)
     k0, k1 = kids[..., 0], kids[..., 1]
-    if not isinstance(x, bool):
-        x = True if x.all() else x if x.any() else False
     if x is True:
         if first:  # in place: a1 <- a0 - a1, then a0 <- 2 a0 - a1
             np.subtract(a0, a1, out=a1)
@@ -619,6 +639,54 @@ def _split(amps: np.ndarray, x, scaled: bool, block: _Block | None = None) -> np
         np.multiply(a1, np.where(x, -SQRT2_INV, 1.0), out=k1)
         k1 += t
     return kids.reshape(-1, S, 2 * rows)
+
+
+def _measure(amps: np.ndarray, block: _Block, bases: list, rows=slice(None)) -> np.ndarray:
+    """Split every row of ``amps`` at each of the block's steps.
+
+    ``bases`` holds each step's :func:`_basis` over the rows entering the
+    block, of which ``amps`` holds ``rows``; after j steps, entering row r
+    covers rows ``r * 2**j`` to ``(r + 1) * 2**j``.
+    """
+    for j, ((anf, _), x) in enumerate(zip(block.steps, bases)):
+        x = x if isinstance(x, bool) else np.repeat(x[rows], 1 << j)
+        amps = _split(amps, x, not anf, None if j else block)
+    return amps
+
+
+# The exhaustive tail runs over chunks of the rows that enter it, each
+# chunk writing at most this many amplitudes of the states, so that its
+# arrays stay in cache and their memory is reused from chunk to chunk.
+_CHUNK = 1 << 14
+
+
+def _finish(amps: np.ndarray, tail: list) -> np.ndarray:
+    """Run an exhaustive run's tail over chunks of its entering rows; return the rows-first states.
+
+    ``tail`` holds the last measuring block, if there is one, and the
+    closing block, each with its steps' bases over the rows of ``amps``,
+    which enter the tail. Each chunk of those rows runs the same arithmetic
+    as the whole array would, then writes its leaves, transposed, straight
+    into the states: entering rows ``[r0, r1)`` own rows ``[r0 * 2**g, r1 *
+    2**g)`` after the tail's g steps.
+    """
+    *measuring, (closing, _) = tail
+    measuring = [(replace(b, diag=np.asarray(b.diag)), x) for b, x in measuring]  # built once
+    diag = np.asarray(closing.diag)
+    in_place = closing.shape == diag.shape[:-1]  # the closing block prepares no output
+    _, S, rows = amps.shape
+    g = sum(len(b.steps) for b, _ in measuring)
+    states = np.empty((rows << g, diag.size * S), dtype=complex)
+    step = max(1, _CHUNK // (states.shape[1] << g))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        part = amps[..., r0:r1]
+        for block, bases in measuring:
+            part = _measure(part, block, bases, slice(r0, r1))
+        t = part.reshape(closing.shape + (-1,))
+        t = np.multiply(t, diag, out=t if in_place else None)
+        states[r0 << g : r1 << g] = t.reshape(-1, (r1 - r0) << g).T
+    return states
 
 
 # A one-row run rescales its amplitudes only when their squared norm leaves
@@ -675,7 +743,9 @@ def _execute(
     A run with a source keeps one row; without one, every row splits into
     both outcomes at every measurement. ``DEFAULT_QUBIT_CAP`` bounds log2(rows)
     plus the live qubits at the run's widest point, spectators included,
-    before the run starts.
+    before the run starts. An exhaustive run's tail runs in chunks of the
+    rows entering it (see :func:`_finish`); its classical side runs over
+    all of them first, so the chunks change no bit of the result.
 
     ``members`` are input-error assignments that share the run: the input is
     framed by the first, and the ensemble and the branch words are the
@@ -709,7 +779,13 @@ def _execute(
         stray = set(errs) - set(f.inputs)
         if stray:
             raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
-        inputs.append([b & 1 for v in f.inputs for b in errs.get(v, (0, 0))])
+        for v, zx in errs.items():
+            bits = isinstance(zx, (tuple, list)) and len(zx) == 2
+            if not (bits and all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in zx)):
+                raise DimensionError(
+                    f"input error on vertex {v} must be a (z, x) pair of 0/1 bits, got {zx!r}"
+                )
+        inputs.append([int(b) for v in f.inputs for b in errs.get(v, (0, 0))])
     for i, v in plan.guards:
         if len({bits[i] for bits in inputs}) > 1:
             raise PpmError(
@@ -739,22 +815,25 @@ def _execute(
         draws = np.random.default_rng(src.seed).random(k).tolist() if seeded else src.tape
     mantissa, exponent = 1.0, 0  # one-row runs: the scale, as mantissa * 2**exponent
     outcomes, chosen = [], []  # one-row runs: outcomes so far, choices
-    for block in plan.blocks:
+    tail = []  # an exhaustive run's last measuring block and closing block, with their bases
+    for at, block in enumerate(plan.blocks):
         for anf, bit in block.defs:
             word = word & ~bit | _evaluate(anf, word) * bit
         if src is None:  # row r splits into rows 2r (outcome 0) and 2r + 1
-            if not block.steps:  # the closing block, in place when it prepares no output
-                t = amps.reshape(block.shape + (-1,))
-                out = t if block.shape == block.diag.shape[:-1] else None
-                amps = np.multiply(t, block.diag, out=out)
-            for i, (anf, bit) in enumerate(block.steps):
-                value = _evaluate(anf, word)
-                amps = _split(amps, value == 0, not anf, None if i else block)
+            # No choice reads an outcome of its block, so each is evaluated
+            # over the rows entering the block.
+            values = [_evaluate(anf, word) for anf, _ in block.steps]
+            for _, bit in block.steps:
                 kids = np.empty((len(word), 2), dtype=word.dtype)  # faster than a broadcast OR
                 np.bitwise_and(word, ~bit, out=kids[:, 0])
                 np.bitwise_or(kids[:, 0], bit, out=kids[:, 1])
                 word = kids.reshape(-1)
-                chosen.append(value)
+            chosen += values
+            bases = [_basis(value) for value in values]
+            if at < len(plan.blocks) - 2:
+                amps = _measure(amps, block, bases)
+            else:
+                tail.append((block, bases))
             continue
         # One row: ``kid`` holds the 2**g halves of the block's g measured
         # qubits as rows (g = 0 closes); their real Gram product gives every
@@ -793,9 +872,9 @@ def _execute(
             exponent += shift
 
     rows = 1 << k if src is None else 1
-    # Rows by (outputs in fragment order, spectators), copied rows first, so
-    # each weight is one contiguous pass over its row's floats.
-    states = np.ascontiguousarray(amps.reshape(-1, rows).T)
+    # Rows by (outputs in fragment order, spectators), rows first, so each
+    # weight is one contiguous pass over its row's floats.
+    states = amps.reshape(1, -1) if src is not None else _finish(amps, tail)
     weights = np.einsum("ij,ij->i", states.view(float), states.view(float))
     codes = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
     frames = _corrections(plan, word, codes).reshape(len(members), len(f.outputs), 2, rows)

@@ -29,7 +29,17 @@ from ppmbqc.executor import (
     measurement_order,
     run_fragment,
 )
-from ppmbqc.fragments import BrickSettings, brick, cz_fragment, e_fragment, xhalf_fragment
+from ppmbqc.fragments import (
+    LEFT_LANE_GATES,
+    RIGHT_LANE_GATES,
+    BrickSettings,
+    brick,
+    builtin_fragment,
+    builtin_names,
+    cz_fragment,
+    e_fragment,
+    xhalf_fragment,
+)
 from ppmbqc.pattern import (
     BASIS_BY_CHOICE,
     Correction,
@@ -904,6 +914,18 @@ def test_a_definition_that_only_corrections_read_shares_the_run():
         executor._execute(g, None, psi, members, 1)
 
 
+def _sharing_members(f, errs):
+    """Every input-error assignment that agrees with ``errs`` on the guarded errors, it first."""
+    drawn = [b for v in f.inputs for b in errs[v]]
+    guarded = [i for i, _ in executor._plan(f).guards]
+    members = [
+        {v: bits[2 * i : 2 * i + 2] for i, v in enumerate(f.inputs)}
+        for bits in itertools.product((0, 1), repeat=len(drawn))
+        if all(bits[i] == drawn[i] for i in guarded)
+    ]
+    return sorted(members, key=lambda m: m != errs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(adaptive_fragments(definitions=True), st.integers(0, 1), st.integers(0, 2**32 - 1))
 def test_a_shared_run_gives_each_member_its_own_frames(case, spectators, seed):
@@ -917,18 +939,85 @@ def test_a_shared_run_gives_each_member_its_own_frames(case, spectators, seed):
     width = len(f.inputs) + spectators
     amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
     psi = Statevector(width, amps / np.linalg.norm(amps))
-    drawn = [b for v in f.inputs for b in errs[v]]
-    guarded = [i for i, _ in executor._plan(f).guards]
-    members = [
-        {v: bits[2 * i : 2 * i + 2] for i, v in enumerate(f.inputs)}
-        for bits in itertools.product((0, 1), repeat=len(drawn))
-        if all(bits[i] == drawn[i] for i in guarded)
-    ]
-    members.sort(key=lambda m: m != errs)
+    members = _sharing_members(f, errs)
     ens, frames = executor._execute(f, None, psi, members, spectators)
     assert len(frames) == len(members) and np.array_equal(frames[0], ens.frames)
     for member, got in zip(members, frames):
         assert np.array_equal(got, enumerate_fragment(f, psi, member, spectators).frames)
+
+
+def assert_chunking_changes_nothing(f, psi, members, spectators):
+    # One entering row per chunk, then one chunk for every row.
+    runs = []
+    for chunk in (1, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(executor, "_CHUNK", chunk)
+            ens, frames = executor._execute(f, None, psi, members, spectators)
+        runs.append([ens.states, ens.weights, ens.possible, ens.outcomes, ens.choices, frames])
+    for a, b in zip(*runs):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(definitions=True), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_chunks_of_the_exhaustive_tail_change_no_result(case, spectators, seed):
+    f, errs = case
+    rng = np.random.default_rng(seed)
+    width = len(f.inputs) + spectators
+    amps = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    psi = Statevector(width, amps / np.linalg.norm(amps))
+    assert_chunking_changes_nothing(f, psi, _sharing_members(f, errs), spectators)
+
+
+BUILTINS = [n for n in builtin_names() if n != "hier_m{K}"] + ["hier_m1", "hier_m2", "hier_m3"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_chunks_change_no_builtin_run(name):
+    from ppmbqc.verifier import choi_input
+
+    f, _ = builtin_fragment(name)
+    n = len(f.inputs)
+    errs = {v: (i & 1, 1) for i, v in enumerate(f.inputs)}
+    assert_chunking_changes_nothing(f, random_state(n), _sharing_members(f, errs), 0)
+    assert_chunking_changes_nothing(f, choi_input(n), _sharing_members(f, errs), n)
+
+
+def test_chunks_change_no_brick_run():
+    from ppmbqc.verifier import choi_input
+
+    # Every setting once, at 0 and at n spectators in turn: a run of one
+    # entering row per chunk takes 4 096 chunks here.
+    triples = list(itertools.product(LEFT_LANE_GATES, RIGHT_LANE_GATES, (0, 1)))
+    assert len(triples) == 98
+    for i, (left, right, cz) in enumerate(triples):
+        f = brick(BrickSettings(left, right, cz))
+        n = len(f.inputs)
+        psi, spectators = (random_state(n), 0) if i % 2 else (choi_input(n), n)
+        members = [{v: (i >> 1 & 1, i >> 2 & 1) for v in f.inputs}]
+        assert_chunking_changes_nothing(f, psi, members, spectators)
+
+
+def test_an_exhaustive_run_peaks_below_one_and_a_half_states():
+    # The tail writes its leaves straight into the rows-first states, chunk
+    # by chunk: no full-size children array in the last block and no
+    # transposed copy of the whole register.
+    import tracemalloc
+
+    from ppmbqc.verifier import choi_input
+
+    f = brick(BrickSettings("T", "HTH", 0))
+    n = len(f.inputs)
+    psi = choi_input(n)
+    executor._plan(f)  # the plan and its diagonals are the fragment's, not the run's
+    tracemalloc.start()
+    try:
+        ens, _ = executor._execute(f, None, psi, [None], n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.states.nbytes == 4 << 20
+    assert peak < 1.6 * ens.states.nbytes
 
 
 def test_input_errors_must_name_input_vertices():
@@ -938,6 +1027,13 @@ def test_input_errors_must_name_input_vertices():
         run_fragment(f, zero_state(1), {1: (1, 0)}, OutcomeSource.fixed([0]))
     with pytest.raises(DimensionError):
         enumerate_fragment(f, zero_state(1), {1: (0, 1)})
+
+
+@pytest.mark.parametrize("errs", [{0: (2, 0)}, {0: (1,)}, {0: (0.5, 0)}, {0: 1}])
+@pytest.mark.parametrize("run", [run_fragment, enumerate_fragment])
+def test_input_errors_must_be_pairs_of_bits(errs, run):
+    with pytest.raises(DimensionError, match=r"input error on vertex 0 must be a \(z, x\) pair"):
+        run(e_fragment("T"), plus_state(1), errs)
 
 
 def test_runs_leave_the_callers_input_state_untouched():
