@@ -4,14 +4,15 @@ Subcommands: ``verify`` (certify a fragment against a target gate),
 ``run`` (execute a pattern), ``compile`` (circuit text to brickwork
 pattern), ``table`` (derive the certified brick settings table) and
 ``depth`` (feed-forward rounds). Exit codes: 0 success, 1 verification
-failure, 2 usage error. With ``--json`` stdout is machine-readable JSON on
-every path, including errors.
+failure, 2 usage error or a stdout whose reader has gone. With ``--json``
+stdout is machine-readable JSON on every path, including errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -220,7 +221,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        code = _main(list(sys.argv[1:]) if argv is None else list(argv))
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # nothing more can reach stdout's reader
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+
+
+def _main(argv: list[str]) -> int:
     as_json = "--json" in argv
     parser = _build_parser()
     try:

@@ -33,11 +33,12 @@ loop runs over the rows. A qubit joins the register in |+>, at its place in
 that order, when its first edge or measurement needs it, and leaves it once
 measured.
 
-Only the choice of surviving outcome rows depends on the source: exhaustive
-enumeration applies each block's diagonal once and splits every row into
-both outcomes at each step (row r into rows 2r and 2r+1, written as a
-trailing outcome axis, so the first measurement is the most significant bit
-of the branch index), a seeded shot draws one outcome from the branch
+Every block, the closing one included, is one multiply of the register by
+its diagonal, then its steps; only the choice of surviving outcome rows
+depends on the source. Exhaustive enumeration splits every row into both
+outcomes at each step (row r into rows 2r and 2r+1, written as a trailing
+outcome axis, so the first measurement is the most significant bit of the
+branch index), a seeded shot draws one outcome from the branch
 distribution, and a tape forces it. A run with a source keeps one row, so
 its branch word is one Python int; an exhaustive run keeps one word per row,
 and a split hands each row's word to both children. No choice reads an
@@ -45,17 +46,14 @@ outcome of its block, so an exhaustive run evaluates each step's choice,
 and decides between X, Z and a per-row blend, once over the rows that
 enter the block. Its tail, the last measuring block and the closing block,
 then runs over chunks of those rows, each writing at most ``_CHUNK``
-amplitudes: every chunk makes the same splits and closing multiply as the
-whole array would, in arrays that stay in cache, and writes its leaves
-transposed straight into the rows-first states, so no run makes a
-full-size children array in its last block nor a transposed copy of the
-whole register. A one-row run measures a block of g steps at once: a fixed
-matrix per basis pattern turns one real Gram product of the 2**g halves of
-the block's measured qubits into the weight of every outcome prefix, the
-outcomes are drawn from those step by step, and only the drawn child is
-built. The amplitudes stay unnormalized, so their weight times the run's
-scale is the branch probability, and are rescaled only when that weight
-leaves ``[2**-500, 2**500]``.
+amplitudes in arrays that stay in cache, and writes its leaves transposed
+straight into the rows-first states. A one-row run measures a block of g
+steps at once: a fixed matrix per basis pattern turns one real Gram
+product of the 2**g halves of the block's measured qubits into the weight
+of every outcome prefix, the outcomes are drawn from those step by step,
+and only the drawn child is built. The amplitudes stay unnormalized, so
+their weight times the run's scale is the branch probability, and are
+rescaled only when that weight leaves ``[2**-500, 2**500]``.
 
 An exhaustive run may carry several input-error assignments (members) that
 agree on every input error a choice reads, directly or through definitions.
@@ -107,6 +105,11 @@ from .statevec import (
 from .unitaries import apply_frames, frame_codes
 
 
+def _natural(value) -> bool:
+    """Whether ``value`` is a non-negative integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class OutcomeSource:
     """Where measurement outcomes come from.
@@ -126,6 +129,8 @@ class OutcomeSource:
             raise ValueError(f"unknown outcome mode {self.mode!r}")
         if any(b not in (0, 1) for b in self.tape):
             raise ValueError(f"tape entries must be 0 or 1, got {list(self.tape)}")
+        if not _natural(self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "tape", tuple(int(b) for b in self.tape))
 
     @staticmethod
@@ -303,13 +308,15 @@ class _Block:
     ``1/sqrt(2)``. The closing block has no steps.
 
     The register holds the live qubits in measurement order, so the block's
-    measured vertices lead. ``shape`` views it as the first one's axis (1
-    if it is fresh), then one axis per run of live qubits and a size-1 axis
-    per run of fresh ones. ``diag``, of the same rank plus a trailing axis
-    of 1, is the product of the block's edge phases over the register after
-    allocation (step diagonals commute), times ``2**(-f/2)`` for the ``f``
-    fresh |+> qubits and ``1/sqrt(2)`` for each X step with an empty choice.
-    ``diag`` is :class:`_Deferred` when the plan does not keep it.
+    measured vertices lead. ``shape`` views it as one axis per run of live
+    qubits and a size-1 axis per run of fresh ones. ``diag``, of the same
+    rank plus a trailing axis of 1, is the product of the block's edge
+    phases over the register after allocation (step diagonals commute),
+    times ``2**(-f/2)`` for the ``f`` fresh |+> qubits and ``1/sqrt(2)`` for
+    each X step with an empty choice. ``diag`` is :class:`_Deferred` when
+    the plan does not keep it. Every block, the closing one included, runs
+    as one multiply of the register, viewed as ``shape``, by ``diag``, then
+    its steps.
     """
 
     shape: tuple[int, ...]
@@ -501,10 +508,9 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         # The closing block, at j = k, takes the edges between unmeasured vertices.
         star = [edge for i in range(j, j + max(len(steps), 1)) for edge in edges[i]]
         scale = 2.0 ** (-(len(new) + sum(not fn.monomials for fn, _ in steps)) / 2)
-        runs = [(w in new, [w]) for w in register[:1]]  # the measured qubit is a run of its own
-        runs += [(b, list(g)) for b, g in itertools.groupby(register[1:], new.__contains__)]
-        view = tuple(1 if b else 1 << len(g) for b, g in runs)
-        shape = (*(1 << len(g) for _, g in runs), 1)
+        runs = [(b, len(list(g))) for b, g in itertools.groupby(register, new.__contains__)]
+        view = tuple(1 if b else 1 << m for b, m in runs)
+        shape = (*(1 << m for _, m in runs), 1)
         where = tuple(sorted((register.index(u), register.index(w), m) for u, w, m in star))
         key = (view, shape, scale, where)
         if key not in shared:
@@ -593,64 +599,49 @@ def _basis(value) -> bool | np.ndarray:
     return True if x.all() else x if x.any() else False
 
 
-def _split(amps: np.ndarray, x, scaled: bool, block: _Block | None = None) -> np.ndarray:
+def _split(amps: np.ndarray, x, scaled: bool) -> np.ndarray:
     """Measure the leading qubit on every row: row r of ``amps`` becomes rows 2r and 2r + 1.
 
-    ``amps`` has shape ``(2**live, spectators, rows)``. At a block's first
-    step, ``block`` is given: each half times its half of the block's
-    diagonal is written straight into the children, which also prepares the
-    block's fresh qubits; later steps take the halves a0, a1 as they are. Z
-    keeps the halves; X makes them ``a0 + a1`` and ``a0 - a1``, times
-    ``1/sqrt(2)`` unless the diagonal holds it (``scaled``). ``x`` is a
-    :func:`_basis`, with a bool per row of ``amps``: rows are the inner
-    axis, so a per-row ``x`` blends the two bases with per-row
+    ``amps`` has shape ``(2**live, spectators, rows)``, with its block's
+    diagonal applied (see :func:`_measure`), and a0, a1 are the halves of
+    its leading qubit. Z keeps them; X makes them ``a0 + a1`` and ``a0 -
+    a1``, times ``1/sqrt(2)`` unless the diagonal holds it (``scaled``).
+    ``x`` is a :func:`_basis`, with a bool per row of ``amps``: rows are the
+    inner axis, so a per-row ``x`` blends the two bases with per-row
     coefficients, without masks.
     """
     N, S, rows = amps.shape
-    first = block is not None
-    if first:  # the children hold the halves; a fresh measured qubit has one
-        t, diag = amps.reshape(block.shape + (S, rows)), np.asarray(block.diag)[..., None]
-        kids = np.empty(diag.shape[1:-2] + (S, rows, 2), dtype=complex)
-        for b in (0, 1):  # one call per outcome, so the inner loop runs over the rows
-            np.multiply(t[b * (len(t) - 1)], diag[b], out=kids[..., b])
-        a0, a1 = kids[..., 0], kids[..., 1]
-    else:
-        a0, a1 = amps.reshape(2, N // 2, S, rows)
-        kids = np.empty((N // 2, S, rows, 2), dtype=complex)
+    a0, a1 = amps.reshape(2, N // 2, S, rows)
+    kids = np.empty((N // 2, S, rows, 2), dtype=complex)
     k0, k1 = kids[..., 0], kids[..., 1]
     if x is True:
-        if first:  # in place: a1 <- a0 - a1, then a0 <- 2 a0 - a1
-            np.subtract(a0, a1, out=a1)
-            np.multiply(a0, 2.0, out=a0)
-            np.subtract(a0, a1, out=a0)
-        else:
-            np.add(a0, a1, out=k0)
-            np.subtract(a0, a1, out=k1)
+        np.add(a0, a1, out=k0)
+        np.subtract(a0, a1, out=k1)
         if not scaled:
             np.multiply(kids, SQRT2_INV, out=kids)
     elif x is False:
-        if not first:
-            k0[...], k1[...] = a0, a1
+        k0[...], k1[...] = a0, a1
     else:  # X rows: (a0 + a1, a0 - a1) / sqrt(2); Z rows keep (a0, a1)
         h = np.where(x, SQRT2_INV, 0.0)
-        t = a0 * h  # before k0, which may be a0, is written
         np.multiply(a0, np.where(x, SQRT2_INV, 1.0), out=k0)
         k0 += a1 * h
         np.multiply(a1, np.where(x, -SQRT2_INV, 1.0), out=k1)
-        k1 += t
+        k1 += a0 * h
     return kids.reshape(-1, S, 2 * rows)
 
 
 def _measure(amps: np.ndarray, block: _Block, bases: list, rows=slice(None)) -> np.ndarray:
-    """Split every row of ``amps`` at each of the block's steps.
+    """Multiply ``amps`` by the block's diagonal, then split every row at each of its steps.
 
     ``bases`` holds each step's :func:`_basis` over the rows entering the
     block, of which ``amps`` holds ``rows``; after j steps, entering row r
     covers rows ``r * 2**j`` to ``(r + 1) * 2**j``.
     """
+    _, S, n = amps.shape
+    amps = np.multiply(amps.reshape(block.shape + (-1,)), block.diag).reshape(-1, S, n)
     for j, ((anf, _), x) in enumerate(zip(block.steps, bases)):
         x = x if isinstance(x, bool) else np.repeat(x[rows], 1 << j)
-        amps = _split(amps, x, not anf, None if j else block)
+        amps = _split(amps, x, not anf)
     return amps
 
 
@@ -665,27 +656,22 @@ def _finish(amps: np.ndarray, tail: list) -> np.ndarray:
 
     ``tail`` holds the last measuring block, if there is one, and the
     closing block, each with its steps' bases over the rows of ``amps``,
-    which enter the tail. Each chunk of those rows runs the same arithmetic
-    as the whole array would, then writes its leaves, transposed, straight
-    into the states: entering rows ``[r0, r1)`` own rows ``[r0 * 2**g, r1 *
-    2**g)`` after the tail's g steps.
+    which enter the tail. Each chunk of those rows runs each block through
+    :func:`_measure`, as the whole array would, then writes its leaves,
+    transposed, straight into the states: entering rows ``[r0, r1)`` own
+    rows ``[r0 * 2**g, r1 * 2**g)`` after the tail's g steps.
     """
-    *measuring, (closing, _) = tail
-    measuring = [(replace(b, diag=np.asarray(b.diag)), x) for b, x in measuring]  # built once
-    diag = np.asarray(closing.diag)
-    in_place = closing.shape == diag.shape[:-1]  # the closing block prepares no output
+    tail = [(replace(b, diag=np.asarray(b.diag)), x) for b, x in tail]  # built once
     _, S, rows = amps.shape
-    g = sum(len(b.steps) for b, _ in measuring)
-    states = np.empty((rows << g, diag.size * S), dtype=complex)
+    g = sum(len(b.steps) for b, _ in tail)
+    states = np.empty((rows << g, tail[-1][0].diag.size * S), dtype=complex)
     step = max(1, _CHUNK // (states.shape[1] << g))
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         part = amps[..., r0:r1]
-        for block, bases in measuring:
+        for block, bases in tail:
             part = _measure(part, block, bases, slice(r0, r1))
-        t = part.reshape(closing.shape + (-1,))
-        t = np.multiply(t, diag, out=t if in_place else None)
-        states[r0 << g : r1 << g] = t.reshape(-1, (r1 - r0) << g).T
+        states[r0 << g : r1 << g] = part.reshape(-1, (r1 - r0) << g).T
     return states
 
 
@@ -756,6 +742,8 @@ def _execute(
     member's frames, of shape ``(members, rows, outputs, 2)``: see
     :func:`_corrections`.
     """
+    if not _natural(spectators):
+        raise DimensionError(f"spectators must be a non-negative integer, got {spectators!r}")
     n_in = len(f.inputs)
     if input_state is None:
         input_state = plus_state(0)

@@ -122,11 +122,18 @@ def test_run_pattern_with_tape_and_branches(tmp_path, capsys):
     assert payload["outcomes"] == {"a": 1}
     assert payload["probability"] == pytest.approx(0.5)
 
-    # One bit per measurement, and a tape never goes with --branches.
-    for extra in (("--tape", "0111"), ("--branches", "all", "--tape", "1")):
+    # One bit per measurement, a tape never goes with --branches, and a
+    # seed is never negative.
+    for extra in (
+        ("--tape", "0111"),
+        ("--branches", "all", "--tape", "1"),
+        ("--seed=-1",),
+        ("--branches", "sample:2", "--seed=-1"),
+    ):
         code, out, _ = run_cli(capsys, "--json", "run", str(path), *extra)
         assert code == 2
-        assert "error" in json.loads(out)
+        error = json.loads(out)["error"]
+        assert "--seed=-1" not in extra or error == "seed must be a non-negative integer, got -1"
 
     code, out, _ = run_cli(capsys, "--json", "run", str(path), "--branches", "all")
     assert code == 0
@@ -496,9 +503,14 @@ def test_table_command_reproduces_the_shipped_table(tmp_path, capsys):
             assert got[key] == want[key], key
 
 
-def test_module_entry_point_keeps_the_exit_codes():
+def module_env(**extra) -> dict[str, str]:
+    """The environment for ``python -m ppmbqc`` with this checkout's ``src`` first."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
+def test_module_entry_point_keeps_the_exit_codes():
+    env = module_env()
 
     def run(*argv):
         return subprocess.run(
@@ -510,3 +522,22 @@ def test_module_entry_point_keeps_the_exit_codes():
     missing = run("--json", "depth", "/nonexistent")
     assert missing.returncode == 2
     assert "error" in json.loads(missing.stdout)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [("--json",), ()], ids=["json", "plain"])
+def test_a_closed_stdout_exits_two_without_a_traceback(argv, unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "ppmbqc", *argv, "verify", "builtin:xhalf"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=module_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

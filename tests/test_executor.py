@@ -1020,6 +1020,57 @@ def test_an_exhaustive_run_peaks_below_one_and_a_half_states():
     assert peak < 1.6 * ens.states.nbytes
 
 
+def split_by_definition(amps, x, scaled):
+    """Row r of ``amps`` into rows 2r and 2r + 1, one row at a time."""
+    N, S, rows = amps.shape
+    out = np.empty((N // 2, S, 2 * rows), dtype=complex)
+    for r in range(rows):
+        a0, a1 = amps[: N // 2, :, r], amps[N // 2 :, :, r]
+        if x is True or (x is not False and x[r]):
+            c = 1.0 if scaled else math.sqrt(0.5)
+            out[..., 2 * r], out[..., 2 * r + 1] = c * (a0 + a1), c * (a0 - a1)
+        else:
+            out[..., 2 * r], out[..., 2 * r + 1] = a0, a1
+    return out
+
+
+@pytest.mark.parametrize(
+    "x, scaled",
+    [(True, False), (True, True), (False, False), ("blend", False)],
+    ids=["X", "X-scaled", "Z", "blend"],
+)
+@pytest.mark.parametrize("live, S, rows", [(1, 1, 1), (2, 1, 5), (3, 4, 6)])
+def test_a_split_follows_its_definition_row_by_row(x, scaled, live, S, rows):
+    amps = RNG.normal(size=(1 << live, S, rows)) + 1j * RNG.normal(size=(1 << live, S, rows))
+    if x == "blend":
+        x = np.arange(rows) % 2 == 1
+    before = amps.copy()
+    got = executor._split(amps, x, scaled)
+    assert got.shape == (1 << (live - 1), S, 2 * rows)
+    assert np.allclose(got, split_by_definition(amps, x, scaled), rtol=0, atol=1e-15)
+    assert np.array_equal(amps, before)
+
+
+@pytest.mark.parametrize("basis", [True, False, "blend"], ids=["X", "Z", "blend"])
+@pytest.mark.parametrize("name", ["e_t", "cz_on", "brick"])
+def test_a_block_is_its_diagonal_then_its_splits(name, basis):
+    S, rows = 2, 3
+    if basis == "blend":  # X on the first entering row only
+        basis = np.array([True, False, False])
+    for block in executor._plan(builtin_fragment(name)[0]).blocks:
+        diag = np.asarray(block.diag)
+        n = math.prod(block.shape)
+        amps = RNG.normal(size=(n, S, rows)) + 1j * RNG.normal(size=(n, S, rows))
+        # An empty choice measures X, whose 1/sqrt(2) the diagonal holds.
+        bases = [basis if anf else True for anf, _ in block.steps]
+        want = (amps.reshape(block.shape + (-1,)) * diag).reshape(-1, S, rows)
+        for j, ((anf, _), x) in enumerate(zip(block.steps, bases)):
+            x = x if isinstance(x, bool) else np.repeat(x, 1 << j)
+            want = split_by_definition(want, x, not anf)
+        got = executor._measure(amps, block, bases)
+        assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-14)
+
+
 def test_input_errors_must_name_input_vertices():
     f = xhalf_fragment()
     assert f.inputs == (0,)
@@ -1069,8 +1120,17 @@ def test_runs_leave_the_callers_input_state_untouched():
         (lambda: OutcomeSource("other"), ValueError, "unknown outcome mode 'other'", None),
         (lambda: enumerate_fragment(xhalf_fragment(), zero_state(2), spectators=1),
          StateSizeError, "2 qubits exceed cap 1", 1),
+        (lambda: run_fragment(xhalf_fragment(), plus_state(0), spectators=-1),
+         DimensionError, "spectators must be a non-negative integer, got -1", None),
+        (lambda: enumerate_fragment(xhalf_fragment(), plus_state(2), spectators=True),
+         DimensionError, "spectators must be a non-negative integer, got True", None),
+        (lambda: OutcomeSource.seeded(-1),
+         ValueError, "seed must be a non-negative integer, got -1", None),
+        (lambda: OutcomeSource("seeded", seed=1.5),
+         ValueError, "seed must be a non-negative integer, got 1.5", None),
     ],
-    ids=["input-size", "short-tape", "unknown-mode", "input-over-cap"],
+    ids=["input-size", "short-tape", "unknown-mode", "input-over-cap", "negative-spectators",
+         "bool-spectators", "negative-seed", "float-seed"],
 )
 def test_malformed_execution_inputs_raise(call, error, message, cap, monkeypatch):
     if cap is not None:
