@@ -57,13 +57,15 @@ rescaled only when that weight leaves ``[2**-500, 2**500]``.
 
 An exhaustive run may carry several input-error assignments (members) that
 agree on every input error a choice reads, directly or through definitions.
-They share the amplitudes, which are framed by the first, and its branch
-words; each gets its own corrections. The other input errors are the same
-on every row, so the plan factors every definition and correction that
-reads them into row parts, one per monomial of those errors, by
-substituting each factored definition's own factored form: each row part
-is a value like any other, and a member's correction is the XOR of the row
-parts whose error monomial it sets.
+Members, and the output frames a run returns, are frame codes in the one
+convention of :func:`~ppmbqc.unitaries.frame_bits`. Members share the
+amplitudes, which are framed by the first, and its branch words; each gets
+its own corrections. The other input errors are the same on every row, so
+the plan factors every definition and correction that reads them into row
+parts, one per monomial of those errors, by substituting each factored
+definition's own factored form: each row part is a value like any other,
+and a member's correction is the XOR of the row parts whose error monomial
+it sets.
 
 Only the engine decides which branches are possible, by the rule shots use:
 every measurement on the branch had conditional probability at least
@@ -102,7 +104,7 @@ from .statevec import (
     phase_table,
     plus_state,
 )
-from .unitaries import apply_frames, frame_codes
+from .unitaries import apply_frames, frame_bits
 
 
 def _natural(value) -> bool:
@@ -205,7 +207,9 @@ class BranchEnsemble:
     ``[2**-500, 2**500]``; ``scale`` takes the factor out, and a deep run's
     scale can underflow, so ``log2_scale`` keeps its base-2 logarithm.
     ``possible`` is the engine's verdict on each row: every measurement on
-    it had conditional probability at least ``IMPOSSIBLE_PROB``. Branch
+    it had conditional probability at least ``IMPOSSIBLE_PROB``. ``frames``
+    holds each row's output frame code, which :func:`frame_bits` unpacks
+    into each output's ``(zeta, xi)``. Branch
     index bits follow ``order`` with the first measurement as the most
     significant bit. The ``(steps, rows)`` uint8 ``outcomes`` and
     ``choices`` are built on first read: from the row index, or ``drawn``
@@ -221,7 +225,7 @@ class BranchEnsemble:
     possible: np.ndarray  # (rows,) bool
     chosen: list  # per step: an array over the rows entering its block, or an int
     error_bits: dict[str, int]
-    frames: np.ndarray  # (rows, outputs, 2): each output's (zeta, xi)
+    frames: np.ndarray  # (rows,) output frame codes, in the narrowest unsigned type
     scale: float = 1.0
     log2_scale: float = 0.0
     drawn: list[int] | None = None  # a one-row run's outcomes
@@ -259,7 +263,8 @@ class BranchEnsemble:
         else:  # one row: its lists as they are
             outcomes, choices = [self.drawn], [self.chosen]
         out = []
-        per_row = zip(self.weights.tolist(), self.possible.tolist(), self.frames.tolist())
+        frames = frame_bits(self.frames, len(f.outputs)).tolist()
+        per_row = zip(self.weights.tolist(), self.possible.tolist(), frames)
         for r, (w, ok, frame) in enumerate(per_row):
             got = dict(zip(self.names, outcomes[r]))
             out.append(
@@ -341,15 +346,16 @@ class _Plan:
     run's, its widest block, then an exhaustive run's, the most log2(rows)
     plus register at any block.
 
-    ``guards`` pairs each guarded input error, by its index in
-    ``error_variables``, with the first vertex whose choice reads it,
-    directly or through definitions, in that vertex's order: a run's members
-    must agree on them. ``corrections`` lists each output's zeta then xi,
-    read after the last block, as ``(anf, terms)``: ``anf`` gives it at the
-    first member, and each ``(errs, row)`` term adds the compiled ANF
-    ``row`` where a member and the first differ on the product of the free
-    (unguarded) errors in the mask ``errs``, over their bits in
-    ``error_variables`` order.
+    Input errors enter ``guards`` and ``corrections`` by their bit in an
+    input-error frame code (see :func:`frame_bits`), the form a run's
+    members take. ``guards`` pairs each guarded input error's bit with the
+    first vertex whose choice reads it, directly or through definitions, in
+    that vertex's order: a run's members must agree on them.
+    ``corrections`` lists each output's zeta then xi, read after the last
+    block, as ``(anf, terms)``: ``anf`` gives it at the first member, and
+    each ``(errs, row)`` term adds the compiled ANF ``row`` where a member
+    and the first differ on the product of the free (unguarded) errors
+    whose bits the mask ``errs`` sets.
     """
 
     order: tuple[int, ...]
@@ -423,6 +429,7 @@ def _compile_plan(f: PatternFragment) -> _Plan:
             for name in sorted(reads.get(var, ())):
                 guards.setdefault(name, v)
     free = set(errors) - set(guards)
+    code_bit = {name: 1 << i for i, name in enumerate(reversed(errors))}  # frame_bits order
     forms: dict[str, BoolFn] = {}
     parts: dict[str, list[tuple[tuple, BoolFn]]] = {}  # each factored definition's new ones
     for name, fn in f.frames.items():
@@ -531,11 +538,11 @@ def _compile_plan(f: PatternFragment) -> _Plan:
         tuple(blocks),
         tuple(sorted(range(len(f.inputs)), key=lambda i: rank[f.inputs[i]])),
         tuple(
-            (compiled(fn), tuple((sum(1 << errors.index(e) for e in S), compiled(c)) for S, c in t))
+            (compiled(fn), tuple((sum(code_bit[e] for e in S), compiled(c)) for S, c in t))
             for fn, t in zip(corrections, terms)
         ),
         tuple(bit[name] for name in errors),
-        tuple((errors.index(name), v) for name, v in guards.items()),
+        tuple((code_bit[name], v) for name, v in guards.items()),
         next(slots),  # the bits ever taken
         peaks,
     )
@@ -569,23 +576,29 @@ def _evaluate(anf: CompiledAnf, words):
 
 
 def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
-    """Every member's corrections over the rows: ``(members, corrections) + word.shape``.
+    """Every member's output frame code on every row: ``(members, rows)``.
 
     ``word`` is the final branch word (per row) and ``members`` holds each
-    member's input-error bits in ``error_variables`` order. A member's
-    correction is the first member's, XOR the row parts of the terms whose
-    free errors the two set differently. Each row part is evaluated once
-    over the rows, and only if some member differs on it.
+    member's input-error frame code. The output codes follow
+    :func:`frame_bits`, in the narrowest unsigned type that holds them
+    (48 bits at most: the outputs fit the qubit cap). The first member's
+    codes are built once; each other member's are a copy, XOR the row parts
+    of the terms whose free errors it and the first set differently. Each
+    row part is evaluated once over the rows, and only if some member
+    differs on it.
     """
-    out = np.empty((len(members), len(plan.corrections)) + np.shape(word), dtype=np.uint8)
-    first = members[0]
-    for i, (anf, terms) in enumerate(plan.corrections):
-        out[:, i] = _evaluate(anf, word)
+    shifts = range(len(plan.corrections) - 1, -1, -1)  # zeta then xi, output 0 first
+    dtype = np.min_scalar_type((1 << len(plan.corrections)) - 1)
+    first = np.zeros(np.size(word), dtype)
+    for shift, (anf, _) in zip(shifts, plan.corrections):
+        first |= np.asarray(_evaluate(anf, word), dtype) << shift
+    out = np.repeat(first[None], len(members), axis=0)
+    for shift, (_, terms) in zip(shifts, plan.corrections):
         for errs, row in terms:
-            sets = first & errs == errs
+            sets = members[0] & errs == errs
             differ = [m for m, e in enumerate(members) if (e & errs == errs) != sets]
             if differ:
-                out[differ, i] ^= np.asarray(_evaluate(row, word), dtype=np.uint8)
+                out[differ] ^= np.asarray(_evaluate(row, word), dtype) << shift
     return out
 
 
@@ -721,7 +734,7 @@ def _execute(
     f: PatternFragment,
     src: OutcomeSource | None,
     input_state: Statevector | None,
-    members: list[dict[int, tuple[int, int]] | None],
+    members: list[int],
     spectators: int,
 ) -> tuple[BranchEnsemble, np.ndarray]:
     """Run the fragment's plan with outcomes from ``src``, or all of them if None.
@@ -733,14 +746,14 @@ def _execute(
     rows entering it (see :func:`_finish`); its classical side runs over
     all of them first, so the chunks change no bit of the result.
 
-    ``members`` are input-error assignments that share the run: the input is
-    framed by the first, and the ensemble and the branch words are the
-    first's, one word per row. Before the run starts, ``PpmError`` refuses
-    members that differ on a guarded input error, one that a choice reads
-    directly or through definitions, naming the first such vertex; a run
-    with a source takes one member. Returned next to the ensemble are every
-    member's frames, of shape ``(members, rows, outputs, 2)``: see
-    :func:`_corrections`.
+    ``members`` are the frame codes of the input-error assignments that
+    share the run (see :func:`_error_code`): the input is framed by the
+    first, and the ensemble and the branch words are the first's, one word
+    per row. Before the run starts, ``PpmError`` refuses members that differ
+    on a guarded input error, one that a choice reads directly or through
+    definitions, naming the first such vertex; a run with a source takes one
+    member. Returned next to the ensemble are every member's output frame
+    codes, ``(members, rows)``: see :func:`_corrections`.
     """
     if not _natural(spectators):
         raise DimensionError(f"spectators must be a non-negative integer, got {spectators!r}")
@@ -761,28 +774,15 @@ def _execute(
     k = len(plan.order)
     if src is not None and src.mode == "tape" and len(src.tape) < k:
         raise PpmError(f"tape of {len(src.tape)} bits is shorter than {k} measurements")
-    inputs = []  # each member's (z, x) per input wire, in error-variable order
-    for errs in members:
-        errs = errs or {}
-        stray = set(errs) - set(f.inputs)
-        if stray:
-            raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
-        for v, zx in errs.items():
-            bits = isinstance(zx, (tuple, list)) and len(zx) == 2
-            if not (bits and all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in zx)):
-                raise DimensionError(
-                    f"input error on vertex {v} must be a (z, x) pair of 0/1 bits, got {zx!r}"
-                )
-        inputs.append([int(b) for v in f.inputs for b in errs.get(v, (0, 0))])
-    for i, v in plan.guards:
-        if len({bits[i] for bits in inputs}) > 1:
+    for bit, v in plan.guards:
+        if len({code & bit for code in members}) > 1:
             raise PpmError(
                 f"input-error assignments that share a run choose differently at vertex {v}"
             )
     qubits = plan.peaks[src is None] + spectators  # at the run's widest point
     if qubits > DEFAULT_QUBIT_CAP:
         raise StateSizeError(f"{qubits} qubits would exceed cap {DEFAULT_QUBIT_CAP}")
-    frame = inputs[0]
+    frame = frame_bits(members[0], n_in).reshape(-1).tolist()  # in error-variable order
     error_bits = dict(zip(f.error_variables(), frame))
     word = sum(bit for bit, b in zip(plan.errors, frame) if b)  # one row: one Python int
     if src is None:  # one word per row, int64 while they fit
@@ -791,11 +791,7 @@ def _execute(
     # Axes (inputs in measurement order, spectators, rows): a new array, so
     # the in-place kernels below never touch the caller's state.
     S = 1 << spectators
-    framed = apply_frames(
-        frame_codes(np.reshape(frame, (n_in, 2))),
-        input_state.amplitudes.reshape(1 << n_in, S),
-        n_in,
-    )
+    framed = apply_frames(members[0], input_state.amplitudes.reshape(1 << n_in, S), n_in)
     amps = framed.reshape((2,) * n_in + (S,)).transpose(*plan.perm, n_in).reshape(-1, S, 1)
 
     if src is not None:  # one row: every seeded draw up front
@@ -859,14 +855,11 @@ def _execute(
             mantissa, shift = math.frexp(mantissa * w)
             exponent += shift
 
-    rows = 1 << k if src is None else 1
     # Rows by (outputs in fragment order, spectators), rows first, so each
     # weight is one contiguous pass over its row's floats.
     states = amps.reshape(1, -1) if src is not None else _finish(amps, tail)
     weights = np.einsum("ij,ij->i", states.view(float), states.view(float))
-    codes = [sum(b << i for i, b in enumerate(bits)) for bits in inputs]
-    frames = _corrections(plan, word, codes).reshape(len(members), len(f.outputs), 2, rows)
-    frames = frames.transpose(0, 3, 1, 2)
+    frames = _corrections(plan, word, members)
     ens = BranchEnsemble(
         list(plan.order),
         list(plan.names),
@@ -883,6 +876,25 @@ def _execute(
     return ens, frames
 
 
+def _error_code(f: PatternFragment, input_errors: dict[int, tuple[int, int]] | None) -> int:
+    """The frame code of ``input_errors``, (z, x) bits keyed by input vertex; a missing one is 0."""
+    errs = input_errors or {}
+    stray = set(errs) - set(f.inputs)
+    if stray:
+        raise DimensionError(f"input errors name non-input vertices {sorted(stray)}")
+    for v, zx in errs.items():
+        bits = isinstance(zx, (tuple, list)) and len(zx) == 2
+        if not (bits and all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in zx)):
+            raise DimensionError(
+                f"input error on vertex {v} must be a (z, x) pair of 0/1 bits, got {zx!r}"
+            )
+    code = 0
+    for v in f.inputs:
+        z, x = errs.get(v, (0, 0))
+        code = code << 2 | int(z) << 1 | int(x)
+    return code
+
+
 def run_fragment(
     f: PatternFragment,
     input_state: Statevector,
@@ -895,7 +907,8 @@ def run_fragment(
     The last ``spectators`` qubits of ``input_state`` are reference qubits
     that ride along untouched and follow the outputs in the result.
     """
-    return _execute(f, src, input_state, [input_errors], spectators)[0].traces(f)[0]
+    members = [_error_code(f, input_errors)]
+    return _execute(f, src, input_state, members, spectators)[0].traces(f)[0]
 
 
 def enumerate_fragment(
@@ -905,4 +918,4 @@ def enumerate_fragment(
     spectators: int = 0,
 ) -> BranchEnsemble:
     """Enumerate every outcome branch with shared-prefix vectorization."""
-    return _execute(f, None, input_state, [input_errors], spectators)[0]
+    return _execute(f, None, input_state, [_error_code(f, input_errors)], spectators)[0]

@@ -192,21 +192,6 @@ def frame_bits(codes, wires: int) -> np.ndarray:
     return ((codes >> shifts) & 1).astype(np.uint8)
 
 
-def frame_codes(bits) -> np.ndarray:
-    """Pack ``(..., wires, 2)`` frame bits into int64 codes; inverse of :func:`frame_bits`.
-
-    The bits are shifted in one by one, most significant first, in the
-    narrowest unsigned type that holds a code, and widened once at the end.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    wires = bits.shape[-2]
-    codes = np.zeros(bits.shape[:-2], dtype=np.min_scalar_type((1 << (2 * wires)) - 1))
-    for w in range(wires):
-        for b in (0, 1):
-            codes = (codes << 1) | bits[..., w, b]
-    return codes.astype(np.int64)
-
-
 def apply_frames(codes, mat: np.ndarray, wires: int) -> np.ndarray:
     """``X^x Z^z mat`` for each frame code, acting on the first axis of ``mat``.
 

@@ -18,7 +18,8 @@ plus row parts where their other input errors differ, and refuses a shared
 run whose combinations a choice could tell apart.
 Sampled runs stay one seeded run per combination and sample. Verification
 and inference both draw their runs, with each member's frame table, from
-the one generator :func:`_runs`.
+the one generator :func:`_runs`. Combinations and the engine's output
+frames are frame codes throughout, unpacked only for records and fits.
 
 Scoring takes one matrix product per frame group (see :func:`_score`):
 the rows a run shares are sorted by the frame code of its first member,
@@ -36,11 +37,11 @@ import numpy as np
 
 from .boolfn import mobius_anf
 from .errors import DimensionError, InferenceError, TableDerivationError
-from .executor import BranchEnsemble, OutcomeSource, _execute, _plan, enumerate_fragment
+from .executor import BranchEnsemble, OutcomeSource, _execute, _plan
 from .fragments import LEFT_LANE_GATES, BrickSettings, brick
 from .pattern import BASIS_BY_CHOICE, Correction, PatternFragment
 from .statevec import Statevector
-from .unitaries import apply_frames, frame_bits, frame_codes, is_unitary, unitary_from_label
+from .unitaries import apply_frames, frame_bits, is_unitary, unitary_from_label
 
 FIT_TOL = 1e-7
 # Largest number of branch records a report keeps by default; its JSON lists what it kept.
@@ -124,12 +125,6 @@ def choi_input(wires: int) -> Statevector:
     return Statevector(2 * wires, amps)
 
 
-def _error_combos(inputs: tuple[int, ...]):
-    """All (z, x) bit pairs keyed by input vertex, in frame-code order."""
-    for bits in frame_bits(np.arange(1 << (2 * len(inputs))), len(inputs)).tolist():
-        yield dict(zip(inputs, map(tuple, bits))), tuple(b for zx in bits for b in zx)
-
-
 def _frame_table(base: np.ndarray, wires: int) -> np.ndarray:
     """``base`` dressed with every frame, flattened and conjugated; row c is code c.
 
@@ -144,12 +139,13 @@ def _score(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Score every member of one run, one matrix product per frame group.
 
-    ``frames`` holds each member's frames, ``(members, rows, outputs, 2)``,
-    and ``tables[m]`` member m's ``_frame_table``. The possible rows are
-    grouped by the first member's frame code ``g``. In that group member
-    m's frame is ``g ^ δ`` with ``δ = codes[m] ^ codes[0]``, so its target
-    is row ``g ^ δ`` of its table: a member brings one column per ``δ``
-    value of the run, and each row reads the column of its own ``δ``.
+    ``frames`` holds each member's output frame codes, ``(members, rows)``,
+    as :func:`_execute` returns them, and ``tables[m]`` member m's
+    ``_frame_table``. The possible rows are grouped by the first member's
+    code ``g``. In that group member m's frame is ``g ^ δ`` with
+    ``δ = frames[m] ^ frames[0]``, so its target is row ``g ^ δ`` of its
+    table: a member brings one column per ``δ`` value of the run, and each
+    row reads the column of its own ``δ``.
     A group larger than ``_PIECE_ROWS`` rows takes one product per piece.
     Returns each member's worst infidelity over the possible rows, at
     least 0, and with ``keep`` every member's fidelity per row, 0 on the
@@ -159,10 +155,10 @@ def _score(
     fids = np.zeros((members, len(ens.possible))) if keep else None
     lowest = np.ones(members)
     ok = np.flatnonzero(ens.possible)
-    lead = frame_codes(frames[0])[ok]
-    # A stable sort on the narrowest type; codes count up, so a group's
-    # rows lie between the bounds of its code and the next.
-    order = np.argsort(lead.astype(np.min_scalar_type(frame_count)), kind="stable")
+    lead = frames[0][ok]
+    # A stable sort, on the engine's narrow codes; codes count up, so a
+    # group's rows lie between the bounds of its code and the next.
+    order = np.argsort(lead, kind="stable")
     rows, first = ok[order], lead[order]
     bounds = np.searchsorted(first, np.arange(frame_count + 1)).tolist()
     # Member m's columns start at start[m], one per δ value in increasing
@@ -170,7 +166,7 @@ def _score(
     # The first member's δ is 0.
     member, delta, start, pick = [0], [0], [0], {}
     for m in range(1, members):
-        d = frame_codes(frames[m])[ok] ^ lead
+        d = frames[m][ok] ^ lead
         start.append(len(member))
         values = d[:1]
         if not (d == values).all():
@@ -205,35 +201,33 @@ def _runs(f: PatternFragment, U: np.ndarray, sample_count: int = 0, seed: int = 
 
     ``members`` are error combinations by frame code; the run is framed by
     the first, ``r``, and ``ens`` and ``frames`` are :func:`_execute`'s.
-    Exhaustive runs (``sample_count`` 0) take one per choice class, keyed
-    on the plan's guards; sampled ones take ``sample_count`` seeded one-row
-    runs per combination, each its own class. Where the choices of ``c``
-    and ``r`` agree, ``c``'s branch state, as an (outputs, references)
-    matrix, is the run's ``S`` times ``P_r† P_c`` on the right (an input
-    error is a reference Pauli), so its overlap with a target ``T`` is the
-    run's overlap with ``T P_c† P_r``, which is ``T P_(c^r)`` up to a sign
-    that no fidelity sees. So ``tables[m]`` is the :func:`_frame_table` of
-    ``U P_(c^r) / √d`` for member ``c``; every shift ``c ^ r`` lies in the
-    class of combination 0.
+    Exhaustive runs (``sample_count`` 0) take one per choice class, the
+    combinations that agree on the plan's guard bits; sampled ones take
+    ``sample_count`` seeded one-row runs per combination, each its own
+    class. Where the choices of ``c`` and ``r`` agree, ``c``'s branch
+    state, as an (outputs, references) matrix, is the run's ``S`` times
+    ``P_r† P_c`` on the right (an input error is a reference Pauli), so its
+    overlap with a target ``T`` is the run's overlap with ``T P_c† P_r``,
+    which is ``T P_(c^r)`` up to a sign that no fidelity sees. So
+    ``tables[m]`` is the :func:`_frame_table` of ``U P_(c^r) / √d`` for
+    member ``c``; every shift ``c ^ r`` lies in the class of combination 0.
     """
     n = len(f.inputs)
-    read = range(2 * n) if sample_count else [i for i, _ in _plan(f).guards]
-    combos, classes = [], {}
-    for c, (errs, bits) in enumerate(_error_combos(f.inputs)):
-        combos.append(errs)
-        classes.setdefault(tuple(bits[i] for i in read), []).append(c)
+    mask = 4**n - 1 if sample_count else sum(bit for bit, _ in _plan(f).guards)  # distinct bits
+    classes = {}
+    for c in range(4**n):
+        classes.setdefault(c & mask, []).append(c)
     classes = list(classes.values())
     bases = U @ apply_frames(classes[0], np.eye(1 << n), n) / math.sqrt(1 << n)
     # One call dresses every shift's base, side by side as (outputs, shifts, references).
     stacked = _frame_table(bases.transpose(1, 0, 2), n).reshape(4**n, 1 << n, len(bases), -1)
     shifted = dict(zip(classes[0], stacked.transpose(2, 0, 1, 3).reshape(len(bases), 4**n, -1)))
     for members in classes:
-        errs = [combos[c] for c in members]
         tables = np.stack([shifted[c ^ members[0]] for c in members])
         base = seed * 0x9E3779B1 + members[0] * 1009
         seeds = ((base + k) & 0x7FFFFFFF for k in range(sample_count))
         for src in map(OutcomeSource.seeded, seeds) if sample_count else [None]:
-            yield (members, *_execute(f, src, choi_input(n), errs, n), tables)
+            yield (members, *_execute(f, src, choi_input(n), members, n), tables)
 
 
 def verify_fragment(
@@ -251,22 +245,23 @@ def verify_fragment(
     maximally entangled input. ``branches`` is ``"all"`` for exhaustive
     enumeration, one run per choice class (see :func:`_runs`), or
     ``("sample", k)`` for k seeded runs per error combo; ``tol`` is the
-    worst accepted infidelity, strictly between 0 and 1.
+    worst accepted infidelity, strictly between 0 and 1. ``seed`` must be
+    a non-negative integer in either mode, as an :class:`OutcomeSource`'s.
     """
     U, label = _checked_target(f, target)
     n = len(f.inputs)
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
+    OutcomeSource.seeded(seed)  # refuses any other seed, with its message
 
     measured = len(f.pattern.measurements)
     sample_count = _sample_count(branches)
     exhaustive = sample_count == 0
-    combos = list(_error_combos(f.inputs))
     # Per combination: the probability total, the worst infidelity, the
     # possible and impossible rows, and the records kept.
-    totals, worsts = np.zeros(len(combos)), np.zeros(len(combos))
-    counts = np.zeros((len(combos), 2), dtype=np.int64)
-    kept: list[list[BranchRecord]] = [[] for _ in combos]
+    totals, worsts = np.zeros(4**n), np.zeros(4**n)
+    counts = np.zeros((4**n, 2), dtype=np.int64)
+    kept: list[list[BranchRecord]] = [[] for _ in range(4**n)]
 
     # Both modes know their record count up front: the rows of one error
     # combination times the 4^n combinations.
@@ -283,14 +278,16 @@ def verify_fragment(
         worsts[members] = np.maximum(worsts[members], worst)
         if not keep:
             return
-        # Rows share their outcomes and probability between members, and a
-        # frame's bits follow from its code.
+        # Rows share their outcomes and probability between members; the
+        # bits of a combination and of a frame, both on n wires, follow from
+        # their codes.
         per_row = list(zip(map(tuple, ens.outcomes.T.tolist()), probs.tolist(), ok.tolist()))
-        codes, infidelities = frame_codes(frames).tolist(), (1.0 - fids).tolist()
+        codes, infidelities = frames.tolist(), (1.0 - fids).tolist()
         for c, member_codes, member_infidelities in zip(members, codes, infidelities):
+            error_bits = tuple(b for zx in frame_tuples[c] for b in zx)
             kept[c].extend(
                 BranchRecord(
-                    combos[c][1],
+                    error_bits,
                     outcomes,
                     prob if possible else 0.0,
                     frame_tuples[code],
@@ -352,15 +349,14 @@ def verify_fragment_product_inputs(
     U, _ = _checked_target(f, target)
     n = len(f.inputs)
     worst = 0.0
-    combos = list(_error_combos(f.inputs)) if with_errors else [({}, ())]
     for labels in product(PRODUCT_INPUT_STATES, repeat=n):
         vec = np.array([1.0], dtype=complex)
         for name in labels:
             vec = np.kron(vec, PRODUCT_INPUT_STATES[name])
         state = Statevector(n, vec)
         table = _frame_table(U @ vec, n)
-        for errs, _bits in combos:
-            ens = enumerate_fragment(f, state, errs)
+        for code in range(4**n if with_errors else 1):
+            ens = _execute(f, None, state, [code], 0)[0]
             worst = max(worst, float(_score(ens, ens.frames[None], table[None], False)[0][0]))
     return worst
 
@@ -381,14 +377,12 @@ def infer_corrections(
     U, label = _checked_target(f, target)
     n = len(f.inputs)
     out_names = _plan(f).names  # the rows of a run pack the outcomes in this order
-    err_names = [name for v in f.inputs for name in f.input_errors[v]]
-    names = err_names + list(out_names)
+    names = [*f.error_variables(), *out_names]  # the order of the plan's error bits
     k = len(names)
     if k > MAX_TABLE_BITS:
         raise InferenceError(f"truth table over {k} bits exceeds the budget")
 
-    combos = [bits for _, bits in _error_combos(f.inputs)]
-    codes = np.zeros((len(combos), 1 << len(out_names)), dtype=np.int64)
+    codes = np.zeros((4**n, 1 << len(out_names)), dtype=np.int64)
     for members, ens, _, tables in _runs(f, U):
         ok = ens.possible
         for combo, table in zip(members, tables):
@@ -398,7 +392,8 @@ def infer_corrections(
             bad = np.nonzero(ok & (n_hits != 1))[0]
             if len(bad):
                 raise InferenceError(
-                    f"branch {int(bad[0])} of error combo {combos[combo]} admits "
+                    f"branch {int(bad[0])} of error combo"
+                    f" {tuple(frame_bits(combo, n).reshape(-1).tolist())} admits "
                     f"{int(n_hits[bad[0]])} Pauli solutions against {label}"
                 )
             # Impossible branches are don't-cares and stay at 0.

@@ -123,14 +123,17 @@ def test_run_pattern_with_tape_and_branches(tmp_path, capsys):
     assert payload["probability"] == pytest.approx(0.5)
 
     # One bit per measurement, a tape never goes with --branches, and a
-    # seed is never negative.
-    for extra in (
-        ("--tape", "0111"),
-        ("--branches", "all", "--tape", "1"),
-        ("--seed=-1",),
-        ("--branches", "sample:2", "--seed=-1"),
+    # seed is never negative, for run or verify, sampled or exhaustive.
+    run, verify = ("run", str(path)), ("verify", "builtin:e_t")
+    for command, extra in (
+        (run, ("--tape", "0111")),
+        (run, ("--branches", "all", "--tape", "1")),
+        (run, ("--seed=-1",)),
+        (run, ("--branches", "sample:2", "--seed=-1")),
+        (verify, ("--seed=-1",)),
+        (verify, ("--branches", "sample:2", "--seed=-1")),
     ):
-        code, out, _ = run_cli(capsys, "--json", "run", str(path), *extra)
+        code, out, _ = run_cli(capsys, "--json", *command, *extra)
         assert code == 2
         error = json.loads(out)["error"]
         assert "--seed=-1" not in extra or error == "seed must be a non-negative integer, got -1"

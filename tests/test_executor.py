@@ -66,7 +66,7 @@ from ppmbqc.statevec import (
     zero_state,
     zrot,
 )
-from ppmbqc.unitaries import pauli_product, unitary_from_label
+from ppmbqc.unitaries import frame_bits, pauli_product, unitary_from_label
 
 RNG = np.random.default_rng(0xFACE)
 
@@ -823,7 +823,8 @@ def test_outcome_and_choice_bits_built_on_read_match_the_eager_matrix(case, spec
     for got, want in ((ens.outcomes, eager[:k]), (ens.choices, eager[k:])):
         assert got.dtype == np.uint8 and np.array_equal(got, want)
     # A one-row run keeps its drawn outcomes and choices: they are its row's.
-    shot = executor._execute(f, OutcomeSource.seeded(seed), psi, [errs], spectators)[0]
+    code = executor._error_code(f, errs)
+    shot = executor._execute(f, OutcomeSource.seeded(seed), psi, [code], spectators)[0]
     row = int("".join(map(str, shot.drawn)) or "0", 2)
     assert np.array_equal(shot.outcomes, eager[:k, row : row + 1])
     assert np.array_equal(shot.choices, eager[k:, row : row + 1])
@@ -877,12 +878,12 @@ def test_a_shared_run_refuses_members_whose_choices_differ():
     f, psi = e_fragment("T"), choi_input(1)
     (v,) = f.inputs
     members = [{v: (0, 0)}, {v: (1, 0)}]
-    ens, frames = executor._execute(f, None, psi, members, 1)
+    ens, frames = executor._execute(f, None, psi, [0b00, 0b10], 1)
     assert frames.shape == (2,) + ens.frames.shape
     for errs, got in zip(members, frames):
         assert np.array_equal(got, enumerate_fragment(f, psi, errs, 1).frames)
     with pytest.raises(PpmError, match="choose differently at vertex 5"):
-        executor._execute(f, None, psi, [{v: (0, 0)}, {v: (0, 1)}], 1)
+        executor._execute(f, None, psi, [0b00, 0b01], 1)
 
 
 def test_a_definition_that_only_corrections_read_shares_the_run():
@@ -907,23 +908,24 @@ def test_a_definition_that_only_corrections_read_shares_the_run():
     g, h = reading("w[z]"), reading("u")
     assert executor._plan(g).guards == executor._plan(f).guards == ((1, 5),)
     members = [{v: (0, 0)}, {v: (1, 0)}, {v: (0, 1)}, {v: (1, 1)}]
-    _, frames = executor._execute(g, None, psi, members[:2], 1)
+    _, frames = executor._execute(g, None, psi, [0b00, 0b10], 1)
     for errs, got in zip(members, frames):
         assert np.array_equal(got, enumerate_fragment(h, psi, errs, 1).frames)
     with pytest.raises(PpmError, match="choose differently at vertex 5"):
-        executor._execute(g, None, psi, members, 1)
+        executor._execute(g, None, psi, [0b00, 0b10, 0b01, 0b11], 1)
 
 
 def _sharing_members(f, errs):
-    """Every input-error assignment that agrees with ``errs`` on the guarded errors, it first."""
-    drawn = [b for v in f.inputs for b in errs[v]]
-    guarded = [i for i, _ in executor._plan(f).guards]
-    members = [
-        {v: bits[2 * i : 2 * i + 2] for i, v in enumerate(f.inputs)}
-        for bits in itertools.product((0, 1), repeat=len(drawn))
-        if all(bits[i] == drawn[i] for i in guarded)
-    ]
-    return sorted(members, key=lambda m: m != errs)
+    """Every input-error code that agrees with ``errs`` on the guarded errors, its own first."""
+    drawn = executor._error_code(f, errs)
+    guarded = sum(bit for bit, _ in executor._plan(f).guards)
+    members = [c for c in range(4 ** len(f.inputs)) if c & guarded == drawn & guarded]
+    return sorted(members, key=lambda c: c != drawn)
+
+
+def _errors(f, code):
+    """The input-error dict of a frame code."""
+    return dict(zip(f.inputs, map(tuple, frame_bits(code, len(f.inputs)).tolist())))
 
 
 @settings(max_examples=60, deadline=None)
@@ -943,7 +945,8 @@ def test_a_shared_run_gives_each_member_its_own_frames(case, spectators, seed):
     ens, frames = executor._execute(f, None, psi, members, spectators)
     assert len(frames) == len(members) and np.array_equal(frames[0], ens.frames)
     for member, got in zip(members, frames):
-        assert np.array_equal(got, enumerate_fragment(f, psi, member, spectators).frames)
+        want = enumerate_fragment(f, psi, _errors(f, member), spectators).frames
+        assert np.array_equal(got, want)
 
 
 def assert_chunking_changes_nothing(f, psi, members, spectators):
@@ -994,8 +997,91 @@ def test_chunks_change_no_brick_run():
         f = brick(BrickSettings(left, right, cz))
         n = len(f.inputs)
         psi, spectators = (random_state(n), 0) if i % 2 else (choi_input(n), n)
-        members = [{v: (i >> 1 & 1, i >> 2 & 1) for v in f.inputs}]
+        members = [executor._error_code(f, {v: (i >> 1 & 1, i >> 2 & 1) for v in f.inputs})]
         assert_chunking_changes_nothing(f, psi, members, spectators)
+
+
+def guarded_classes(f):
+    """Every input-error code, grouped on the ``frame_bits`` of the errors a choice reads.
+
+    A choice reads an error directly or through definitions. Classes come in
+    the order of their first code.
+    """
+    errors = f.error_variables()
+    reads = {name: {name} for name in errors}
+    for name, fn in f.frames.items():
+        reads[name] = set().union(*(reads.get(v, set()) for v in fn.variables))
+    chosen = [v for m in f.pattern.measurements.values() for v in m.choice.variables]
+    read = set().union(*(reads.get(v, set()) for v in chosen))
+    n = len(f.inputs)
+    classes = {}
+    for c, bits in enumerate(frame_bits(np.arange(4**n), n).reshape(4**n, -1).tolist()):
+        classes.setdefault(tuple(b for name, b in zip(errors, bits) if name in read), []).append(c)
+    return list(classes.values())
+
+
+def run_classes(f):
+    """The members of each run of an exhaustive certificate, with no run made."""
+    from ppmbqc import verifier
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "_execute", lambda *args: (None, None))
+        return [members for members, *_ in verifier._runs(f, np.eye(1 << len(f.inputs)))]
+
+
+def test_guard_masks_form_the_classes_of_the_guarded_bits():
+    from ppmbqc.verifier import canonical_brick_settings
+
+    cases = [builtin_fragment(name)[0] for name in BUILTINS]
+    cases += [brick(settings) for settings in canonical_brick_settings()]
+    assert len(cases) == len(BUILTINS) + 18
+    sizes = set()
+    for f in cases:
+        classes = run_classes(f)
+        assert classes == guarded_classes(f)
+        sizes.add(len(classes))
+    assert sizes > {1}  # some choice reads an input error
+
+
+@settings(max_examples=100, deadline=None)
+@given(adaptive_fragments(definitions=True))
+def test_guard_masks_form_the_classes_of_the_guarded_bits_on_any_fragment(case):
+    f, _ = case
+    assert run_classes(f) == guarded_classes(f)
+
+
+def assert_codes_unpack_to_trace_frames(f, ens):
+    """Each row's code holds output w's zeta at bit 2(m - w) - 1 and its xi just below."""
+    m = len(f.outputs)
+    assert ens.frames.shape == ens.weights.shape
+    assert ens.frames.dtype == np.min_scalar_type(4**m - 1)
+    env, flat = ens.full_env_rows(), flatten(f)
+    for w, o in enumerate(f.outputs):
+        c = flat.corrections[o]
+        assert np.array_equal(ens.frames >> 2 * (m - w) - 1 & 1, c.zeta.evaluate_rows(env))
+        assert np.array_equal(ens.frames >> 2 * (m - w) - 2 & 1, c.xi.evaluate_rows(env))
+    for code, trace in zip(ens.frames.tolist(), ens.traces(f)):
+        bits = [code >> k & 1 for k in range(2 * m - 1, -1, -1)]
+        assert trace.frame == {o: tuple(bits[2 * w : 2 * w + 2]) for w, o in enumerate(f.outputs)}
+
+
+def assert_runs_keep_frame_codes(f, errs, seed):
+    psi, code = random_state(len(f.inputs)), executor._error_code(f, errs)
+    assert_codes_unpack_to_trace_frames(f, enumerate_fragment(f, psi, errs))
+    for src in (OutcomeSource.seeded(seed), OutcomeSource.seeded(seed + 1)):
+        assert_codes_unpack_to_trace_frames(f, executor._execute(f, src, psi, [code], 0)[0])
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_frame_codes_unpack_to_each_traces_frame(name):
+    f, _ = builtin_fragment(name)
+    assert_runs_keep_frame_codes(f, {v: (1, i & 1) for i, v in enumerate(f.inputs)}, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adaptive_fragments(definitions=True), st.integers(0, 2**32 - 2))
+def test_frame_codes_unpack_to_each_traces_frame_on_any_fragment(case, seed):
+    assert_runs_keep_frame_codes(*case, seed)
 
 
 def test_an_exhaustive_run_peaks_below_one_and_a_half_states():
@@ -1012,7 +1098,7 @@ def test_an_exhaustive_run_peaks_below_one_and_a_half_states():
     executor._plan(f)  # the plan and its diagonals are the fragment's, not the run's
     tracemalloc.start()
     try:
-        ens, _ = executor._execute(f, None, psi, [None], n)
+        ens, _ = executor._execute(f, None, psi, [0], n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -36,7 +36,7 @@ from ppmbqc.executor import (
     measurement_order,
     run_fragment,
 )
-from ppmbqc.unitaries import apply_frames, frame_bits, frame_codes, unitary_from_label
+from ppmbqc.unitaries import apply_frames, frame_bits, unitary_from_label
 from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
     FIT_TOL,
@@ -136,10 +136,17 @@ def test_every_certification_entry_point_checks_its_target(check, target, monkey
     def enumerate_fragment(*args, **kwargs):
         pytest.fail("enumerated branches before checking the target")
 
-    monkeypatch.setattr("ppmbqc.verifier.enumerate_fragment", enumerate_fragment)
     monkeypatch.setattr("ppmbqc.verifier._execute", enumerate_fragment)
     with pytest.raises(DimensionError):
         check(xhalf_fragment(), target)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "1"])
+@pytest.mark.parametrize("branches", ["all", ("sample", 2)])
+def test_both_modes_refuse_a_seed_that_is_not_a_non_negative_integer(seed, branches):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_fragment(e_fragment("T"), "T", branches=branches, seed=seed)
 
 
 def test_both_modes_keep_records_only_when_they_fit(monkeypatch):
@@ -189,18 +196,18 @@ def test_infer_recovers_e_t_reference_anf_exactly():
     [(e_fragment("T"), "T", 2), (brick(BrickSettings("T", "HTH", 1)), "CZ*(TxHTH)", 4)],
 )
 def test_inference_runs_the_engine_once_per_choice_class(frag, label, classes, monkeypatch):
-    from ppmbqc import verifier
+    from ppmbqc import executor, verifier
     from ppmbqc.executor import _plan
 
     # A class per value of the guarded input errors, which every choice reads.
     assert 1 << len(_plan(frag).guards) == classes
     calls = {"_execute": 0, "enumerate_fragment": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(verifier, name), **kwargs):
+    for module, name in ((verifier, "_execute"), (executor, "enumerate_fragment")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(verifier, name, counted)
+        monkeypatch.setattr(module, name, counted)
     stripped = with_corrections(
         frag, {v: Correction(BoolFn.zero(), BoolFn.zero()) for v in frag.outputs}
     )
@@ -255,8 +262,15 @@ def test_brick_fails_without_its_second_wire_error_terms():
 
 def test_infer_fails_against_wrong_target():
     f = xhalf_fragment()
-    with pytest.raises(InferenceError):
+    with pytest.raises(InferenceError, match=r"branch 0 of error combo \(0, 0\) admits 0 Pauli"):
         infer_corrections(f, "T")
+    # e_t's last choice also reads x, so it rotates the wrong way where x
+    # is set: the first combination that fails is code 1, (z, x) = (0, 1).
+    e = e_fragment("T")
+    ((v, m),) = [(v, m) for v, m in e.pattern.measurements.items() if "x" in m.choice.variables]
+    g = with_choice(e, v, m.choice ^ BoolFn.var("x"))
+    with pytest.raises(InferenceError, match=r"error combo \(0, 1\) admits 0 Pauli solutions"):
+        infer_corrections(g, "T")
 
 
 def test_operator_schmidt_rank_examples():
@@ -436,12 +450,12 @@ def per_combination_report(f, label):
     for errs, bits in error_combos(f):
         ens = enumerate_fragment(f, choi_input(n), errs, n)
         ok = ens.possible
-        overlaps = np.abs(np.einsum("ij,ij->i", ens.states, table[frame_codes(ens.frames)])) ** 2
+        overlaps = np.abs(np.einsum("ij,ij->i", ens.states, table[ens.frames])) ** 2
         fids = np.divide(overlaps, ens.weights, out=np.zeros(len(ok)), where=ok)
         worst = max(worst, float((1.0 - fids[ok]).max(initial=0.0)))
         totals.append(float(ens.probabilities.sum()))
         possible, impossible = possible + int(ok.sum()), impossible + int((~ok).sum())
-        for r, frame in enumerate(ens.frames.tolist() if keep else ()):
+        for r, frame in enumerate(frame_bits(ens.frames, n).tolist() if keep else ()):
             outcomes = tuple(int(b[r]) for b in ens.outcomes)
             infidelity = float(1.0 - fids[r]) if ok[r] else None
             prob = float(ens.probabilities[r]) if ok[r] else 0.0
@@ -468,7 +482,7 @@ def assert_matches_the_oracle(f, label):
 
 
 def synthetic_run(rng, rows, wires, spectators, members):
-    """Random unit-norm branch states with possible rows, frames and frame tables.
+    """Random unit-norm branch states with possible rows, frame codes and frame tables.
 
     Member 0 frames every row at random; member 1's frame differs from it
     by one code on every row; each later member differs by a code drawn
@@ -487,7 +501,7 @@ def synthetic_run(rng, rows, wires, spectators, members):
     first = rng.integers(frames_count, size=rows)
     codes = [first, first ^ rng.integers(frames_count)]
     codes += [first ^ rng.integers(frames_count, size=rows) for _ in range(members - 2)]
-    frames = frame_bits(np.array(codes), wires)
+    frames = np.array(codes)
     ens = BranchEnsemble([], [], states, weights, possible, [], {}, frames[0])
     return ens, frames, tables
 
@@ -502,12 +516,12 @@ def test_group_scoring_matches_the_per_row_formula(rows, spectators, piece_rows,
     ens, frames, tables = synthetic_run(rng, rows, 2, spectators, members=4)
     ok = ens.possible
     if rows > 1:
-        assert len(np.unique(frame_codes(frames[2]) ^ frame_codes(frames[0]))) > 1
+        assert len(np.unique(frames[2] ^ frames[0])) > 1
         assert not ok.all()
     for keep in (True, False):
         worst, fids = _score(ens, frames, tables, keep)
         for m, member_frames in enumerate(frames):
-            targets = tables[m][frame_codes(member_frames)]
+            targets = tables[m][member_frames]
             want = np.abs(np.einsum("ij,ij->i", ens.states, targets)) ** 2 / ens.weights
             assert worst[m] == pytest.approx(
                 (1.0 - want[ok]).max(initial=0.0), rel=0, abs=1e-12
@@ -634,6 +648,7 @@ def test_factored_corrections_match_the_oracle(frag, label, runs):
                     env[name] = np.full(len(got), b, dtype=np.uint8)
                 corrections = [flat.corrections[o] for o in mutant.outputs]
                 want = [[k.zeta.evaluate_rows(env), k.xi.evaluate_rows(env)] for k in corrections]
+                got = frame_bits(got, len(mutant.outputs))
                 assert np.array_equal(got, np.moveaxis(want, -1, 0)), kind
 
 
