@@ -567,11 +567,16 @@ def _evaluate(anf: CompiledAnf, words):
     A branch word holds a bit for each value live at that point of the
     run, from its write to its last reader. ``words`` is one Python int
     for a one-row run, giving an int, or an array of them, giving one value
-    per row.
+    per row: a bool array for int64 words, built in place.
     """
-    acc = words & 0  # 0, or a zero per row
+    if isinstance(words, int) or words.dtype == object:
+        acc = words & 0  # 0, or a zero per row
+        for mask in anf:
+            acc = acc ^ ((words & mask) == mask)
+        return acc
+    acc, masked, hit = np.zeros(len(words), bool), np.empty_like(words), np.empty(len(words), bool)
     for mask in anf:
-        acc = acc ^ ((words & mask) == mask)
+        acc ^= np.equal(np.bitwise_and(words, mask, out=masked), mask, out=hit)
     return acc
 
 
@@ -597,8 +602,9 @@ def _corrections(plan: _Plan, word, members: list[int]) -> np.ndarray:
         for errs, row in terms:
             sets = members[0] & errs == errs
             differ = [m for m, e in enumerate(members) if (e & errs == errs) != sets]
-            if differ:
-                out[differ] ^= np.asarray(_evaluate(row, word), dtype) << shift
+            if differ:  # a constant row part, (0,), is one scalar bit
+                value = 1 if row == (0,) else np.asarray(_evaluate(row, word), dtype)
+                out[differ] ^= value << shift
     return out
 
 

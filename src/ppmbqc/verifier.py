@@ -21,9 +21,9 @@ and inference both draw their runs, with each member's frame table, from
 the one generator :func:`_runs`. Combinations and the engine's output
 frames are frame codes throughout, unpacked only for records and fits.
 
-Scoring takes one matrix product per frame group (see :func:`_score`):
-the rows a run shares are sorted by the frame code of its first member,
-and every member's target in a group is a row of its own frame table.
+Scoring takes one real product per frame group (see :func:`_score`), its
+rows sorted by the first member's frame code, and one column per distinct
+target: a member whose targets are the lead's up to a phase reads the lead's.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ MAX_TABLE_BITS = 20
 # Most branch rows that one scoring product takes: it bounds the product's
 # temporaries, and with them the heap that scoring leaves behind.
 _PIECE_ROWS = 1024
+_SHARE_TOL = 4 * np.finfo(float).eps  # four ulps of 1; see _columns
 
 
 @dataclass(frozen=True)
@@ -134,18 +135,46 @@ def _frame_table(base: np.ndarray, wires: int) -> np.ndarray:
     return apply_frames(np.arange(frames), base, wires).reshape(frames, -1).conj()
 
 
+def _columns(frames: np.ndarray, tables: np.ndarray, possible: np.ndarray, order: np.ndarray):
+    """The columns :func:`_score` takes for one run, as ``(member, delta, start, pick)``.
+
+    In the group of lead code ``g``, column j is row ``g ^ delta[j]`` of
+    ``tables[member[j]]``. Member m reads column ``start[m]``, or, if its
+    ``δ`` varies over the ``possible`` rows, ``pick[m][i]`` on the i-th of
+    them in ``order``. A member with one ``δ``, whose table row ``c ^ δ`` is the
+    lead's row ``c`` times ±1 or ±i, each entry within ``_SHARE_TOL``, reads column 0:
+    a fidelity then moves by at most ``2ε + ε²``, ``ε = _SHARE_TOL·√D`` for ``D`` entries.
+    """
+    if len(frames) == 1:  # a run of one member, as every sampled run is
+        return np.zeros(1, np.intp), np.zeros(1, np.int64), np.zeros(1, np.intp), {}
+    d = frames ^ frames[0]
+    first = d[:, possible.argmax()]  # on a possible row, if there is one
+    constant = ((d == first[:, None]) | ~possible).all(axis=1)
+    shifted = tables[np.arange(len(d))[:, None], np.arange(len(tables[0])) ^ first[:, None]]
+    matched = sum((np.abs(shifted - p * tables[0]) <= _SHARE_TOL).all(2) for p in (1, -1, 1j, -1j))
+    member, delta, start, pick = [0], [0], np.zeros(len(d), dtype=np.intp), {}
+    for m in np.flatnonzero(~(constant & matched.all(axis=1))):  # the lead shares its own
+        start[m], values = len(member), first[m : m + 1]
+        if not constant[m]:
+            values, inverse = np.unique(d[m][possible], return_inverse=True)
+            pick[m] = len(member) + inverse[order]
+        member += [m] * len(values)
+        delta += values.tolist()
+    return np.array(member, dtype=np.intp), np.array(delta, dtype=np.int64), start, pick
+
+
 def _score(
     ens: BranchEnsemble, frames: np.ndarray, tables: np.ndarray, keep: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Score every member of one run, one matrix product per frame group.
+    """Score every member of one run, one real matrix product per frame group.
 
     ``frames`` holds each member's output frame codes, ``(members, rows)``,
     as :func:`_execute` returns them, and ``tables[m]`` member m's
     ``_frame_table``. The possible rows are grouped by the first member's
     code ``g``. In that group member m's frame is ``g ^ δ`` with
     ``δ = frames[m] ^ frames[0]``, so its target is row ``g ^ δ`` of its
-    table: a member brings one column per ``δ`` value of the run, and each
-    row reads the column of its own ``δ``.
+    table, one column per distinct target (:func:`_columns`). A group's real
+    product, ``(rows, 2·d) @ (2·d, 2·columns)``, stays on one thread at one column.
     A group larger than ``_PIECE_ROWS`` rows takes one product per piece.
     Returns each member's worst infidelity over the possible rows, at
     least 0, and with ``keep`` every member's fidelity per row, 0 on the
@@ -161,21 +190,12 @@ def _score(
     order = np.argsort(lead, kind="stable")
     rows, first = ok[order], lead[order]
     bounds = np.searchsorted(first, np.arange(frame_count + 1)).tolist()
-    # Member m's columns start at start[m], one per δ value in increasing
-    # order; a member with several values reads column pick[m] on each row.
-    # The first member's δ is 0.
-    member, delta, start, pick = [0], [0], [0], {}
-    for m in range(1, members):
-        d = frames[m][ok] ^ lead
-        start.append(len(member))
-        values = d[:1]
-        if not (d == values).all():
-            values, inverse = np.unique(d, return_inverse=True)
-            pick[m] = start[m] + inverse[order]
-        member += [m] * len(values)
-        delta += values.tolist()
-    member, delta = np.array(member, dtype=np.intp), np.array(delta, dtype=np.int64)
-    inv_weights = 1.0 / ens.weights[rows]
+    member, delta, start, pick = _columns(frames, tables, ens.possible, order)
+    # Per group, entry k of each target over i times it: as floats, the overlap's two parts.
+    targets = tables[member, np.arange(frame_count)[:, None] ^ delta]
+    real = np.stack([targets, 1j * targets], axis=1).transpose(0, 3, 1, 2)
+    real = np.ascontiguousarray(real).reshape(frame_count, -1, len(member)).view(float)
+    inv_weights = 1.0 / ens.weights[rows, None]
     pieces = (
         (g, lo, min(lo + _PIECE_ROWS, end))
         for g, (begin, end) in enumerate(zip(bounds, bounds[1:]))
@@ -183,16 +203,15 @@ def _score(
     )
     for g, lo, hi in pieces:
         # The piece's states, gathered by np.take, which outpaces fancy indexing.
-        overlaps = tables[member, g ^ delta] @ np.take(ens.states, rows[lo:hi], axis=0).T
-        fid = np.square(overlaps.real)
-        fid += np.square(overlaps.imag)
-        fid *= inv_weights[lo:hi]
-        scored = fid[start]
+        parts = np.square(np.take(ens.states, rows[lo:hi], axis=0).view(float) @ real[g])
+        fid = (parts[:, 0::2] + parts[:, 1::2]) * inv_weights[lo:hi]
+        # Rows by members; with neither records nor picks, each column's minimum.
+        scored = fid[:, start] if keep or pick else fid.min(axis=0, keepdims=True)[:, start]
         for m, p in pick.items():
-            scored[m] = fid[p[lo:hi], np.arange(hi - lo)]
-        np.minimum(lowest, scored.min(axis=1), out=lowest)
+            scored[:, m] = fid[np.arange(hi - lo), p[lo:hi]]
+        np.minimum(lowest, scored.min(axis=0), out=lowest)
         if keep:
-            fids[:, rows[lo:hi]] = scored
+            fids[:, rows[lo:hi]] = scored.T
     return 1.0 - lowest, fids
 
 

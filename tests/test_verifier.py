@@ -41,6 +41,8 @@ from ppmbqc.verifier import (
     ADVERTISED_LANE_GATES,
     FIT_TOL,
     MAX_RECORDS,
+    _SHARE_TOL,
+    _columns,
     _frame_table,
     _runs,
     _score,
@@ -481,12 +483,16 @@ def assert_matches_the_oracle(f, label):
     return rep
 
 
-def synthetic_run(rng, rows, wires, spectators, members):
+def synthetic_run(rng, rows, wires, spectators, members, phased=0):
     """Random unit-norm branch states with possible rows, frame codes and frame tables.
 
     Member 0 frames every row at random; member 1's frame differs from it
     by one code on every row; each later member differs by a code drawn
     per row. About a quarter of the rows are impossible, never the first.
+    Then ``phased`` members follow whose frames differ from member 0's by
+    one code δ on every row, with member 0's table moved by δ and times
+    1, -1, i, -i in turn: each has member 0's targets up to a phase. The
+    last of them has one entry moved 10 × ``_SHARE_TOL`` further.
     """
     dim = 1 << (wires + spectators)
     states = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
@@ -501,7 +507,13 @@ def synthetic_run(rng, rows, wires, spectators, members):
     first = rng.integers(frames_count, size=rows)
     codes = [first, first ^ rng.integers(frames_count)]
     codes += [first ^ rng.integers(frames_count, size=rows) for _ in range(members - 2)]
-    frames = np.array(codes)
+    shifts = rng.integers(frames_count, size=phased)
+    phases = np.resize([1, -1, 1j, -1j], phased)[:, None, None]
+    moved = tables[0][np.arange(frames_count)[:, None] ^ shifts].transpose(1, 0, 2)
+    tables = np.concatenate([tables, phases * moved])
+    if phased:
+        tables[-1, rng.integers(frames_count), rng.integers(dim)] += 10 * _SHARE_TOL
+    frames = np.array(codes + [first ^ shift for shift in shifts])
     ens = BranchEnsemble([], [], states, weights, possible, [], {}, frames[0])
     return ens, frames, tables
 
@@ -513,11 +525,17 @@ def test_group_scoring_matches_the_per_row_formula(rows, spectators, piece_rows,
     if piece_rows:
         monkeypatch.setattr("ppmbqc.verifier._PIECE_ROWS", piece_rows)
     rng = np.random.default_rng([rows, spectators])
-    ens, frames, tables = synthetic_run(rng, rows, 2, spectators, members=4)
+    ens, frames, tables = synthetic_run(rng, rows, 2, spectators, members=4, phased=5)
     ok = ens.possible
     if rows > 1:
         assert len(np.unique(frames[2] ^ frames[0])) > 1
         assert not ok.all()
+    # The four phased members read the lead's column; the perturbed one, past
+    # the tolerance, and the random ones keep their own.
+    order = np.argsort(frames[0][ok], kind="stable")
+    start = _columns(frames, tables, ens.possible, order)[2].tolist()
+    assert start[4:8] == [0] * 4
+    assert 0 not in start[1:4] + start[8:]
     for keep in (True, False):
         worst, fids = _score(ens, frames, tables, keep)
         for m, member_frames in enumerate(frames):
@@ -537,6 +555,19 @@ def test_group_scoring_of_a_run_without_possible_rows():
     ens.possible[:] = False
     worst, fids = _score(ens, frames, tables, True)
     assert (worst == 0).all() and (fids == 0).all()
+
+
+def test_every_member_of_a_canonical_brick_run_shares_the_leads_column():
+    # Each member's targets are the lead's up to a phase, so every run scores
+    # one column: the product that keeps scoring on one BLAS thread.
+    for settings in canonical_brick_settings():
+        U = unitary_from_label(settings.label())
+        for members, ens, frames, tables in _runs(brick(settings), U):
+            order = np.argsort(frames[0][ens.possible], kind="stable")
+            member, delta, start, pick = _columns(frames, tables, ens.possible, order)
+            assert len(members) > 1 and ens.possible.any(), settings
+            assert (member.tolist(), delta.tolist(), pick) == ([0], [0], {}), settings
+            assert start.tolist() == [0] * len(members), settings
 
 
 def with_choice(f, v, choice):
